@@ -12,6 +12,10 @@ from fractions import Fraction
 
 from .model import SynapperError
 
+# Largest n accepted. n! must print in full, and Python 3.11 refuses to turn
+# an int of more than 4,300 digits into text; 1,000! has 2,568 digits.
+MAX_MEMBERS = 1000
+
 
 class NTooSmallError(SynapperError):
     """A loop needs at least two members for the question to make sense."""
@@ -21,20 +25,16 @@ class NTooSmallError(SynapperError):
 class ChanceProbability:
     n: int
     probability: float
-    numerator: int
     denominator: int
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
+        return Fraction(1, self.denominator)
 
 
 def chance_probability(n: int) -> ChanceProbability:
     if n < 2:
         raise NTooSmallError(f"need at least 2 members, got {n}")
-    exact = Fraction(1, math.factorial(n))
-    return ChanceProbability(
-        n=n,
-        probability=float(exact),
-        numerator=exact.numerator,
-        denominator=exact.denominator,
-    )
+    if n > MAX_MEMBERS:
+        raise SynapperError(f"n must be at most {MAX_MEMBERS}, got {n}")
+    denominator = math.factorial(n)
+    return ChanceProbability(n=n, probability=1 / denominator, denominator=denominator)

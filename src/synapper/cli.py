@@ -11,6 +11,7 @@ linearization.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from collections import Counter
@@ -167,16 +168,12 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_prob(args) -> int:
-    result = chance_probability(args.n)
-    print(f"{_format_probability(result.probability)} (1/{result.denominator})")
+    denominator = chance_probability(args.n).denominator
+    # 1/n! from the exact integer, rounded half to even to seven significant
+    # digits; past n = 170 the float probability underflows.
+    quotient = decimal.Context(prec=7).divide(decimal.Decimal(1), denominator)
+    print(f"{quotient:.6e} (1/{denominator})")
     return 0
-
-
-def _format_probability(p: float) -> str:
-    mantissa, _, exponent = f"{p:.6e}".partition("e")
-    sign = exponent[0]
-    digits = exponent[1:].lstrip("0") or "0"
-    return f"{mantissa}e{sign}{digits}"
 
 
 def _cmd_orders(args) -> int:

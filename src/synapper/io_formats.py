@@ -19,14 +19,13 @@ from .model import (
     Loop,
     LoopKind,
     MalformedDocumentError,
-    Role,
     Synapper,
     SynapperError,
-    UnknownWordOrderError,
-    WordOrder,
     _check_keys,
     _expect_str,
+    _is_surface,
     _join,
+    _word_order,
     build_synapper,
 )
 from .profile import (
@@ -55,6 +54,10 @@ def _loads(text: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedSyntaxError(f"invalid JSON: {e.msg}", e.lineno) from None
+    except (RecursionError, ValueError) as e:
+        # Nesting past the decoder's depth limit, or an integer longer than
+        # Python's int conversion allows: valid JSON this reader cannot hold.
+        raise MalformedDocumentError("", f"unreadable JSON: {e}") from None
 
 
 def parse_structure(text: str) -> Synapper:
@@ -114,11 +117,7 @@ def parse_profile(text: str) -> LanguageProfile:
     name = _expect_str(obj["name"], "name")
     if not name:
         raise MalformedDocumentError("name", "profile name must be non-empty")
-    order_text = _expect_str(obj["word_order"], "word_order")
-    try:
-        word_order = WordOrder(order_text)
-    except ValueError:
-        raise UnknownWordOrderError("word_order", f"unknown word order {order_text!r}") from None
+    word_order = _word_order(obj["word_order"])
     wh_rule = _enum_value(WhRule, obj["wh_rule"], "wh_rule")
     placement = _enum_value(VerbPlacement, obj.get("verb_placement", "default"), "verb_placement")
     return LanguageProfile(
@@ -170,8 +169,6 @@ def _parse_morpheme_rules(raw: object) -> tuple[MorphemeRule, ...]:
         obj = _check_keys(r, path, {"kind", "selector"}, {"payload", "ordinal"})
         kind = _enum_value(MorphemeKind, obj["kind"], _join(path, "kind"))
         selector = _expect_str(obj["selector"], _join(path, "selector"))
-        if not selector:
-            raise MalformedDocumentError(_join(path, "selector"), "selector must be non-empty")
         payload = _expect_str(obj.get("payload", ""), _join(path, "payload"))
         ordinal = obj.get("ordinal", i)
         if not isinstance(ordinal, int) or isinstance(ordinal, bool):
@@ -179,41 +176,20 @@ def _parse_morpheme_rules(raw: object) -> tuple[MorphemeRule, ...]:
         if ordinal in seen_ordinals:
             raise MalformedDocumentError(_join(path, "ordinal"), f"duplicate ordinal {ordinal}")
         seen_ordinals.add(ordinal)
-        _check_rule_shape(kind, selector, payload, path)
-        rules.append(MorphemeRule(kind=kind, selector=selector, payload=payload, ordinal=ordinal))
+        try:
+            rules.append(MorphemeRule(kind=kind, selector=selector, payload=payload, ordinal=ordinal))
+        except MalformedDocumentError as e:
+            raise MalformedDocumentError(_join(path, e.path), e.message) from None
     return tuple(rules)
-
-
-def _check_rule_shape(kind: MorphemeKind, selector: str, payload: str, path: str) -> None:
-    if kind is MorphemeKind.DROP_CATEGORY:
-        try:
-            Category(selector)
-        except ValueError:
-            raise MalformedDocumentError(
-                _join(path, "selector"), f"drop selector must be a category tag, got {selector!r}"
-            ) from None
-        if payload:
-            raise MalformedDocumentError(_join(path, "payload"), "drop rules take no payload")
-    elif kind is MorphemeKind.SUFFIX_ON_ROLE:
-        try:
-            Role(selector)
-        except ValueError:
-            raise MalformedDocumentError(
-                _join(path, "selector"), f"suffix selector must be a role, got {selector!r}"
-            ) from None
-        if not payload:
-            raise MalformedDocumentError(_join(path, "payload"), "suffix rules need a payload")
-    else:
-        if not payload.split():
-            raise MalformedDocumentError(_join(path, "payload"), "insert rules need a payload")
 
 
 def parse_lexicon(text: str) -> Lexicon:
     """Parse tab-separated ``source<TAB>category<TAB>target`` lines.
 
     Blank lines and lines starting with ``#`` are skipped; every malformed
-    line (wrong field count, unknown category, duplicate pair) is reported
-    with its 1-based line number.
+    line (wrong field count, a source or target that is not one token,
+    unknown category, duplicate pair) is reported with its 1-based line
+    number.
     """
     entries: dict[tuple[str, Category], str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -226,6 +202,8 @@ def parse_lexicon(text: str) -> Lexicon:
         source, cat_text, target = (p.strip() for p in parts)
         if not source or not target:
             raise MalformedSyntaxError("empty field", lineno)
+        if not (_is_surface(source) and _is_surface(target)):
+            raise MalformedSyntaxError("source and target must be single tokens without whitespace", lineno)
         try:
             category = Category(cat_text)
         except ValueError:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .model import Category, Constituent, Loop, LoopKind, Role, Synapper, SynapperError, Token, WordOrder
+from .model import Category, Constituent, Loop, LoopKind, Role, Synapper, SynapperError, Token, WordOrder, _role_index
 from .profile import BranchSide, LanguageProfile, PostOrder, VerbPlacement
 
 
@@ -107,13 +107,6 @@ def _member_order(loop: Loop, order: WordOrder, direction: Direction) -> list[in
     if direction is Direction.CLOCKWISE:
         return [(start + i) % n for i in range(n)]
     return [start] + [(start - i) % n for i in range(1, n)]
-
-
-def _role_index(loop: Loop, role: Role) -> int | None:
-    for i, member in enumerate(loop.members):
-        if member.role is role:
-            return i
-    return None
 
 
 def _start_index(loop: Loop, order: WordOrder) -> int:

@@ -65,6 +65,7 @@ class DocumentError(SynapperError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}" if path else message)
 
 
@@ -96,13 +97,18 @@ class StructureValidationError(SynapperError):
         super().__init__("invalid structure:\n" + "\n".join(lines))
 
 
+def _is_surface(text: str) -> bool:
+    """The surface rule for every token: non-empty, with no whitespace anywhere."""
+    return text.split() == [text]
+
+
 @dataclass(frozen=True)
 class Token:
     surface: str
     category: Category
 
     def __post_init__(self) -> None:
-        if not self.surface or any(ch.isspace() for ch in self.surface):
+        if not _is_surface(self.surface):
             raise ValueError(f"token surface must be non-empty without whitespace: {self.surface!r}")
 
 
@@ -152,28 +158,31 @@ StructureDocument = Mapping[str, object]
 _TOP_KEYS_REQUIRED = {"word_order", "loop"}
 _TOP_KEYS_OPTIONAL = {"label", "surface_subject_final"}
 
+# Deepest loop nesting build_synapper accepts, the main loop counting as 1.
+# Every walk over a structure recurses once or more per loop; the deepest,
+# structural_equal, takes three frames per loop, so 100 levels stay well
+# inside Python's default recursion limit of 1000 whatever the caller's stack.
+MAX_DEPTH = 100
+
 
 def build_synapper(doc: StructureDocument) -> Synapper:
     """Build a validated Synapper from a document.
 
-    Structural malformations (wrong types, unknown keys, a bad word order)
-    raise immediately with the offending key path. Semantic violations
-    (loop role laws, empty nodes or loops, unknown roles or categories)
-    are collected and raised together as StructureValidationError.
+    Structural malformations (wrong types, unknown keys, a bad word order,
+    loops nested deeper than MAX_DEPTH) raise immediately with the offending
+    key path. Semantic violations (loop role laws, empty nodes or loops,
+    unknown roles or categories) are collected and raised together as
+    StructureValidationError.
     """
     _check_keys(doc, "", _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL)
     label = _expect_str(doc.get("label", ""), "label")
-    order_text = _expect_str(doc["word_order"], "word_order")
-    try:
-        word_order = WordOrder(order_text)
-    except ValueError:
-        raise UnknownWordOrderError("word_order", f"unknown word order {order_text!r}") from None
+    word_order = _word_order(doc["word_order"])
     subject_final = doc.get("surface_subject_final", False)
     if not isinstance(subject_final, bool):
         raise MalformedDocumentError("surface_subject_final", "expected a boolean")
 
     issues: list[ValidationIssue] = []
-    main = _convert_loop(doc["loop"], "loop", issues)
+    main = _convert_loop(doc["loop"], "loop", 1, issues)
     if main.kind is not LoopKind.CLAUSAL:
         raise MalformedDocumentError("loop.kind", "the main loop must be clausal")
     issues.extend(_loop_issues(main, "loop"))
@@ -204,7 +213,27 @@ def _expect_str(value: object, path: str) -> str:
     return value
 
 
-def _convert_loop(raw: object, path: str, issues: list[ValidationIssue]) -> Loop:
+def _word_order(raw: object) -> WordOrder:
+    text = _expect_str(raw, "word_order")
+    try:
+        return WordOrder(text)
+    except ValueError:
+        raise UnknownWordOrderError("word_order", f"unknown word order {text!r}") from None
+
+
+def _category(raw: object, path: str, issues: list[ValidationIssue]) -> Category:
+    """An unknown category is reported and read as OTHER, so checking goes on."""
+    text = _expect_str(raw, path)
+    try:
+        return Category(text)
+    except ValueError:
+        issues.append(ValidationIssue("unknown-category", path, f"unknown category {text!r}"))
+        return Category.OTHER
+
+
+def _convert_loop(raw: object, path: str, depth: int, issues: list[ValidationIssue]) -> Loop:
+    if depth > MAX_DEPTH:
+        raise MalformedDocumentError(path, f"loops nest deeper than {MAX_DEPTH} levels")
     obj = _check_keys(raw, path, {"kind", "members"}, {"head_index"})
     kind_text = _expect_str(obj["kind"], _join(path, "kind"))
     try:
@@ -217,7 +246,7 @@ def _convert_loop(raw: object, path: str, issues: list[ValidationIssue]) -> Loop
     if not isinstance(members_raw, list):
         raise MalformedDocumentError(_join(path, "members"), "expected an array")
     members = tuple(
-        _convert_member(m, f"{path}.members[{i}]", kind, issues) for i, m in enumerate(members_raw)
+        _convert_member(m, f"{path}.members[{i}]", kind, depth, issues) for i, m in enumerate(members_raw)
     )
     head = obj.get("head_index", 0)
     if not isinstance(head, int) or isinstance(head, bool):
@@ -227,7 +256,7 @@ def _convert_loop(raw: object, path: str, issues: list[ValidationIssue]) -> Loop
     return Loop(kind=kind, members=members, head_index=head if kind is LoopKind.PHRASAL else 0)
 
 
-def _convert_member(raw: object, path: str, kind: LoopKind, issues: list[ValidationIssue]) -> Constituent:
+def _convert_member(raw: object, path: str, kind: LoopKind, depth: int, issues: list[ValidationIssue]) -> Constituent:
     if kind is LoopKind.PHRASAL and isinstance(raw, Mapping) and "role" in raw:
         raise UnknownKeyError(_join(path, "role"), "phrasal loop members are roleless")
     required = {"role"} if kind is LoopKind.CLAUSAL else set()
@@ -250,7 +279,7 @@ def _convert_member(raw: object, path: str, kind: LoopKind, issues: list[Validat
         raise UnknownKeyError(_join(path, "branches"), "branches attach to nodes, not to nested loops")
 
     if has_loop:
-        nested = _convert_loop(obj["loop"], _join(path, "loop"), issues)
+        nested = _convert_loop(obj["loop"], _join(path, "loop"), depth + 1, issues)
         return Constituent(role=role, loop=nested)
 
     tokens = _convert_tokens(obj["node"], _join(path, "node"), issues)
@@ -260,47 +289,37 @@ def _convert_member(raw: object, path: str, kind: LoopKind, issues: list[Validat
     branches = tuple(
         _convert_branch(b, f"{path}.branches[{i}]", i, issues) for i, b in enumerate(branches_raw)
     )
-    if tokens is None:
-        # Unusable node tokens were already reported; keep a placeholder so
-        # remaining violations in sibling members still get collected.
-        tokens = (Token("?", Category.OTHER),)
     return Constituent(role=role, node=tokens, branches=branches)
 
 
-def _convert_tokens(raw: object, path: str, issues: list[ValidationIssue]) -> tuple[Token, ...] | None:
+# Stands in for unusable tokens, which are already reported, so that the
+# remaining violations in sibling members still get collected.
+_PLACEHOLDER_TOKENS = (Token("?", Category.OTHER),)
+
+
+def _convert_tokens(raw: object, path: str, issues: list[ValidationIssue]) -> tuple[Token, ...]:
     if not isinstance(raw, list):
         raise MalformedDocumentError(path, "expected an array of tokens")
     if not raw:
         issues.append(ValidationIssue("empty-node", path, "a node needs at least one token"))
-        return None
+        return _PLACEHOLDER_TOKENS
     out = []
     for i, t in enumerate(raw):
         tpath = f"{path}[{i}]"
         obj = _check_keys(t, tpath, {"surface", "category"}, set())
         surface = _expect_str(obj["surface"], _join(tpath, "surface"))
-        if not surface or any(ch.isspace() for ch in surface):
-            raise MalformedDocumentError(_join(tpath, "surface"), "surface must be non-empty without whitespace")
-        cat_text = _expect_str(obj["category"], _join(tpath, "category"))
+        category = _category(obj["category"], _join(tpath, "category"), issues)
         try:
-            category = Category(cat_text)
+            out.append(Token(surface, category))
         except ValueError:
-            issues.append(ValidationIssue("unknown-category", _join(tpath, "category"), f"unknown category {cat_text!r}"))
-            category = Category.OTHER
-        out.append(Token(surface, category))
+            raise MalformedDocumentError(_join(tpath, "surface"), "surface must be non-empty without whitespace") from None
     return tuple(out)
 
 
 def _convert_branch(raw: object, path: str, ordinal: int, issues: list[ValidationIssue]) -> Branch:
     obj = _check_keys(raw, path, {"category", "tokens"}, set())
-    cat_text = _expect_str(obj["category"], _join(path, "category"))
-    try:
-        category = Category(cat_text)
-    except ValueError:
-        issues.append(ValidationIssue("unknown-category", _join(path, "category"), f"unknown category {cat_text!r}"))
-        category = Category.OTHER
+    category = _category(obj["category"], _join(path, "category"), issues)
     tokens = _convert_tokens(obj["tokens"], _join(path, "tokens"), issues)
-    if tokens is None:
-        tokens = (Token("?", Category.OTHER),)
     return Branch(tokens=tokens, category=category, ordinal=ordinal)
 
 
@@ -348,17 +367,16 @@ def _iter_loop_tokens(loop: Loop) -> Iterator[Token]:
             yield from branch.tokens
 
 
-def _anchor_index(loop: Loop) -> int:
-    if loop.kind is LoopKind.PHRASAL:
-        return loop.head_index
+def _role_index(loop: Loop, role: Role) -> int | None:
+    """Ring index of the first member with this role, or None."""
     for i, member in enumerate(loop.members):
-        if member.role is Role.SUBJECT:
+        if member.role is role:
             return i
-    return 0
+    return None
 
 
 def _rotated_members(loop: Loop) -> tuple[Constituent, ...]:
-    i = _anchor_index(loop)
+    i = loop.head_index if loop.kind is LoopKind.PHRASAL else _role_index(loop, Role.SUBJECT) or 0
     return loop.members[i:] + loop.members[:i]
 
 

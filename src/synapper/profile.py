@@ -9,9 +9,9 @@ sequences. Profiles never change the structure itself.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .model import Category, WordOrder
+from .model import Category, MalformedDocumentError, Role, WordOrder
 
 
 class VerbPlacement(enum.Enum):
@@ -57,12 +57,44 @@ class MorphemeRule:
     selector meaning depends on kind: a category name for drop_category, an
     anchor surface for the inserts (applies at every occurrence), a role name
     for suffix_on_role. payload is the inserted word sequence or the suffix.
+
+    The shape is checked once, here: a rule that does not fit its kind raises
+    MalformedDocumentError naming the field. operand keeps what the check
+    parsed: the Category to drop, the inserted words, or the Role to suffix.
     """
 
     kind: MorphemeKind
     selector: str
     payload: str = ""
     ordinal: int = 0
+    operand: Category | Role | tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.selector:
+            raise MalformedDocumentError("selector", "selector must be non-empty")
+        if self.kind is MorphemeKind.DROP_CATEGORY:
+            try:
+                operand = Category(self.selector)
+            except ValueError:
+                raise MalformedDocumentError(
+                    "selector", f"drop selector must be a category tag, got {self.selector!r}"
+                ) from None
+            if self.payload:
+                raise MalformedDocumentError("payload", "drop rules take no payload")
+        elif self.kind is MorphemeKind.SUFFIX_ON_ROLE:
+            try:
+                operand = Role(self.selector)
+            except ValueError:
+                raise MalformedDocumentError(
+                    "selector", f"suffix selector must be a role, got {self.selector!r}"
+                ) from None
+            if not self.payload:
+                raise MalformedDocumentError("payload", "suffix rules need a payload")
+        else:
+            operand = tuple(self.payload.split())
+            if not operand:
+                raise MalformedDocumentError("payload", "insert rules need a payload")
+        object.__setattr__(self, "operand", operand)
 
 
 # Unlisted categories place branches before the node in source order.

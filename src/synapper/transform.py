@@ -17,11 +17,9 @@ from .linearize import LinearSentence, PlacedToken, linearize
 from .model import Category, Role, Synapper, SynapperError, Token, iter_tokens
 from .profile import LanguageProfile, WhRule
 
-# A WH token is an ordinary token whose category is WH.
-WhToken = Token
 
-
-def wh_token(surface: str) -> WhToken:
+def wh_token(surface: str) -> Token:
+    """A WH token is an ordinary token whose category is WH."""
     return Token(surface, Category.WH)
 
 
@@ -37,7 +35,7 @@ class InversionMismatchError(SynapperError):
     pass
 
 
-def interrogativize(s: Synapper, wh: WhToken, p: LanguageProfile) -> LinearSentence:
+def interrogativize(s: Synapper, wh: Token, p: LanguageProfile) -> LinearSentence:
     if wh.category is not Category.WH:
         raise ValueError("the wh argument must be a token with category WH")
     if any(t.category is Category.WH for t in iter_tokens(s)):

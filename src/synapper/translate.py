@@ -11,7 +11,7 @@ reach inside them.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .linearize import LinearSentence, PlacedToken, linearize
 from .model import (
@@ -19,7 +19,6 @@ from .model import (
     Category,
     Constituent,
     Loop,
-    Role,
     Synapper,
     SynapperError,
     Token,
@@ -38,14 +37,8 @@ class Lexicon:
     def lookup(self, surface: str, category: Category) -> str | None:
         return self._entries.get((surface, category))
 
-    def items(self) -> Iterable[tuple[tuple[str, Category], str]]:
-        return tuple(sorted(self._entries.items(), key=lambda kv: (kv[0][0], kv[0][1].value)))
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: tuple[str, Category]) -> bool:
-        return key in self._entries
 
 
 def identity_lexicon(s: Synapper) -> Lexicon:
@@ -62,37 +55,36 @@ class MissingLexemeError(SynapperError):
 
 
 def substitute_lexemes(s: Synapper, lex: Lexicon) -> Synapper:
-    missing = [
-        (t.surface, t.category)
-        for t in iter_tokens(s)
-        if lex.lookup(t.surface, t.category) is None
-    ]
+    """Swap every token's surface in one walk; uncovered pairs raise together at the end."""
+    missing: list[tuple[str, Category]] = []
+    main = _substitute_loop(s.main, lex, missing)
     if missing:
         raise MissingLexemeError(missing)
-    return replace(s, main=_substitute_loop(s.main, lex))
+    return replace(s, main=main)
 
 
-def _substitute_loop(loop: Loop, lex: Lexicon) -> Loop:
-    return replace(loop, members=tuple(_substitute_member(m, lex) for m in loop.members))
+def _substitute_loop(loop: Loop, lex: Lexicon, missing: list[tuple[str, Category]]) -> Loop:
+    return replace(loop, members=tuple(_substitute_member(m, lex, missing) for m in loop.members))
 
 
-def _substitute_member(c: Constituent, lex: Lexicon) -> Constituent:
+def _substitute_member(c: Constituent, lex: Lexicon, missing: list[tuple[str, Category]]) -> Constituent:
+    if c.loop is not None:
+        return Constituent(role=c.role, loop=_substitute_loop(c.loop, lex, missing))
     branches = tuple(
-        Branch(tokens=_substitute_tokens(b.tokens, lex), category=b.category, ordinal=b.ordinal)
+        Branch(tokens=_substitute_tokens(b.tokens, lex, missing), category=b.category, ordinal=b.ordinal)
         for b in c.branches
     )
-    if c.node is not None:
-        return Constituent(role=c.role, node=_substitute_tokens(c.node, lex), branches=branches)
-    assert c.loop is not None
-    return Constituent(role=c.role, loop=_substitute_loop(c.loop, lex), branches=branches)
+    return Constituent(role=c.role, node=_substitute_tokens(c.node, lex, missing), branches=branches)
 
 
-def _substitute_tokens(tokens: tuple[Token, ...], lex: Lexicon) -> tuple[Token, ...]:
+def _substitute_tokens(tokens: tuple[Token, ...], lex: Lexicon, missing: list[tuple[str, Category]]) -> tuple[Token, ...]:
     out = []
     for t in tokens:
         target = lex.lookup(t.surface, t.category)
-        assert target is not None
-        out.append(Token(target, t.category))
+        if target is None:
+            missing.append((t.surface, t.category))
+        else:
+            out.append(Token(target, t.category))
     return tuple(out)
 
 
@@ -105,12 +97,10 @@ def apply_morpheme_rules(sentence: LinearSentence, p: LanguageProfile) -> Linear
 
 def _apply_rule(placed: tuple[PlacedToken, ...], rule: MorphemeRule) -> tuple[PlacedToken, ...]:
     if rule.kind is MorphemeKind.DROP_CATEGORY:
-        category = _category_selector(rule)
+        category = rule.operand
         return tuple(pt for pt in placed if pt.unit or pt.category is not category)
     if rule.kind in (MorphemeKind.INSERT_BEFORE, MorphemeKind.INSERT_AFTER):
-        words = rule.payload.split()
-        if not words:
-            raise SynapperError(f"insert rule for {rule.selector!r} has an empty payload")
+        words = rule.operand
         out: list[PlacedToken] = []
         for pt in placed:
             hit = pt.surface == rule.selector
@@ -121,10 +111,7 @@ def _apply_rule(placed: tuple[PlacedToken, ...], rule: MorphemeRule) -> tuple[Pl
                 out.extend(_inserted(words))
         return tuple(out)
     assert rule.kind is MorphemeKind.SUFFIX_ON_ROLE
-    try:
-        role = Role(rule.selector)
-    except ValueError:
-        raise SynapperError(f"suffix rule selector must be a role, got {rule.selector!r}") from None
+    role = rule.operand
     last = None
     for i, pt in enumerate(placed):
         if pt.role is role:
@@ -136,14 +123,7 @@ def _apply_rule(placed: tuple[PlacedToken, ...], rule: MorphemeRule) -> tuple[Pl
     return placed[:last] + (patched,) + placed[last + 1 :]
 
 
-def _category_selector(rule: MorphemeRule) -> Category:
-    try:
-        return Category(rule.selector)
-    except ValueError:
-        raise SynapperError(f"drop rule selector must be a category tag, got {rule.selector!r}") from None
-
-
-def _inserted(words: list[str]) -> list[PlacedToken]:
+def _inserted(words: tuple[str, ...]) -> list[PlacedToken]:
     return [PlacedToken(w, Category.OTHER, None, -1, False) for w in words]
 
 

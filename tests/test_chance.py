@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from synapper import NTooSmallError, chance_probability
+from synapper import NTooSmallError, SynapperError, chance_probability
+from synapper.chance import MAX_MEMBERS
 
 
 def test_ten_member_loop_value():
@@ -23,7 +24,6 @@ def test_fifteen_members_is_vanishingly_unlikely():
 def test_exact_rational_is_one_over_factorial(n):
     result = chance_probability(n)
     assert result.as_fraction() == Fraction(1, math.factorial(n))
-    assert result.numerator == 1
     assert result.denominator == math.factorial(n)
 
 
@@ -46,6 +46,12 @@ def test_recurrence():
 def test_too_small(n):
     with pytest.raises(NTooSmallError):
         chance_probability(n)
+
+
+def test_bound():
+    assert chance_probability(MAX_MEMBERS).denominator == math.factorial(MAX_MEMBERS)
+    with pytest.raises(SynapperError):
+        chance_probability(MAX_MEMBERS + 1)
 
 
 @given(st.integers(min_value=2, max_value=300))

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output, exit codes, error reports."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import synapper
+from synapper.chance import MAX_MEMBERS
+from synapper.model import MAX_DEPTH
 from conftest import ROOT, fixture_path, lexicon_path, profile_path
 
 
@@ -81,6 +84,16 @@ class TestTranslate:
         report = json.loads(err)
         assert report["error"] == "MissingLexemeError"
         assert ["Tim", "N"] in report["pairs"]
+
+    def test_lexicon_field_with_whitespace_is_reported(self, run_cli, tmp_path):
+        lexicon = tmp_path / "bad.tsv"
+        lexicon.write_text("loves\tV\tsevadi\nMary\tN\tMa ry\nchocolate\tN\tshokolad\n", encoding="utf-8")
+        code, out, err = run_cli(
+            "translate", fixture_path("mary"), "--lexicon", str(lexicon), "--profile", profile_path("uz")
+        )
+        assert (code, out) == (1, "")
+        report = json.loads(err)
+        assert (report["error"], report["line"]) == ("MalformedSyntaxError", 2)
 
 
 class TestQuestionAndBack:
@@ -189,6 +202,43 @@ class TestProb:
         code, _, err = run_cli("prob", "1")
         assert code == 1
         assert json.loads(err)["error"] == "NTooSmallError"
+
+    def test_digits_of_the_float_while_it_is_exact(self, run_cli):
+        """Up to n = 174 the seven digits are those of the float 1/n!."""
+        for n in range(2, 175):
+            mantissa, _, exponent = f"{1 / math.factorial(n):.6e}".partition("e")
+            assert run_cli("prob", str(n)) == (0, f"{mantissa}e{int(exponent)} (1/{math.factorial(n)})\n", "")
+
+    @pytest.mark.parametrize("n, digits", [(177, "2.854790e-323"), (178, "1.603814e-325")])
+    def test_exact_digits_where_the_float_underflows(self, run_cli, n, digits):
+        assert run_cli("prob", str(n)) == (0, f"{digits} (1/{math.factorial(n)})\n", "")
+
+    def test_largest_n(self, run_cli):
+        code, out, _ = run_cli("prob", str(MAX_MEMBERS))
+        assert code == 0
+        assert out.endswith(f"e-2568 (1/{math.factorial(MAX_MEMBERS)})\n")
+
+    def test_past_the_bound(self, run_cli):
+        code, out, err = run_cli("prob", str(MAX_MEMBERS + 1))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "SynapperError"
+
+
+def test_document_nested_past_the_json_decoder_is_reported(run_cli, tmp_path):
+    depth = 900
+    core = '{"kind": "clausal", "members": [{"role": "subject", "node": [{"surface": "a", "category": "N"}]}, '
+    verb = '{"role": "verb", "node": [{"surface": "b", "category": "V"}]}]}'
+    opening = '{"kind": "clausal", "members": [{"role": "subject", "loop": '
+    closing = "}, " + verb
+    loop = opening * (depth - 1) + core + verb + closing * (depth - 1)
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"word_order": "svo", "loop": {loop}}}', encoding="utf-8")
+    assert depth > MAX_DEPTH
+    code, out, err = run_cli("validate", str(path))
+    assert (code, out) == (1, "")
+    report = json.loads(err)
+    assert report["error"] == "MalformedDocumentError"
+    assert report["message"].startswith("unreadable JSON")
 
 
 class TestOrders:

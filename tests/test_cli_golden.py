@@ -1,0 +1,113 @@
+"""Byte-for-byte CLI behaviour over every command × fixture × profile.
+
+``cli_golden.json`` holds one case per line: the argument list, the exit
+code, and the exact stdout and stderr. The matrix covers validate, canon,
+dot and orders per fixture; linearize per fixture × profile; translate per
+fixture × profile × lexicon; question per fixture × profile × WH word; a
+declarativize of every question that succeeded, as printed and with one
+word appended; and compare over every ordered fixture pair. ``prob`` is
+left out; its output is tested against exact arithmetic in test_cli.py.
+
+When a change to the CLI's output is intended, regenerate the file from a
+checkout with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from synapper.cli import run as cli_run
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+WH_WORDS = ("why", "Why", "what is", "")
+APPENDED_WORD = "today"
+
+
+def _paths(directory: str, suffix: str) -> list[str]:
+    return sorted(f"{directory}/{p.name}" for p in (ROOT / directory).glob(f"*{suffix}"))
+
+
+def build_matrix(question_text) -> list[list[str]]:
+    """Every case's argv; question_text(argv) is a question's printed line, or None if it failed."""
+    fixtures = _paths("fixtures", ".json")
+    profiles = _paths("profiles", ".json")
+    lexicons = _paths("lexicons", ".tsv")
+    cases: list[list[str]] = []
+    for fx in fixtures:
+        cases += [["validate", fx], ["canon", fx], ["dot", fx], ["orders", fx]]
+        for pr in profiles:
+            cases.append(["linearize", fx, "--profile", pr])
+            cases += [["translate", fx, "--lexicon", lx, "--profile", pr] for lx in lexicons]
+            for wh in WH_WORDS:
+                question = ["question", fx, "--profile", pr, "--wh", wh]
+                cases.append(question)
+                text = question_text(question)
+                if text is not None:
+                    for variant in (text, f"{text} {APPENDED_WORD}"):
+                        cases.append(["declarativize", fx, "--profile", pr, "--question", variant])
+        cases += [["compare", fx, other] for other in fixtures]
+    return cases
+
+
+def run_case(argv: list[str]) -> dict:
+    """Run the CLI in-process from the repository root and capture everything it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli_run(list(argv))
+            except SystemExit as e:
+                code = e.code if isinstance(e.code, int) else 2
+    finally:
+        os.chdir(cwd)
+    return {"argv": list(argv), "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _question_text(result: dict) -> str | None:
+    return result["stdout"].rstrip("\n") if result["code"] == 0 else None
+
+
+GOLDEN_CASES = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
+
+
+def test_matrix_matches_the_golden_cases():
+    recorded = {tuple(c["argv"]): c for c in GOLDEN_CASES}
+    matrix = build_matrix(lambda argv: _question_text(recorded[tuple(argv)]))
+    assert matrix == [c["argv"] for c in GOLDEN_CASES]
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_CASES, ids=[f"{i:03d}-{c['argv'][0]}" for i, c in enumerate(GOLDEN_CASES)]
+)
+def test_cli_output_is_unchanged(case):
+    assert run_case(case["argv"]) == case
+
+
+def _regenerate() -> None:
+    results: dict[tuple[str, ...], dict] = {}
+
+    def question_text(argv: list[str]) -> str | None:
+        results[tuple(argv)] = run_case(argv)
+        return _question_text(results[tuple(argv)])
+
+    cases = []
+    for argv in build_matrix(question_text):
+        cases.append(results.get(tuple(argv)) or run_case(argv))
+    lines = ",\n".join(json.dumps(c, ensure_ascii=False) for c in cases)
+    GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"wrote {len(cases)} cases to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    _regenerate()

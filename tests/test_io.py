@@ -145,6 +145,19 @@ class TestProfileParsing:
             parse_profile(text)
         assert e.value.path == f"morpheme_rules[0].{bad_path}"
 
+    @pytest.mark.parametrize("kind", ["drop_category", "insert_after", "suffix_on_role"])
+    def test_empty_selector_is_named(self, kind):
+        rule = {"kind": kind, "selector": "", "payload": "x"}
+        text = json.dumps(
+            {"name": "x", "word_order": "svo", "wh_rule": "initial_plain", "morpheme_rules": [rule]}
+        )
+        with pytest.raises(MalformedDocumentError) as e:
+            parse_profile(text)
+        assert (e.value.path, e.value.message) == (
+            "morpheme_rules[0].selector",
+            "selector must be non-empty",
+        )
+
 
 class TestLexiconParsing:
     def test_comments_and_blanks_skipped(self):
@@ -169,6 +182,26 @@ class TestLexiconParsing:
     def test_same_surface_different_category_allowed(self):
         lex = parse_lexicon("fast\tADJ\ttez\nfast\tN\tro'za\n")
         assert lex.lookup("fast", Category.ADJ) == "tez"
+
+    @pytest.mark.parametrize("line", ["Mary\tN\tMa ry", "Ma ry\tN\tMary", "Mary\tN\tMa\u00a0ry"])
+    def test_field_with_inner_whitespace_reports_line(self, line):
+        with pytest.raises(MalformedSyntaxError) as e:
+            parse_lexicon(f"# x\n{line}\n")
+        assert e.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_structure, "[" * 3000 + "]" * 3000),
+        (parse_profile, '{"name": ' * 3000 + "1" + "}" * 3000),
+        (parse_structure, "1" * 5000),
+    ],
+)
+def test_json_the_decoder_cannot_hold_is_a_document_error(parse, text):
+    with pytest.raises(MalformedDocumentError) as e:
+        parse(text)
+    assert str(e.value).startswith("unreadable JSON")
 
 
 class TestDot:

@@ -9,6 +9,7 @@ import pytest
 from synapper import (
     Category,
     Constituent,
+    LanguageProfile,
     Loop,
     LoopKind,
     MalformedDocumentError,
@@ -21,9 +22,14 @@ from synapper import (
     build_synapper,
     canonical_form,
     iter_tokens,
+    linearize,
+    parse_structure,
+    serialize_structure,
     structural_equal,
     structure_issues,
+    to_dot,
 )
+from synapper.model import MAX_DEPTH
 from conftest import load_structure, random_structure, rotate_main
 
 
@@ -283,3 +289,26 @@ def test_iter_tokens_stored_order():
 
 def test_space_news_holds_43_tokens():
     assert sum(1 for _ in iter_tokens(load_structure("space_news"))) == 43
+
+
+def _nested_doc(depth):
+    """Clausal loops nested depth levels deep, the main loop counting as one."""
+    verb = _node("verb", "b", category="V")
+    members = [_node("subject", "a"), verb]
+    for _ in range(depth - 1):
+        members = [{"role": "subject", "loop": {"kind": "clausal", "members": members}}, verb]
+    return _doc(members)
+
+
+class TestDepthBound:
+    def test_every_operation_works_at_the_bound(self):
+        s = build_synapper(_nested_doc(MAX_DEPTH))
+        assert structural_equal(s, s)
+        assert len(linearize(s, LanguageProfile(name="x", word_order=WordOrder.SOV)).placed) == MAX_DEPTH + 1
+        assert canonical_form(parse_structure(serialize_structure(s))) == canonical_form(s)
+        assert to_dot(s).count("subgraph cluster_") == MAX_DEPTH - 1
+
+    def test_one_level_deeper_is_rejected_with_its_path(self):
+        with pytest.raises(MalformedDocumentError) as e:
+            build_synapper(_nested_doc(MAX_DEPTH + 1))
+        assert e.value.path == "loop" + ".members[0].loop" * MAX_DEPTH

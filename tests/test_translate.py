@@ -6,9 +6,11 @@ from synapper import (
     Category,
     LanguageProfile,
     Lexicon,
+    MalformedDocumentError,
     MissingLexemeError,
     MorphemeKind,
     MorphemeRule,
+    Role,
     SynapperError,
     WordOrder,
     apply_morpheme_rules,
@@ -46,6 +48,20 @@ def test_partial_lexicon_reports_only_gaps():
     with pytest.raises(MissingLexemeError) as e:
         substitute_lexemes(load_structure("horse"), lex)
     assert {s for s, _ in e.value.pairs} == {"a", "very", "fast", "brown", "horse"}
+
+
+@pytest.mark.parametrize("name", ["horse", "space_news"])
+def test_substitution_looks_each_token_up_once(name):
+    s = load_structure(name)
+    lex = en_uz()
+    looked_up = []
+    lookup = lex.lookup
+    lex.lookup = lambda surface, category: looked_up.append(surface) or lookup(surface, category)
+    try:
+        substitute_lexemes(s, lex)
+    except MissingLexemeError:
+        pass
+    assert sorted(looked_up) == sorted(t.surface for t in iter_tokens(s))
 
 
 def test_substitution_preserves_structure_shape():
@@ -140,13 +156,35 @@ class TestMorphemeRules:
         assert len(base.placed) == 43
         assert len(full.placed) == 62
 
+    @pytest.mark.parametrize(
+        "kind, selector, payload, field",
+        [
+            (MorphemeKind.DROP_CATEGORY, "NOUNS", "", "selector"),
+            (MorphemeKind.DROP_CATEGORY, "DET", "x", "payload"),
+            (MorphemeKind.SUFFIX_ON_ROLE, "topic", "da", "selector"),
+            (MorphemeKind.SUFFIX_ON_ROLE, "subject", "", "payload"),
+            (MorphemeKind.INSERT_AFTER, "a", " ", "payload"),
+            (MorphemeKind.INSERT_BEFORE, "", "x", "selector"),
+            (MorphemeKind.DROP_CATEGORY, "", "", "selector"),
+        ],
+    )
+    def test_shape_is_checked_when_built(self, kind, selector, payload, field):
+        with pytest.raises(MalformedDocumentError) as e:
+            MorphemeRule(kind, selector, payload)
+        assert e.value.path == field
+
+    def test_operand_is_parsed_once(self):
+        assert MorphemeRule(MorphemeKind.DROP_CATEGORY, "DET").operand is Category.DET
+        assert MorphemeRule(MorphemeKind.INSERT_BEFORE, "x", " a  b ").operand == ("a", "b")
+        assert MorphemeRule(MorphemeKind.SUFFIX_ON_ROLE, "subject", "da").operand is Role.SUBJECT
+
     def test_bad_drop_selector_raises(self):
-        p = LanguageProfile(
-            name="x",
-            word_order=WordOrder.SVO,
-            morpheme_rules=(MorphemeRule(MorphemeKind.DROP_CATEGORY, "DETERMINER"),),
-        )
         with pytest.raises(SynapperError):
+            p = LanguageProfile(
+                name="x",
+                word_order=WordOrder.SVO,
+                morpheme_rules=(MorphemeRule(MorphemeKind.DROP_CATEGORY, "DETERMINER"),),
+            )
             apply_morpheme_rules(linearize(load_structure("mary"), p), p)
 
 
