@@ -80,7 +80,12 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise SynapperError(f"cannot read {path}: {e.strerror or e}") from None
+        reason = e.strerror or e
+    except UnicodeDecodeError as e:
+        reason = f"not UTF-8 ({e.reason} at byte {e.start})"
+    except ValueError as e:  # a path holding a NUL character
+        reason = e
+    raise SynapperError(f"cannot read {path}: {reason}")
 
 
 def _load_structure(path: str):

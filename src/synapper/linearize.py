@@ -137,13 +137,17 @@ def _first_object_index(loop: Loop, subject: int | None) -> int | None:
 def _emit_constituent(c: Constituent, p: LanguageProfile, direction: Direction) -> list[tuple[Token, bool]]:
     pre: list = []
     post: list = []
-    for branch in c.branches:
-        side, _ = p.placement_for(branch.category)
-        (pre if side is BranchSide.PRE else post).append(branch)
-
     # Post branches keep ordinal order except that the Reversed subset is
     # flipped in place; the usual all-Reversed case is a plain reversal.
-    reversed_slots = [i for i, b in enumerate(post) if p.placement_for(b.category)[1] is PostOrder.REVERSED]
+    reversed_slots: list[int] = []
+    for branch in c.branches:
+        side, post_order = p.placement[branch.category]
+        if side is BranchSide.PRE:
+            pre.append(branch)
+        else:
+            if post_order is PostOrder.REVERSED:
+                reversed_slots.append(len(post))
+            post.append(branch)
     for slot, branch in zip(reversed_slots, [post[i] for i in reversed(reversed_slots)]):
         post[slot] = branch
 

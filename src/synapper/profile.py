@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .model import Category, MalformedDocumentError, Role, WordOrder
 
@@ -100,21 +101,71 @@ class MorphemeRule:
 # Unlisted categories place branches before the node in source order.
 _DEFAULT_PLACEMENT = (BranchSide.PRE, PostOrder.SOURCE)
 
+class InsertPass:
+    """A run of consecutive insert rules fused into one scan of the sequence.
+
+    edits maps an anchor surface to the words inserted before it and the
+    words inserted after it, so each token costs one lookup. Anchors match
+    only tokens already in the sequence, never the words this pass inserts.
+    """
+
+    __slots__ = ("edits",)
+
+    def __init__(self, edits: Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]]):
+        self.edits = edits
+
 
 @dataclass(frozen=True)
 class LanguageProfile:
+    """A target language, compiled once when built.
+
+    placement maps every Category to its branch (side, post_order); the
+    first branch rule for a category wins. passes holds the morpheme rules
+    as the engine runs them: one step per pass over the token sequence.
+    """
+
     name: str
     word_order: WordOrder
     verb_placement: VerbPlacement = VerbPlacement.DEFAULT
     branch_rules: tuple[BranchPlacementRule, ...] = ()
     wh_rule: WhRule = WhRule.INITIAL_NO_INVERSION
     morpheme_rules: tuple[MorphemeRule, ...] = ()
+    placement: Mapping[Category, tuple[BranchSide, PostOrder]] = field(init=False, repr=False, compare=False)
+    passes: tuple[MorphemeRule | InsertPass, ...] = field(init=False, repr=False, compare=False)
 
-    def placement_for(self, category: Category) -> tuple[BranchSide, PostOrder]:
-        for rule in self.branch_rules:
-            if rule.category is category:
-                return rule.side, rule.post_order
-        return _DEFAULT_PLACEMENT
+    def __post_init__(self) -> None:
+        placement = dict.fromkeys(Category, _DEFAULT_PLACEMENT)
+        for rule in reversed(self.branch_rules):
+            placement[rule.category] = (rule.side, rule.post_order)
+        object.__setattr__(self, "placement", placement)
+        object.__setattr__(self, "passes", _compile_passes(self.morpheme_rules))
 
-    def rules_in_order(self) -> tuple[MorphemeRule, ...]:
-        return tuple(sorted(self.morpheme_rules, key=lambda r: r.ordinal))
+
+def _compile_passes(rules: tuple[MorphemeRule, ...]) -> tuple[MorphemeRule | InsertPass, ...]:
+    """The rules in ordinal order, each run of inserts fused into InsertPass steps.
+
+    Applied one rule at a time, two inserts on one anchor A give ``W1 W2 A``
+    when both go before it and ``A W2 W1`` when both go after it; the fused
+    edit keeps that order. A later insert sees an earlier one's words only
+    when its anchor is one of them, so a new pass starts there. A drop or a
+    suffix ends the run.
+    """
+    passes: list[MorphemeRule | InsertPass] = []
+    edits: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] | None = None
+    inserted: set[str] = set()
+    for rule in sorted(rules, key=lambda r: r.ordinal):
+        if rule.kind not in (MorphemeKind.INSERT_BEFORE, MorphemeKind.INSERT_AFTER):
+            passes.append(rule)
+            edits = None
+            continue
+        if edits is None or rule.selector in inserted:
+            edits, inserted = {}, set()
+            passes.append(InsertPass(edits))
+        before, after = edits.get(rule.selector, ((), ()))
+        if rule.kind is MorphemeKind.INSERT_BEFORE:
+            before += rule.operand
+        else:
+            after = rule.operand + after
+        edits[rule.selector] = (before, after)
+        inserted.update(rule.operand)
+    return tuple(passes)

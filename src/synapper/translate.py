@@ -22,17 +22,28 @@ from .model import (
     Synapper,
     SynapperError,
     Token,
+    _is_surface,
     iter_tokens,
 )
-from .profile import LanguageProfile, MorphemeKind, MorphemeRule
+from .profile import InsertPass, LanguageProfile, MorphemeKind, MorphemeRule
 from .transform import normalize_subject_position
 
 
 class Lexicon:
-    """Immutable mapping from (surface, category) to a target surface."""
+    """Immutable mapping from (surface, category) to a target surface.
+
+    Source and target must each be one token surface (``model._is_surface``);
+    any other pair raises SynapperError naming it.
+    """
 
     def __init__(self, entries: Mapping[tuple[str, Category], str]):
         self._entries = dict(entries)
+        for (source, category), target in self._entries.items():
+            if not (_is_surface(source) and _is_surface(target)):
+                raise SynapperError(
+                    f"lexicon entry {source!r}/{category.value} -> {target!r}: "
+                    "source and target must be single tokens without whitespace"
+                )
 
     def lookup(self, surface: str, category: Category) -> str | None:
         return self._entries.get((surface, category))
@@ -90,28 +101,30 @@ def _substitute_tokens(tokens: tuple[Token, ...], lex: Lexicon, missing: list[tu
 
 def apply_morpheme_rules(sentence: LinearSentence, p: LanguageProfile) -> LinearSentence:
     placed = sentence.placed
-    for rule in p.rules_in_order():
-        placed = _apply_rule(placed, rule)
+    for step in p.passes:
+        placed = _apply_rule(placed, step)
     return replace(sentence, placed=placed)
 
 
-def _apply_rule(placed: tuple[PlacedToken, ...], rule: MorphemeRule) -> tuple[PlacedToken, ...]:
-    if rule.kind is MorphemeKind.DROP_CATEGORY:
-        category = rule.operand
-        return tuple(pt for pt in placed if pt.unit or pt.category is not category)
-    if rule.kind in (MorphemeKind.INSERT_BEFORE, MorphemeKind.INSERT_AFTER):
-        words = rule.operand
+def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertPass) -> tuple[PlacedToken, ...]:
+    """One pass over the whole sequence: a drop, a suffix, or a fused run of inserts."""
+    if isinstance(step, InsertPass):
+        edits = step.edits
         out: list[PlacedToken] = []
         for pt in placed:
-            hit = pt.surface == rule.selector
-            if hit and rule.kind is MorphemeKind.INSERT_BEFORE:
-                out.extend(_inserted(words))
-            out.append(pt)
-            if hit and rule.kind is MorphemeKind.INSERT_AFTER:
-                out.extend(_inserted(words))
+            edit = edits.get(pt.surface)
+            if edit is None:
+                out.append(pt)
+            else:
+                out.extend(_inserted(edit[0]))
+                out.append(pt)
+                out.extend(_inserted(edit[1]))
         return tuple(out)
-    assert rule.kind is MorphemeKind.SUFFIX_ON_ROLE
-    role = rule.operand
+    if step.kind is MorphemeKind.DROP_CATEGORY:
+        category = step.operand
+        return tuple(pt for pt in placed if pt.unit or pt.category is not category)
+    assert step.kind is MorphemeKind.SUFFIX_ON_ROLE
+    role = step.operand
     last = None
     for i, pt in enumerate(placed):
         if pt.role is role:
@@ -119,7 +132,7 @@ def _apply_rule(placed: tuple[PlacedToken, ...], rule: MorphemeRule) -> tuple[Pl
     if last is None:
         return placed
     target = placed[last]
-    patched = replace(target, surface=target.surface + rule.payload)
+    patched = replace(target, surface=target.surface + step.payload)
     return placed[:last] + (patched,) + placed[last + 1 :]
 
 

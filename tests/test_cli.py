@@ -32,6 +32,20 @@ class TestValidate:
         assert code == 1
         assert "no_such_file.json" in json.loads(err)["message"]
 
+    def test_non_utf8_file_reports_json(self, run_cli, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run_cli("validate", str(bad))
+        assert (code, out) == (1, "")
+        report = json.loads(err)
+        assert report["error"] == "SynapperError"
+        assert report["message"].startswith(f"cannot read {bad}: not UTF-8 (")
+
+    def test_path_with_a_nul_character_reports_json(self, run_cli):
+        code, _, err = run_cli("validate", "a\x00b.json")
+        assert code == 1
+        assert json.loads(err)["message"] == "cannot read a\x00b.json: embedded null byte"
+
 
 class TestLinearize:
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import copy
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from synapper import (
@@ -13,7 +14,8 @@ from synapper import (
     parse_structure,
     translate,
 )
-from conftest import FIXTURES, PROFILES, load_profile, load_structure
+from synapper.cli import run as cli_run
+from conftest import FIXTURES, LEXICONS, PROFILES, load_profile, load_structure
 
 VALID_FIXTURES = ["horse", "tim", "colette", "cena_a", "cena_b", "space_news", "mary", "go"]
 STRUCTURE_DOCS = [json.loads((FIXTURES / f"{n}.json").read_text(encoding="utf-8")) for n in VALID_FIXTURES]
@@ -96,3 +98,61 @@ def test_translate_is_total_for_every_lexicon_that_parses(targets, edit):
     if lex is not None:
         for structure, profile in TRANSLATED:
             _result_or_synapper_error(translate, structure, lex, profile)
+
+
+# Each command's positional arguments and options; "prob" takes a number.
+_SHAPES = {
+    "validate": (["structure"], []),
+    "linearize": (["structure"], ["--profile"]),
+    "translate": (["structure"], ["--lexicon", "--profile"]),
+    "question": (["structure"], ["--profile", "--wh"]),
+    "declarativize": (["structure"], ["--profile", "--question"]),
+    "compare": (["structure", "structure"], []),
+    "canon": (["structure"], []),
+    "dot": (["structure"], []),
+    "prob": (["n"], []),
+    "orders": (["structure"], []),
+}
+_OPTIONS = ["--profile", "--lexicon", "--wh", "--question", "-h", "--help"]
+_WORDS = st.sampled_from(["why", "what", "Why is Tim going to the hospital", "Jane has a horse why"]) | st.text(max_size=12)
+_NUMBERS = st.integers(-3, 1100).map(str) | st.sampled_from(["1e3", "0x10", "", "9" * 5000])
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    """Bundled inputs, a path that does not exist, and a file that is not UTF-8."""
+    tmp = tmp_path_factory.mktemp("cli_argv")
+    not_utf8 = tmp / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe\x00")
+    bundled = sorted(FIXTURES.glob("*.json")) + sorted(PROFILES.glob("*.json")) + sorted(LEXICONS.glob("*.tsv"))
+    return [str(p) for p in bundled] + [str(tmp / "missing.json"), str(not_utf8)]
+
+
+@st.composite
+def argument_vectors(draw, paths):
+    command = draw(st.sampled_from(sorted(_SHAPES)))
+    path = st.sampled_from(paths)
+    if draw(st.booleans()):
+        positionals, options = _SHAPES[command]
+        args = [draw(_NUMBERS if slot == "n" else path) for slot in positionals]
+        for option in options:
+            args += [option, draw(_WORDS if option in ("--wh", "--question") else path)]
+    else:
+        args = draw(st.lists(path | st.sampled_from(_OPTIONS) | _WORDS | _NUMBERS, max_size=6))
+    return [command, *args] if draw(st.integers(0, 9)) else args
+
+
+def _asks_for_help(argv: list[str]) -> bool:
+    return any(a.startswith("-h") or (len(a) > 2 and "--help".startswith(a)) for a in argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_run_is_total_for_argument_vectors(cli_paths, data):
+    argv = data.draw(argument_vectors(cli_paths))
+    try:
+        code = cli_run(argv)
+    except SystemExit as e:
+        assert e.code == 2 or (e.code == 0 and _asks_for_help(argv))
+    else:
+        assert code in (0, 1)

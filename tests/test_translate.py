@@ -1,15 +1,20 @@
 """Lexeme substitution, morpheme rewriting, and the full translation pipeline."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synapper import (
     Category,
     LanguageProfile,
     Lexicon,
+    LinearSentence,
     MalformedDocumentError,
     MissingLexemeError,
     MorphemeKind,
     MorphemeRule,
+    PlacedToken,
     Role,
     SynapperError,
     WordOrder,
@@ -77,6 +82,13 @@ def test_identity_lexicon_makes_translate_equal_linearize():
         s = load_structure(name)
         p = LanguageProfile(name="bare", word_order=WordOrder.SOV)
         assert translate(s, identity_lexicon(s), p).surfaces() == linearize(s, p).surfaces()
+
+
+@pytest.mark.parametrize("source, target", [("Ma ry", "Mary"), ("Mary", "Ma ry"), ("Mary", ""), ("Mary", "Mary\u2028")])
+def test_code_built_lexicon_rejects_non_token_pairs(source, target):
+    with pytest.raises(SynapperError) as e:
+        Lexicon({(source, Category.N): target})
+    assert repr(source) in str(e.value) and repr(target) in str(e.value)
 
 
 def test_category_distinguishes_homographs():
@@ -200,3 +212,99 @@ def test_translate_is_substitute_then_linearize_then_rewrite():
     p = load_profile("uz")
     composed = apply_morpheme_rules(linearize(substitute_lexemes(s, lex), p), p)
     assert translate(s, lex, p).placed == composed.placed
+
+
+def sequential_rules(placed: tuple[PlacedToken, ...], rules) -> tuple[PlacedToken, ...]:
+    """The reference engine: one pass over the whole sequence per rule, in ordinal order."""
+    for rule in sorted(rules, key=lambda r: r.ordinal):
+        if rule.kind is MorphemeKind.DROP_CATEGORY:
+            placed = tuple(pt for pt in placed if pt.unit or pt.category is not rule.operand)
+        elif rule.kind is MorphemeKind.SUFFIX_ON_ROLE:
+            hits = [i for i, pt in enumerate(placed) if pt.role is rule.operand]
+            if hits:
+                last = hits[-1]
+                patched = replace(placed[last], surface=placed[last].surface + rule.payload)
+                placed = placed[:last] + (patched,) + placed[last + 1 :]
+        else:
+            words = [PlacedToken(w, Category.OTHER, None, -1, False) for w in rule.operand]
+            out: list[PlacedToken] = []
+            for pt in placed:
+                hit = pt.surface == rule.selector
+                if hit and rule.kind is MorphemeKind.INSERT_BEFORE:
+                    out.extend(words)
+                out.append(pt)
+                if hit and rule.kind is MorphemeKind.INSERT_AFTER:
+                    out.extend(words)
+            placed = tuple(out)
+    return placed
+
+
+def rewrite(surfaces: list[str], *rules: MorphemeRule) -> list[str]:
+    placed = tuple(PlacedToken(w, Category.N, Role.OBJECT, 0, False) for w in surfaces)
+    p = LanguageProfile(name="x", word_order=WordOrder.SVO, morpheme_rules=rules)
+    out = apply_morpheme_rules(LinearSentence(placed, WordOrder.SVO, "x"), p).placed
+    assert out == sequential_rules(placed, rules)
+    return [pt.surface for pt in out]
+
+
+class TestFusedInserts:
+    def test_two_before_rules_on_one_anchor_keep_ordinal_order(self):
+        out = rewrite(
+            ["fact", "is"],
+            MorphemeRule(MorphemeKind.INSERT_BEFORE, "fact", "x", ordinal=0),
+            MorphemeRule(MorphemeKind.INSERT_BEFORE, "fact", "y z", ordinal=1),
+        )
+        assert out == ["x", "y", "z", "fact", "is"]
+
+    def test_two_after_rules_on_one_anchor_put_the_later_words_first(self):
+        out = rewrite(
+            ["A", "B"],
+            MorphemeRule(MorphemeKind.INSERT_AFTER, "A", "W1", ordinal=0),
+            MorphemeRule(MorphemeKind.INSERT_AFTER, "A", "W2", ordinal=1),
+        )
+        assert out == ["A", "W2", "W1", "B"]
+
+    def test_an_inserted_word_anchors_a_later_rule(self):
+        rules = (
+            MorphemeRule(MorphemeKind.INSERT_BEFORE, "fact", "the", ordinal=0),
+            MorphemeRule(MorphemeKind.INSERT_BEFORE, "the", "all", ordinal=1),
+        )
+        assert rewrite(["fact"], *rules) == ["all", "the", "fact"]
+        p = LanguageProfile(name="x", word_order=WordOrder.SVO, morpheme_rules=rules)
+        assert len(p.passes) == 2
+
+    def test_an_insert_run_without_chains_is_one_pass(self):
+        p = load_profile("en-articles")
+        assert len(p.morpheme_rules) == 14
+        assert len(p.passes) == 1
+
+
+# Small vocabularies, so that anchors repeat, inserted words equal later
+# anchors, and suffixed surfaces ("a" + "b") equal anchors too.
+_WORDS = ["a", "b", "ab", "ba"]
+_PLACED = st.builds(
+    PlacedToken,
+    st.sampled_from(_WORDS),
+    st.sampled_from([Category.N, Category.DET, Category.OTHER]),
+    st.sampled_from([None, Role.SUBJECT, Role.VERB, Role.OBJECT]),
+    st.integers(-1, 3),
+    st.booleans(),
+)
+_ORDINALS = st.integers(0, 3)
+_RULES = st.one_of(
+    st.builds(MorphemeRule, st.just(MorphemeKind.DROP_CATEGORY), st.sampled_from(["OTHER", "DET"]), st.just(""), _ORDINALS),
+    st.builds(MorphemeRule, st.just(MorphemeKind.SUFFIX_ON_ROLE), st.sampled_from(["subject", "object"]),
+              st.sampled_from(["a", "b"]), _ORDINALS),
+    st.builds(MorphemeRule, st.sampled_from([MorphemeKind.INSERT_BEFORE, MorphemeKind.INSERT_AFTER]),
+              st.sampled_from(_WORDS), st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join),
+              _ORDINALS),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_PLACED, max_size=8), st.lists(_RULES, max_size=8))
+def test_fused_engine_equals_one_pass_per_rule(placed, rules):
+    placed = tuple(placed)
+    p = LanguageProfile(name="x", word_order=WordOrder.SVO, morpheme_rules=tuple(rules))
+    out = apply_morpheme_rules(LinearSentence(placed, WordOrder.SVO, "x"), p).placed
+    assert out == sequential_rules(placed, rules)
