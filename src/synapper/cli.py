@@ -4,8 +4,8 @@ One subcommand per operation: validate, linearize, translate, question,
 declarativize, compare, canon, dot, prob, orders. Successful output goes
 to stdout; failures print a JSON error report to stderr and exit 1; usage
 errors exit 2. ``linearize`` and ``translate`` apply the profile's
-morpheme rules; ``question`` and ``orders`` operate on the bare
-linearization.
+morpheme rules; ``question``, ``declarativize`` and ``orders`` operate
+on the bare linearization.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import decimal
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 from .chance import chance_probability
@@ -35,17 +34,8 @@ from .model import (
     structural_equal,
 )
 from .profile import LanguageProfile
-from .transform import InversionMismatchError, declarativize, interrogativize, wh_token
+from .transform import interrogativize, parse_question, wh_token
 from .translate import MissingLexemeError, apply_morpheme_rules, translate
-
-_ORDER_SEQUENCE = (
-    WordOrder.SVO,
-    WordOrder.SOV,
-    WordOrder.VSO,
-    WordOrder.VOS,
-    WordOrder.OSV,
-    WordOrder.OVS,
-)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -129,31 +119,9 @@ def _cmd_question(args) -> int:
 def _cmd_declarativize(args) -> int:
     skeleton = _load_structure(args.structure)
     p = _load_profile(args.profile)
-    q_tokens = args.question.split()
-    base = linearize(skeleton, p)
-    surface = _extra_token(q_tokens, list(base.surfaces()))
-    question = interrogativize(skeleton, wh_token(surface), p)
-    if question.render().split() != q_tokens:
-        raise InversionMismatchError("question does not match the structure's interrogative form")
-    declarativize(question, skeleton, p)
-    print(base.render())
+    parse_question(args.question, skeleton, p)
+    print(linearize(skeleton, p).render())
     return 0
-
-
-def _extra_token(q_tokens: list[str], base: list[str]) -> str:
-    """The single token the question adds over the declarative.
-
-    The question text was rendered with its first character uppercased, so
-    when the plain diff fails the comparison is retried with the leading
-    capital undone.
-    """
-    for candidate in (q_tokens, [q_tokens[0][:1].lower() + q_tokens[0][1:]] + q_tokens[1:] if q_tokens else []):
-        if len(candidate) != len(base) + 1:
-            continue
-        extra = Counter(candidate) - Counter(base)
-        if sum(extra.values()) == 1:
-            return next(iter(extra))
-    raise InversionMismatchError("question does not add exactly one token to the declarative")
 
 
 def _cmd_compare(args) -> int:
@@ -183,7 +151,7 @@ def _cmd_prob(args) -> int:
 
 def _cmd_orders(args) -> int:
     s = _load_structure(args.structure)
-    for order in _ORDER_SEQUENCE:
+    for order in WordOrder:
         bare = LanguageProfile(name=order.value, word_order=order)
         print(f"{order.name}: {linearize(s, bare).render()}")
     return 0

@@ -62,10 +62,6 @@ class LinearSentence:
     word_order: WordOrder
     profile_name: str
 
-    @property
-    def tokens(self) -> tuple[Token, ...]:
-        return tuple(Token(p.surface, p.category) for p in self.placed)
-
     def surfaces(self) -> tuple[str, ...]:
         return tuple(p.surface for p in self.placed)
 

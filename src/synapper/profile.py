@@ -101,18 +101,12 @@ class MorphemeRule:
 # Unlisted categories place branches before the node in source order.
 _DEFAULT_PLACEMENT = (BranchSide.PRE, PostOrder.SOURCE)
 
-class InsertPass:
-    """A run of consecutive insert rules fused into one scan of the sequence.
 
-    edits maps an anchor surface to the words inserted before it and the
-    words inserted after it, so each token costs one lookup. Anchors match
-    only tokens already in the sequence, never the words this pass inserts.
-    """
-
-    __slots__ = ("edits",)
-
-    def __init__(self, edits: Mapping[str, tuple[tuple[str, ...], tuple[str, ...]]]):
-        self.edits = edits
+# A run of consecutive insert rules fused into one scan of the sequence: an
+# anchor surface -> (words inserted before it, words inserted after it), so
+# each token costs one lookup. Anchors match only tokens already in the
+# sequence, never the words the same pass inserts.
+InsertEdits = dict[str, tuple[tuple[str, ...], tuple[str, ...]]]
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ class LanguageProfile:
     wh_rule: WhRule = WhRule.INITIAL_NO_INVERSION
     morpheme_rules: tuple[MorphemeRule, ...] = ()
     placement: Mapping[Category, tuple[BranchSide, PostOrder]] = field(init=False, repr=False, compare=False)
-    passes: tuple[MorphemeRule | InsertPass, ...] = field(init=False, repr=False, compare=False)
+    passes: tuple[MorphemeRule | InsertEdits, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         placement = dict.fromkeys(Category, _DEFAULT_PLACEMENT)
@@ -141,8 +135,8 @@ class LanguageProfile:
         object.__setattr__(self, "passes", _compile_passes(self.morpheme_rules))
 
 
-def _compile_passes(rules: tuple[MorphemeRule, ...]) -> tuple[MorphemeRule | InsertPass, ...]:
-    """The rules in ordinal order, each run of inserts fused into InsertPass steps.
+def _compile_passes(rules: tuple[MorphemeRule, ...]) -> tuple[MorphemeRule | InsertEdits, ...]:
+    """The rules in ordinal order, each run of inserts fused into InsertEdits steps.
 
     Applied one rule at a time, two inserts on one anchor A give ``W1 W2 A``
     when both go before it and ``A W2 W1`` when both go after it; the fused
@@ -150,8 +144,8 @@ def _compile_passes(rules: tuple[MorphemeRule, ...]) -> tuple[MorphemeRule | Ins
     when its anchor is one of them, so a new pass starts there. A drop or a
     suffix ends the run.
     """
-    passes: list[MorphemeRule | InsertPass] = []
-    edits: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] | None = None
+    passes: list[MorphemeRule | InsertEdits] = []
+    edits: InsertEdits | None = None
     inserted: set[str] = set()
     for rule in sorted(rules, key=lambda r: r.ordinal):
         if rule.kind not in (MorphemeKind.INSERT_BEFORE, MorphemeKind.INSERT_AFTER):
@@ -160,7 +154,7 @@ def _compile_passes(rules: tuple[MorphemeRule, ...]) -> tuple[MorphemeRule | Ins
             continue
         if edits is None or rule.selector in inserted:
             edits, inserted = {}, set()
-            passes.append(InsertPass(edits))
+            passes.append(edits)
         before, after = edits.get(rule.selector, ((), ()))
         if rule.kind is MorphemeKind.INSERT_BEFORE:
             before += rule.operand

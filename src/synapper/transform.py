@@ -3,10 +3,10 @@
 Interrogativization is a surface operation over the linearized sentence:
 depending on the profile it prepends the WH token with or without
 subject/verb inversion, or slots it right before the subject block.
-The inverse direction needs the structural skeleton back, because a raw
-token sequence underdetermines the ring; declarativize verifies that the
-question really is the skeleton's interrogative form and hands the
-skeleton back.
+interrogativize is the only definition of that form. The inverse
+direction needs the structural skeleton back, because a raw token
+sequence underdetermines the ring; declarativize and parse_question
+rebuild the skeleton's question and compare it with the one given.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .linearize import LinearSentence, PlacedToken, linearize
-from .model import Category, Role, Synapper, SynapperError, Token, iter_tokens
+from .model import Category, Role, Synapper, SynapperError, Token
 from .profile import LanguageProfile, WhRule
 
 
@@ -35,12 +35,16 @@ class InversionMismatchError(SynapperError):
     pass
 
 
+# Marks the WH slot while parse_question looks for it; any surface would do.
+_SLOT = wh_token("?")
+
+
 def interrogativize(s: Synapper, wh: Token, p: LanguageProfile) -> LinearSentence:
     if wh.category is not Category.WH:
         raise ValueError("the wh argument must be a token with category WH")
-    if any(t.category is Category.WH for t in iter_tokens(s)):
-        raise WhAlreadyPresentError("structure already contains a WH token")
     base = linearize(s, p)
+    if any(pt.category is Category.WH for pt in base.placed):
+        raise WhAlreadyPresentError("structure already contains a WH token")
     mark = PlacedToken(wh.surface, Category.WH, None, -1, False)
     if p.wh_rule is WhRule.INITIAL_WITH_INVERSION:
         placed = (mark,) + _swap_subject_verb(base.placed)
@@ -54,24 +58,39 @@ def interrogativize(s: Synapper, wh: Token, p: LanguageProfile) -> LinearSentenc
 def declarativize(q: LinearSentence, s_hint: Synapper, p: LanguageProfile) -> Synapper:
     """Strip the question marking from q and return the declarative structure.
 
-    q must be the interrogative form of s_hint under p; anything else is an
-    InversionMismatch. A q without any WH token raises NoWhFound.
+    q must equal interrogativize(s_hint, its first WH token, p) token for
+    token; anything else is an InversionMismatch. A q without any WH token
+    raises NoWhFound.
     """
-    if not any(pt.category is Category.WH for pt in q.placed):
+    wh = next((pt for pt in q.placed if pt.category is Category.WH), None)
+    if wh is None:
         raise NoWhFoundError("sentence has no WH token")
-    if p.wh_rule in (WhRule.INITIAL_WITH_INVERSION, WhRule.INITIAL_NO_INVERSION):
-        if q.placed[0].category is not Category.WH:
-            raise InversionMismatchError("the WH token is not sentence-initial")
-        rest = q.placed[1:]
-        if p.wh_rule is WhRule.INITIAL_WITH_INVERSION:
-            rest = _swap_subject_verb(rest)
-    else:
-        first_wh = next(i for i, pt in enumerate(q.placed) if pt.category is Category.WH)
-        rest = q.placed[:first_wh] + q.placed[first_wh + 1 :]
-    expected = linearize(s_hint, p)
-    if [(pt.surface, pt.category) for pt in rest] != [(pt.surface, pt.category) for pt in expected.placed]:
+    try:
+        token = wh_token(wh.surface)
+    except ValueError:
+        raise InversionMismatchError(f"WH surface {wh.surface!r} is not a single token") from None
+    expected = interrogativize(s_hint, token, p)
+    if [(pt.surface, pt.category) for pt in q.placed] != [(pt.surface, pt.category) for pt in expected.placed]:
         raise InversionMismatchError("question does not match the skeleton's interrogative form")
     return s_hint
+
+
+def parse_question(text: str, s: Synapper, p: LanguageProfile) -> LinearSentence:
+    """Read question text as the interrogative form of s under p.
+
+    The WH word is the text's word in the slot interrogativize puts it in,
+    as written; every other token comes from s. Any text that is not that
+    question's rendering raises InversionMismatchError.
+    """
+    words = text.split()
+    slot = interrogativize(s, _SLOT, p).placed
+    if len(words) != len(slot):
+        raise InversionMismatchError("question does not add exactly one token to the declarative")
+    at = next(i for i, pt in enumerate(slot) if pt.category is Category.WH)
+    q = interrogativize(s, wh_token(words[at]), p)
+    if q.render() != " ".join(words):
+        raise InversionMismatchError("question does not match the structure's interrogative form")
+    return q
 
 
 def normalize_subject_position(s: Synapper) -> Synapper:

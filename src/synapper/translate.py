@@ -25,8 +25,7 @@ from .model import (
     _is_surface,
     iter_tokens,
 )
-from .profile import InsertPass, LanguageProfile, MorphemeKind, MorphemeRule
-from .transform import normalize_subject_position
+from .profile import InsertEdits, LanguageProfile, MorphemeKind, MorphemeRule
 
 
 class Lexicon:
@@ -106,13 +105,12 @@ def apply_morpheme_rules(sentence: LinearSentence, p: LanguageProfile) -> Linear
     return replace(sentence, placed=placed)
 
 
-def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertPass) -> tuple[PlacedToken, ...]:
+def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertEdits) -> tuple[PlacedToken, ...]:
     """One pass over the whole sequence: a drop, a suffix, or a fused run of inserts."""
-    if isinstance(step, InsertPass):
-        edits = step.edits
+    if isinstance(step, dict):
         out: list[PlacedToken] = []
         for pt in placed:
-            edit = edits.get(pt.surface)
+            edit = step.get(pt.surface)
             if edit is None:
                 out.append(pt)
             else:
@@ -141,6 +139,5 @@ def _inserted(words: tuple[str, ...]) -> list[PlacedToken]:
 
 
 def translate(s: Synapper, lex: Lexicon, p: LanguageProfile) -> LinearSentence:
-    """normalize subject position, substitute lexemes, linearize, rewrite."""
-    prepared = substitute_lexemes(normalize_subject_position(s), lex)
-    return apply_morpheme_rules(linearize(prepared, p), p)
+    """Substitute lexemes, linearize, rewrite; linearize never reads surface_subject_final."""
+    return apply_morpheme_rules(linearize(substitute_lexemes(s, lex), p), p)

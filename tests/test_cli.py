@@ -12,7 +12,14 @@ import pytest
 import synapper
 from synapper.chance import MAX_MEMBERS
 from synapper.model import MAX_DEPTH
-from conftest import ROOT, fixture_path, lexicon_path, profile_path
+from conftest import FIXTURES, PROFILES, ROOT, fixture_path, lexicon_path, load_structure, profile_path
+
+VALID_FIXTURES = sorted(f.stem for f in FIXTURES.glob("*.json") if not f.stem.startswith("bad_"))
+# Every bundled profile, plus a bare pre_subject profile per word order:
+# there the WH word goes before the subject block, which is often not first.
+ROUND_TRIP_PROFILES = sorted(f.stem for f in PROFILES.glob("*.json")) + [
+    f"pre_subject-{order.value}" for order in synapper.WordOrder
+]
 
 
 class TestValidate:
@@ -158,6 +165,53 @@ class TestQuestionAndBack:
         )
         assert code == 1
         assert json.loads(err)["error"] == "InversionMismatchError"
+
+    @pytest.mark.parametrize("profile", ROUND_TRIP_PROFILES)
+    @pytest.mark.parametrize("fixture", VALID_FIXTURES)
+    def test_declarativize_undoes_every_printed_question(self, run_cli, tmp_path, fixture, profile):
+        path = profile_path(profile)
+        if profile.startswith("pre_subject-"):
+            path = tmp_path / "profile.json"
+            path.write_text(json.dumps({"name": profile, "word_order": profile[12:], "wh_rule": "pre_subject"}))
+            path = str(path)
+        p = synapper.parse_profile(Path(path).read_text(encoding="utf-8"))
+        declarative = synapper.linearize(load_structure(fixture), p).render()
+        # The last WH word equals the declarative's first word once the
+        # rendering capital is undone.
+        for wh in ("why", "what", declarative.split()[0].lower()):
+            code, question, err = run_cli("question", fixture_path(fixture), "--profile", path, "--wh", wh)
+            assert (code, err) == (0, "")
+            code, out, err = run_cli(
+                "declarativize", fixture_path(fixture), "--profile", path, "--question", question.rstrip("\n")
+            )
+            assert (code, out, err) == (0, declarative + "\n", ""), question
+
+    @pytest.mark.parametrize(
+        "question, message",
+        [
+            ("Why is Tim going to the hospital today", "does not add exactly one token"),
+            ("Why is Tim going to a hospital", "does not match the structure's interrogative form"),
+        ],
+    )
+    def test_declarativize_mismatch_messages(self, run_cli, question, message):
+        code, out, err = run_cli(
+            "declarativize", fixture_path("tim"), "--profile", profile_path("en"), "--question", question
+        )
+        assert (code, out) == (1, "")
+        report = json.loads(err)
+        assert report["error"] == "InversionMismatchError"
+        assert message in report["message"]
+
+    def test_declarativize_rejects_wh_in_the_structure(self, run_cli, tmp_path):
+        doc = json.loads(Path(fixture_path("mary")).read_text(encoding="utf-8"))
+        doc["loop"]["members"][2]["node"] = [{"surface": "what", "category": "WH"}]
+        path = tmp_path / "wh.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(
+            "declarativize", str(path), "--profile", profile_path("en"), "--question", "Why what loves Mary"
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "WhAlreadyPresentError"
 
     def test_declarativize_rejects_unmarked_sentence(self, run_cli):
         code, _, err = run_cli(

@@ -1,8 +1,10 @@
 """Interrogative and declarative transforms plus subject-position repair."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synapper import (
     Category,
@@ -10,6 +12,7 @@ from synapper import (
     LanguageProfile,
     NoWhFoundError,
     Token,
+    VerbPlacement,
     WhAlreadyPresentError,
     WhRule,
     WordOrder,
@@ -17,6 +20,7 @@ from synapper import (
     interrogativize,
     linearize,
     normalize_subject_position,
+    parse_question,
     structural_equal,
     wh_token,
 )
@@ -57,16 +61,8 @@ class TestInterrogativize:
             interrogativize(load_structure("tim"), Token("why", Category.ADV), load_profile("en"))
 
     def test_rejects_structure_already_containing_wh(self):
-        import dataclasses
-
-        s = load_structure("mary")
-        member = s.main.members[2]
-        patched = dataclasses.replace(member, node=(Token("what", Category.WH),))
-        s = dataclasses.replace(
-            s, main=dataclasses.replace(s.main, members=s.main.members[:2] + (patched,))
-        )
         with pytest.raises(WhAlreadyPresentError):
-            interrogativize(s, WHY, load_profile("en"))
+            interrogativize(_mary_asking_what(), WHY, load_profile("en"))
 
     def test_question_adds_exactly_one_token(self):
         rng = random.Random(314159)
@@ -77,7 +73,7 @@ class TestInterrogativize:
                 base = linearize(s, p)
                 q = interrogativize(s, WHY, p)
                 assert sorted(q.surfaces()) == sorted(base.surfaces() + ("why",))
-                assert sum(1 for t in q.tokens if t.category is Category.WH) == 1
+                assert sum(1 for pt in q.placed if pt.category is Category.WH) == 1
 
 
 class TestDeclarativize:
@@ -123,6 +119,29 @@ class TestDeclarativize:
             declarativize(uninverted, s, en)
         assert plain.render() == "Why is Tim going to the hospital"
 
+    def test_rejects_pre_subject_question_with_wh_moved_to_the_end(self):
+        s = load_structure("tim")
+        p = load_profile("ja-gloss")
+        q = interrogativize(s, WHY, p)
+        moved = dataclasses.replace(q, placed=q.placed[1:] + q.placed[:1])
+        assert moved.render() == "Tim the hospital to going is why"
+        with pytest.raises(InversionMismatchError):
+            declarativize(moved, s, p)
+
+    def test_rejects_skeleton_that_already_holds_wh(self):
+        p = load_profile("en")
+        q = interrogativize(load_structure("mary"), WHY, p)
+        with pytest.raises(WhAlreadyPresentError):
+            declarativize(q, _mary_asking_what(), p)
+
+    def test_rejects_wh_surface_that_is_not_one_token(self):
+        s = load_structure("tim")
+        p = load_profile("en")
+        q = interrogativize(s, WHY, p)
+        spaced = dataclasses.replace(q, placed=(dataclasses.replace(q.placed[0], surface="why not"),) + q.placed[1:])
+        with pytest.raises(InversionMismatchError):
+            declarativize(spaced, s, p)
+
     def test_rejects_wh_not_initial(self):
         s = load_structure("mary")
         builder = LanguageProfile(name="x", word_order=WordOrder.OVS, wh_rule=WhRule.PRE_SUBJECT)
@@ -130,6 +149,68 @@ class TestDeclarativize:
         assert q.surfaces()[0] != "why"
         with pytest.raises(InversionMismatchError):
             declarativize(q, s, load_profile("en"))
+
+
+class TestParseQuestion:
+    def test_reads_the_printed_question(self):
+        s = load_structure("tim")
+        p = load_profile("en")
+        q = parse_question("Why is Tim going to the hospital", s, p)
+        assert q.render() == "Why is Tim going to the hospital"
+        assert q.placed[0].surface == "Why" and q.placed[0].category is Category.WH
+        assert declarativize(q, s, p) is s
+
+    def test_wh_word_equal_to_a_structure_word(self):
+        s = load_structure("mary")
+        p = LanguageProfile(name="x", word_order=WordOrder.OVS, wh_rule=WhRule.PRE_SUBJECT)
+        q = parse_question("Chocolate loves chocolate Mary", s, p)
+        assert [pt.category for pt in q.placed] == [Category.N, Category.V, Category.WH, Category.N]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Why is Tim going to the hospital today", "does not add exactly one token"),
+            ("", "does not add exactly one token"),
+            ("Why is Tim going to a hospital", "does not match the structure's interrogative form"),
+            ("Why Tim is going to the hospital", "does not match the structure's interrogative form"),
+            ("why is Tim going to the hospital", "does not match the structure's interrogative form"),
+        ],
+    )
+    def test_mismatch_messages(self, text, message):
+        with pytest.raises(InversionMismatchError, match=message):
+            parse_question(text, load_structure("tim"), load_profile("en"))
+
+    def test_rejects_skeleton_that_already_holds_wh(self):
+        with pytest.raises(WhAlreadyPresentError):
+            parse_question("What why loves Mary", _mary_asking_what(), load_profile("en"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(list(WordOrder)),
+        st.sampled_from(list(WhRule)),
+        st.sampled_from(list(VerbPlacement)),
+        st.sampled_from(["why", "Why", "what", "kite"]),
+    )
+    def test_reproduces_every_question(self, seed, order, rule, placement, wh):
+        s = random_structure(random.Random(seed))
+        p = LanguageProfile(name="x", word_order=order, verb_placement=placement, wh_rule=rule)
+        q = interrogativize(s, wh_token(wh), p)
+        parsed = parse_question(q.render(), s, p)
+        # Every token but the WH word comes from s; the WH word is read as
+        # written, with the rendering capital when it starts the sentence.
+        assert [(pt.surface, pt.category) for pt in parsed.placed] == [
+            (word if pt.category is Category.WH else pt.surface, pt.category)
+            for pt, word in zip(q.placed, q.render().split())
+        ]
+        assert declarativize(parsed, s, p) is s
+
+
+def _mary_asking_what():
+    """mary.json with its object replaced by a WH token."""
+    s = load_structure("mary")
+    patched = dataclasses.replace(s.main.members[2], node=(Token("what", Category.WH),))
+    return dataclasses.replace(s, main=dataclasses.replace(s.main, members=s.main.members[:2] + (patched,)))
 
 
 class TestNormalizeSubjectPosition:
