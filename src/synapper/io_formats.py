@@ -3,8 +3,8 @@
 Structures and language profiles are JSON documents with a fixed, strictly
 checked vocabulary of keys; lexicons are three-column TSV. Serialization is
 byte-deterministic: the same structure always produces the same text, with
-keys in a fixed order and branches in ordinal order (the array position IS
-the ordinal on re-parse). ``to_dot`` renders a structure as a Graphviz
+keys in a fixed order and members and branches in stored order, which
+re-parsing keeps. ``to_dot`` renders a structure as a Graphviz
 digraph: one box per node, branch edges pointing into their node, ring
 edges following the stored clockwise order, and nested loops as clusters.
 """
@@ -12,8 +12,11 @@ edges following the stored clockwise order, and nested loops as clusters.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
+from typing import Callable
 
 from .model import (
+    Branch,
     Category,
     Constituent,
     Loop,
@@ -21,6 +24,7 @@ from .model import (
     MalformedDocumentError,
     Synapper,
     SynapperError,
+    Token,
     _check_keys,
     _expect_str,
     _is_surface,
@@ -68,43 +72,81 @@ def parse_structure(text: str) -> Synapper:
 
 
 def serialize_structure(s: Synapper) -> str:
-    doc: dict[str, object] = {}
+    """The structure as 2-space-indented JSON text ending in a newline.
+
+    Written directly for the fixed schema; the text is byte-for-byte what
+    ``json.dumps(doc, indent=2, ensure_ascii=False)`` gives for the same
+    document. Free text (label, surfaces) goes through ``json``'s own
+    escaper; enum values are fixed ASCII and are written as they are.
+    """
+    out = ["{\n"]
     if s.label:
-        doc["label"] = s.label
-    doc["word_order"] = s.word_order.value
+        out += ['  "label": ', encode_basestring(s.label), ",\n"]
+    out += ['  "word_order": "', s.word_order.value, '",\n']
     if s.surface_subject_final:
-        doc["surface_subject_final"] = True
-    doc["loop"] = _loop_doc(s.main)
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        out.append('  "surface_subject_final": true,\n')
+    out.append('  "loop": ')
+    _emit_loop(s.main, "\n  ", out)
+    out.append("\n}\n")
+    return "".join(out)
 
 
-def _loop_doc(loop: Loop) -> dict:
-    doc: dict[str, object] = {"kind": loop.kind.value}
+# Each emitter writes one JSON value from its opening bracket to its closing
+# one; ``nl`` is a newline plus the indent of the line that opens the value.
+
+
+def _emit_array(items: tuple, emit_item: Callable[..., None], nl: str, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    item = nl + "  "
+    sep = "[" + item
+    for x in items:
+        out.append(sep)
+        emit_item(x, item, out)
+        sep = "," + item
+    out += [nl, "]"]
+
+
+def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
+    inner = nl + "  "
+    out += ["{", inner, '"kind": "', loop.kind.value, '",']
     if loop.kind is LoopKind.PHRASAL:
-        doc["head_index"] = loop.head_index
-    doc["members"] = [_member_doc(m) for m in loop.members]
-    return doc
+        out += [inner, '"head_index": ', str(loop.head_index), ","]
+    out += [inner, '"members": ']
+    _emit_array(loop.members, _emit_member, inner, out)
+    out += [nl, "}"]
 
 
-def _member_doc(c: Constituent) -> dict:
-    doc: dict[str, object] = {}
+def _emit_member(c: Constituent, nl: str, out: list[str]) -> None:
+    inner = nl + "  "
+    out.append("{")
     if c.role is not None:
-        doc["role"] = c.role.value
+        out += [inner, '"role": "', c.role.value, '",']
     if c.node is not None:
-        doc["node"] = [_token_doc(t) for t in c.node]
+        out += [inner, '"node": ']
+        _emit_array(c.node, _emit_token, inner, out)
     else:
         assert c.loop is not None
-        doc["loop"] = _loop_doc(c.loop)
+        out += [inner, '"loop": ']
+        _emit_loop(c.loop, inner, out)
     if c.branches:
-        doc["branches"] = [
-            {"category": b.category.value, "tokens": [_token_doc(t) for t in b.tokens]}
-            for b in sorted(c.branches, key=lambda b: b.ordinal)
-        ]
-    return doc
+        out += [",", inner, '"branches": ']
+        _emit_array(c.branches, _emit_branch, inner, out)
+    out += [nl, "}"]
 
 
-def _token_doc(t) -> dict:
-    return {"surface": t.surface, "category": t.category.value}
+def _emit_branch(b: Branch, nl: str, out: list[str]) -> None:
+    inner = nl + "  "
+    out += ["{", inner, '"category": "', b.category.value, '",', inner, '"tokens": ']
+    _emit_array(b.tokens, _emit_token, inner, out)
+    out += [nl, "}"]
+
+
+def _emit_token(t: Token, nl: str, out: list[str]) -> None:
+    inner = nl + "  "
+    out += ["{", inner, '"surface": ', encode_basestring(t.surface), ",", inner,
+            '"category": "', t.category.value, '"', nl, "}"]
 
 
 _PROFILE_REQUIRED = {"name", "word_order", "wh_rule"}
@@ -243,8 +285,8 @@ def _dot_loop(loop: Loop, prefix: str, indent: str, out: list[str]) -> str:
             out.append(f'{indent}  label="{member.loop.kind.value} loop";')
             rep = _dot_loop(member.loop, mid + "m", indent + "  ", out)
             out.append(f"{indent}}}")
-        for branch in sorted(member.branches, key=lambda b: b.ordinal):
-            bid = f"{mid}b{branch.ordinal}"
+        for k, branch in enumerate(member.branches):
+            bid = f"{mid}b{k}"
             out.append(f'{indent}{bid} [label="{_esc_label(branch.tokens)}"];')
             out.append(f"{indent}{bid} -> {rep};")
         reps.append(rep)

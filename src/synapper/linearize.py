@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Category, Constituent, Loop, LoopKind, Role, Synapper, SynapperError, Token, WordOrder, _role_index
 from .profile import BranchSide, LanguageProfile, PostOrder, VerbPlacement
@@ -40,13 +41,13 @@ def direction_of(order: WordOrder) -> Direction:
     return Direction.CLOCKWISE if order in _CLOCKWISE_ORDERS else Direction.COUNTERCLOCKWISE
 
 
-@dataclass(frozen=True)
-class PlacedToken:
+class PlacedToken(NamedTuple):
     """A linearized token plus where it came from.
 
     role and block identify the top-level constituent (block is its ring
     index, -1 for tokens added after linearization); unit marks tokens that
     belong to a multiword node, which morpheme drops treat as untouchable.
+    An immutable named tuple: ``_replace`` makes a changed copy.
     """
 
     surface: str
@@ -133,7 +134,7 @@ def _first_object_index(loop: Loop, subject: int | None) -> int | None:
 def _emit_constituent(c: Constituent, p: LanguageProfile, direction: Direction) -> list[tuple[Token, bool]]:
     pre: list = []
     post: list = []
-    # Post branches keep ordinal order except that the Reversed subset is
+    # Post branches keep stored order except that the Reversed subset is
     # flipped in place; the usual all-Reversed case is a plain reversal.
     reversed_slots: list[int] = []
     for branch in c.branches:

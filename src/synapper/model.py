@@ -114,11 +114,14 @@ class Token:
 
 @dataclass(frozen=True)
 class Branch:
-    """Token group attached to exactly one node; ordinal is its source position."""
+    """Token group attached to exactly one node.
+
+    A node's branches keep their source order as their position in
+    ``Constituent.branches``; every layer reads that position as the order.
+    """
 
     tokens: tuple[Token, ...]
     category: Category
-    ordinal: int
 
 
 @dataclass(frozen=True)
@@ -287,7 +290,7 @@ def _convert_member(raw: object, path: str, kind: LoopKind, depth: int, issues: 
     if not isinstance(branches_raw, list):
         raise MalformedDocumentError(_join(path, "branches"), "expected an array")
     branches = tuple(
-        _convert_branch(b, f"{path}.branches[{i}]", i, issues) for i, b in enumerate(branches_raw)
+        _convert_branch(b, f"{path}.branches[{i}]", issues) for i, b in enumerate(branches_raw)
     )
     return Constituent(role=role, node=tokens, branches=branches)
 
@@ -316,11 +319,11 @@ def _convert_tokens(raw: object, path: str, issues: list[ValidationIssue]) -> tu
     return tuple(out)
 
 
-def _convert_branch(raw: object, path: str, ordinal: int, issues: list[ValidationIssue]) -> Branch:
+def _convert_branch(raw: object, path: str, issues: list[ValidationIssue]) -> Branch:
     obj = _check_keys(raw, path, {"category", "tokens"}, set())
     category = _category(obj["category"], _join(path, "category"), issues)
     tokens = _convert_tokens(obj["tokens"], _join(path, "tokens"), issues)
-    return Branch(tokens=tokens, category=category, ordinal=ordinal)
+    return Branch(tokens=tokens, category=category)
 
 
 def _loop_issues(loop: Loop, path: str) -> list[ValidationIssue]:

@@ -81,7 +81,7 @@ def _substitute_member(c: Constituent, lex: Lexicon, missing: list[tuple[str, Ca
     if c.loop is not None:
         return Constituent(role=c.role, loop=_substitute_loop(c.loop, lex, missing))
     branches = tuple(
-        Branch(tokens=_substitute_tokens(b.tokens, lex, missing), category=b.category, ordinal=b.ordinal)
+        Branch(tokens=_substitute_tokens(b.tokens, lex, missing), category=b.category)
         for b in c.branches
     )
     return Constituent(role=c.role, node=_substitute_tokens(c.node, lex, missing), branches=branches)
@@ -130,7 +130,7 @@ def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertEdit
     if last is None:
         return placed
     target = placed[last]
-    patched = replace(target, surface=target.surface + step.payload)
+    patched = target._replace(surface=target.surface + step.payload)
     return placed[:last] + (patched,) + placed[last + 1 :]
 
 

@@ -117,9 +117,8 @@ def _random_member(rng: random.Random, role: Role | None, depth: int) -> Constit
         Branch(
             tokens=(Token(rng.choice(_GEN_WORDS), rng.choice(_GEN_CATEGORIES)),),
             category=rng.choice(_GEN_CATEGORIES),
-            ordinal=i,
         )
-        for i in range(rng.randint(0, 2))
+        for _ in range(rng.randint(0, 2))
     )
     return Constituent(role=role, node=node, branches=branches)
 

@@ -1,5 +1,6 @@
 """Serialization round-trips, strict parse errors, lexicon TSV, DOT export."""
 
+import dataclasses
 import json
 import random
 
@@ -7,21 +8,96 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synapper import (
+    Branch,
     Category,
+    Constituent,
+    Lexicon,
+    Loop,
+    LoopKind,
     MalformedDocumentError,
     MalformedSyntaxError,
+    Role,
+    Synapper,
+    Token,
     UnknownKeyError,
+    WordOrder,
+    iter_tokens,
+    linearize,
     parse_lexicon,
     parse_profile,
     parse_structure,
     serialize_structure,
     structural_equal,
+    substitute_lexemes,
     to_dot,
 )
-from conftest import FIXTURES, PROFILES, load_structure, random_structure
+from conftest import FIXTURES, PROFILES, load_profile, load_structure, random_structure
 
 ALL_FIXTURES = ["horse", "tim", "colette", "cena_a", "cena_b", "space_news", "mary", "go"]
 ALL_PROFILES = ["en", "fr", "ja-gloss", "cy-gloss", "uz", "uz-gloss", "vso", "en-articles"]
+
+
+def reference_serialize(s: Synapper) -> str:
+    """The serializer's specification: the document as a dict, through json.dumps."""
+    doc: dict[str, object] = {}
+    if s.label:
+        doc["label"] = s.label
+    doc["word_order"] = s.word_order.value
+    if s.surface_subject_final:
+        doc["surface_subject_final"] = True
+    doc["loop"] = _loop_doc(s.main)
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def _loop_doc(loop: Loop) -> dict:
+    doc: dict[str, object] = {"kind": loop.kind.value}
+    if loop.kind is LoopKind.PHRASAL:
+        doc["head_index"] = loop.head_index
+    doc["members"] = [_member_doc(m) for m in loop.members]
+    return doc
+
+
+def _member_doc(c: Constituent) -> dict:
+    doc: dict[str, object] = {}
+    if c.role is not None:
+        doc["role"] = c.role.value
+    if c.node is not None:
+        doc["node"] = [_token_doc(t) for t in c.node]
+    else:
+        doc["loop"] = _loop_doc(c.loop)
+    if c.branches:
+        doc["branches"] = [
+            {"category": b.category.value, "tokens": [_token_doc(t) for t in b.tokens]} for b in c.branches
+        ]
+    return doc
+
+
+def _token_doc(t: Token) -> dict:
+    return {"surface": t.surface, "category": t.category.value}
+
+
+def _word(surface: str) -> Token:
+    return Token(surface, Category.N)
+
+
+# Members whose documents hold the shapes random_structure never makes: empty
+# arrays and a phrasal head past 0. The validator rejects some of them, but
+# serialize_structure writes any Synapper.
+EDGE_MEMBERS = {
+    "empty node": Constituent(role=Role.OBJECT, node=()),
+    "empty branch": Constituent(role=Role.OBJECT, node=(_word("x"),), branches=(Branch((), Category.ADJ),)),
+    "empty loop": Constituent(role=Role.OBJECT, loop=Loop(LoopKind.PHRASAL, ())),
+    "phrasal head": Constituent(
+        role=Role.OBJECT,
+        loop=Loop(LoopKind.PHRASAL, (Constituent(node=(_word("a"),)), Constituent(node=(_word("b"),))), 1),
+    ),
+}
+
+# Characters json must escape or must leave as they are under ensure_ascii=False.
+# Surfaces cannot hold whitespace, so U+2028 and newlines appear in labels only.
+_SURFACE_CHARS = ['"', "\\", *map(chr, range(9)), "a", "\u00e9", "\u00df", "\u65e5", "\U0001f600"]
+surfaces = st.text(alphabet=st.sampled_from(_SURFACE_CHARS), min_size=1, max_size=6)
+labels = st.text(alphabet=st.sampled_from([*_SURFACE_CHARS, " ", "\n", "\t", "\u2028"]), max_size=8)
 
 
 class TestStructureRoundTrip:
@@ -55,6 +131,59 @@ class TestStructureRoundTrip:
         doc = json.loads(text)
         assert "surface_subject_final" not in doc
         assert doc["label"] == "bare-imperative"
+
+    def test_code_built_branch_order_survives_a_round_trip(self):
+        """Stored position is the one branch order that linearize, serialize and to_dot read."""
+        adjectives = tuple(Branch((Token(w, Category.ADJ),), Category.ADJ) for w in ("brown", "big"))
+        s = Synapper(
+            label="",
+            word_order=WordOrder.SVO,
+            surface_subject_final=False,
+            main=Loop(
+                LoopKind.CLAUSAL,
+                (
+                    Constituent(role=Role.SUBJECT, node=(_word("horse"),), branches=adjectives),
+                    Constituent(role=Role.VERB, node=(Token("runs", Category.V),)),
+                ),
+            ),
+        )
+        again = parse_structure(serialize_structure(s))
+        p = load_profile("en")
+        assert linearize(s, p).render() == linearize(again, p).render() == "Brown big horse runs"
+        assert structural_equal(again, s)
+
+
+class TestDirectSerializer:
+    """serialize_structure is byte-for-byte the reference json.dumps path."""
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_bundled_fixtures(self, name):
+        s = load_structure(name)
+        assert serialize_structure(s) == reference_serialize(s)
+
+    @pytest.mark.parametrize(
+        "members", [(), *((m,) for m in EDGE_MEMBERS.values())], ids=["empty members", *EDGE_MEMBERS]
+    )
+    def test_code_built_edge_cases(self, members):
+        main = Loop(LoopKind.CLAUSAL, members)
+        s = Synapper(label="edge", word_order=WordOrder.VSO, surface_subject_final=True, main=main)
+        assert serialize_structure(s) == reference_serialize(s)
+
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**9),
+        words=st.lists(surfaces, min_size=1, max_size=8),
+        label=labels,
+        flag=st.booleans(),
+        extra=st.lists(st.sampled_from(list(EDGE_MEMBERS.values())), max_size=2),
+    )
+    def test_matches_reference_on_escaped_text(self, seed, words, label, flag, extra):
+        s = random_structure(random.Random(seed))
+        pairs = dict.fromkeys((t.surface, t.category) for t in iter_tokens(s))
+        s = substitute_lexemes(s, Lexicon({pair: words[i % len(words)] for i, pair in enumerate(pairs)}))
+        main = dataclasses.replace(s.main, members=s.main.members + tuple(extra))
+        s = dataclasses.replace(s, label=label, surface_subject_final=flag, main=main)
+        assert serialize_structure(s) == reference_serialize(s)
 
 
 class TestStructureErrors:

@@ -138,7 +138,7 @@ class TestDeclarativize:
         s = load_structure("tim")
         p = load_profile("en")
         q = interrogativize(s, WHY, p)
-        spaced = dataclasses.replace(q, placed=(dataclasses.replace(q.placed[0], surface="why not"),) + q.placed[1:])
+        spaced = dataclasses.replace(q, placed=(q.placed[0]._replace(surface="why not"),) + q.placed[1:])
         with pytest.raises(InversionMismatchError):
             declarativize(spaced, s, p)
 

@@ -1,7 +1,5 @@
 """Lexeme substitution, morpheme rewriting, and the full translation pipeline."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -223,7 +221,7 @@ def sequential_rules(placed: tuple[PlacedToken, ...], rules) -> tuple[PlacedToke
             hits = [i for i, pt in enumerate(placed) if pt.role is rule.operand]
             if hits:
                 last = hits[-1]
-                patched = replace(placed[last], surface=placed[last].surface + rule.payload)
+                patched = placed[last]._replace(surface=placed[last].surface + rule.payload)
                 placed = placed[:last] + (patched,) + placed[last + 1 :]
         else:
             words = [PlacedToken(w, Category.OTHER, None, -1, False) for w in rule.operand]
