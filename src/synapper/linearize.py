@@ -8,8 +8,11 @@ O-initial orders; nested clausal loops follow the same rule. Phrasal loops
 emit their members from the head onward when clockwise and as the exact
 reverse of that list when counterclockwise (the head comes out last).
 
-Branches surround their node according to the profile's placement rules.
-V1 and V2 then move the whole verb block. Morpheme rules are NOT applied
+The main loop's member order is decided first, on ring indices: the walk
+above, then V1 or V2 moves the verb's index to first or second place
+(question inversion in transform is one more such move). Each member is
+then written once, in that order, with branches around their node
+according to the profile's placement rules. Morpheme rules are NOT applied
 here; language-dependent rewrites live in the translation pipeline.
 """
 
@@ -19,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import Category, Constituent, Loop, LoopKind, Role, Synapper, SynapperError, Token, WordOrder, _role_index
+from .model import Branch, Category, Constituent, Loop, LoopKind, Role, Synapper, SynapperError, WordOrder, _role_index
 from .profile import BranchSide, LanguageProfile, PostOrder, VerbPlacement
 
 
@@ -60,8 +63,6 @@ class PlacedToken(NamedTuple):
 @dataclass(frozen=True)
 class LinearSentence:
     placed: tuple[PlacedToken, ...]
-    word_order: WordOrder
-    profile_name: str
 
     def surfaces(self) -> tuple[str, ...]:
         return tuple(p.surface for p in self.placed)
@@ -77,20 +78,25 @@ class LinearSentence:
 
 
 def linearize(s: Synapper, p: LanguageProfile) -> LinearSentence:
+    return LinearSentence(_emit_members(s, p, _sentence_order(s, p)))
+
+
+def _sentence_order(s: Synapper, p: LanguageProfile) -> list[int]:
+    """The main loop's ring indices in sentence order: the ring walk, then V1/V2."""
+    order = _member_order(s.main, p.word_order, direction_of(p.word_order))
+    return _place_verb(order, s.main, p.verb_placement)
+
+
+def _emit_members(s: Synapper, p: LanguageProfile, order: list[int]) -> tuple[PlacedToken, ...]:
+    """Every token of the main loop's members in this order; block is the ring index."""
     direction = direction_of(p.word_order)
-    blocks: list[tuple[Role | None, list[PlacedToken]]] = []
-    for index in _member_order(s.main, p.word_order, direction):
+    out: list[PlacedToken] = []
+    for index in order:
         member = s.main.members[index]
-        placed = [
-            PlacedToken(t.surface, t.category, member.role, index, unit)
-            for t, unit in _emit_constituent(member, p, direction)
-        ]
-        blocks.append((member.role, placed))
-    blocks = _place_verb(blocks, p.verb_placement)
-    flat = tuple(pt for _, block in blocks for pt in block)
-    if not flat:
+        _emit(member, member.role, index, p, direction, out)
+    if not out:
         raise DegenerateStructureError("structure produced no tokens")
-    return LinearSentence(placed=flat, word_order=p.word_order, profile_name=p.name)
+    return tuple(out)
 
 
 def _member_order(loop: Loop, order: WordOrder, direction: Direction) -> list[int]:
@@ -131,16 +137,30 @@ def _first_object_index(loop: Loop, subject: int | None) -> int | None:
     return None
 
 
-def _emit_constituent(c: Constituent, p: LanguageProfile, direction: Direction) -> list[tuple[Token, bool]]:
-    pre: list = []
-    post: list = []
+def _place_verb(order: list[int], loop: Loop, placement: VerbPlacement) -> list[int]:
+    if placement is VerbPlacement.DEFAULT or len(order) < 2:
+        return order
+    verb = next((i for i in order if loop.members[i].role is Role.VERB), None)
+    if verb is None:
+        return order
+    order.remove(verb)
+    order.insert(0 if placement is VerbPlacement.V1 else 1, verb)
+    return order
+
+
+def _emit(
+    c: Constituent, role: Role | None, block: int, p: LanguageProfile, direction: Direction, out: list[PlacedToken]
+) -> None:
+    """Append c's tokens, with nested loops and branches, to out; all carry role and block."""
+    post: list[Branch] = []
     # Post branches keep stored order except that the Reversed subset is
     # flipped in place; the usual all-Reversed case is a plain reversal.
     reversed_slots: list[int] = []
     for branch in c.branches:
         side, post_order = p.placement[branch.category]
         if side is BranchSide.PRE:
-            pre.append(branch)
+            for t in branch.tokens:
+                out.append(PlacedToken(t.surface, t.category, role, block, False))
         else:
             if post_order is PostOrder.REVERSED:
                 reversed_slots.append(len(post))
@@ -148,35 +168,14 @@ def _emit_constituent(c: Constituent, p: LanguageProfile, direction: Direction) 
     for slot, branch in zip(reversed_slots, [post[i] for i in reversed(reversed_slots)]):
         post[slot] = branch
 
-    out: list[tuple[Token, bool]] = []
-    for branch in pre:
-        out.extend((t, False) for t in branch.tokens)
     if c.node is not None:
         unit = len(c.node) > 1
-        out.extend((t, unit) for t in c.node)
+        for t in c.node:
+            out.append(PlacedToken(t.surface, t.category, role, block, unit))
     else:
         assert c.loop is not None
-        out.extend(_emit_loop(c.loop, p, direction))
+        for index in _member_order(c.loop, p.word_order, direction):
+            _emit(c.loop.members[index], role, block, p, direction, out)
     for branch in post:
-        out.extend((t, False) for t in branch.tokens)
-    return out
-
-
-def _emit_loop(loop: Loop, p: LanguageProfile, direction: Direction) -> list[tuple[Token, bool]]:
-    out: list[tuple[Token, bool]] = []
-    for index in _member_order(loop, p.word_order, direction):
-        out.extend(_emit_constituent(loop.members[index], p, direction))
-    return out
-
-
-def _place_verb(
-    blocks: list[tuple[Role | None, list[PlacedToken]]], placement: VerbPlacement
-) -> list[tuple[Role | None, list[PlacedToken]]]:
-    if placement is VerbPlacement.DEFAULT or len(blocks) < 2:
-        return blocks
-    verb_at = next((i for i, (role, _) in enumerate(blocks) if role is Role.VERB), None)
-    if verb_at is None:
-        return blocks
-    rest = blocks[:verb_at] + blocks[verb_at + 1 :]
-    target = 0 if placement is VerbPlacement.V1 else min(1, len(rest))
-    return rest[:target] + [blocks[verb_at]] + rest[target:]
+        for t in branch.tokens:
+            out.append(PlacedToken(t.surface, t.category, role, block, False))

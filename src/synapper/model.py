@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterator, Mapping
 
 
 class WordOrder(enum.Enum):

@@ -1,8 +1,10 @@
 """Declarative/interrogative surface transforms and subject-position repair.
 
-Interrogativization is a surface operation over the linearized sentence:
-depending on the profile it prepends the WH token with or without
-subject/verb inversion, or slots it right before the subject block.
+Interrogativization decides where the WH token goes: depending on the
+profile it is prepended, with or without subject/verb inversion, or slotted
+right before the subject block. Inversion swaps the subject's and the verb's
+ring indices in the sentence's member order before anything is written, the
+same kind of move as V1/V2 in linearize.
 interrogativize is the only definition of that form. The inverse
 direction needs the structural skeleton back, because a raw token
 sequence underdetermines the ring; declarativize and parse_question
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .linearize import LinearSentence, PlacedToken, linearize
+from .linearize import LinearSentence, PlacedToken, _emit_members, _sentence_order
 from .model import Category, Role, Synapper, SynapperError, Token
 from .profile import LanguageProfile, WhRule
 
@@ -42,17 +44,16 @@ _SLOT = wh_token("?")
 def interrogativize(s: Synapper, wh: Token, p: LanguageProfile) -> LinearSentence:
     if wh.category is not Category.WH:
         raise ValueError("the wh argument must be a token with category WH")
-    base = linearize(s, p)
-    if any(pt.category is Category.WH for pt in base.placed):
+    order = _sentence_order(s, p)
+    if p.wh_rule is WhRule.INITIAL_WITH_INVERSION:
+        _swap_subject_verb(order, s)
+    placed = _emit_members(s, p, order)
+    if any(pt.category is Category.WH for pt in placed):
         raise WhAlreadyPresentError("structure already contains a WH token")
     mark = PlacedToken(wh.surface, Category.WH, None, -1, False)
-    if p.wh_rule is WhRule.INITIAL_WITH_INVERSION:
-        placed = (mark,) + _swap_subject_verb(base.placed)
-    elif p.wh_rule is WhRule.INITIAL_NO_INVERSION:
-        placed = (mark,) + base.placed
-    else:
-        placed = _insert_before_subject(base.placed, mark)
-    return LinearSentence(placed=placed, word_order=base.word_order, profile_name=base.profile_name)
+    if p.wh_rule is WhRule.PRE_SUBJECT:
+        return LinearSentence(_insert_before_subject(placed, mark))
+    return LinearSentence((mark,) + placed)
 
 
 def declarativize(q: LinearSentence, s_hint: Synapper, p: LanguageProfile) -> Synapper:
@@ -87,7 +88,7 @@ def parse_question(text: str, s: Synapper, p: LanguageProfile) -> LinearSentence
     if len(words) != len(slot):
         raise InversionMismatchError("question does not add exactly one token to the declarative")
     at = next(i for i, pt in enumerate(slot) if pt.category is Category.WH)
-    q = interrogativize(s, wh_token(words[at]), p)
+    q = LinearSentence(slot[:at] + (slot[at]._replace(surface=words[at]),) + slot[at + 1 :])
     if q.render() != " ".join(words):
         raise InversionMismatchError("question does not match the structure's interrogative form")
     return q
@@ -100,24 +101,12 @@ def normalize_subject_position(s: Synapper) -> Synapper:
     return replace(s, surface_subject_final=False)
 
 
-def _split_runs(placed: tuple[PlacedToken, ...]) -> list[list[PlacedToken]]:
-    runs: list[list[PlacedToken]] = []
-    for pt in placed:
-        if runs and runs[-1][0].block == pt.block and pt.block != -1:
-            runs[-1].append(pt)
-        else:
-            runs.append([pt])
-    return runs
-
-
-def _swap_subject_verb(placed: tuple[PlacedToken, ...]) -> tuple[PlacedToken, ...]:
-    runs = _split_runs(placed)
-    subject_at = next((i for i, run in enumerate(runs) if run[0].role is Role.SUBJECT), None)
-    verb_at = next((i for i, run in enumerate(runs) if run[0].role is Role.VERB), None)
-    if subject_at is None or verb_at is None:
-        return placed
-    runs[subject_at], runs[verb_at] = runs[verb_at], runs[subject_at]
-    return tuple(pt for run in runs for pt in run)
+def _swap_subject_verb(order: list[int], s: Synapper) -> None:
+    members = s.main.members
+    subject_at = next((i for i, index in enumerate(order) if members[index].role is Role.SUBJECT), None)
+    verb_at = next((i for i, index in enumerate(order) if members[index].role is Role.VERB), None)
+    if subject_at is not None and verb_at is not None:
+        order[subject_at], order[verb_at] = order[verb_at], order[subject_at]
 
 
 def _insert_before_subject(placed: tuple[PlacedToken, ...], mark: PlacedToken) -> tuple[PlacedToken, ...]:

@@ -102,7 +102,7 @@ def apply_morpheme_rules(sentence: LinearSentence, p: LanguageProfile) -> Linear
     placed = sentence.placed
     for step in p.passes:
         placed = _apply_rule(placed, step)
-    return replace(sentence, placed=placed)
+    return LinearSentence(placed)
 
 
 def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertEdits) -> tuple[PlacedToken, ...]:

@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synapper import (
+    Branch,
+    BranchPlacementRule,
+    BranchSide,
     Category,
     Constituent,
     DegenerateStructureError,
@@ -12,14 +16,20 @@ from synapper import (
     LanguageProfile,
     Loop,
     LoopKind,
+    PlacedToken,
+    PostOrder,
     Role,
     Synapper,
     Token,
     VerbPlacement,
+    WhRule,
     WordOrder,
     direction_of,
+    interrogativize,
     linearize,
+    wh_token,
 )
+from synapper.linearize import _member_order
 from conftest import load_profile, load_structure, random_structure, rotate_main
 
 
@@ -224,3 +234,176 @@ def test_o_initial_orders_start_at_first_object_clockwise_from_subject():
     )
     # Clockwise from Ann the first object is "home", not "late".
     assert linearize(s, _bare(WordOrder.OSV)).surfaces() == ("home", "late", "Ann", "ran")
+
+
+# References for the order-first linearize and the index-swap inversion: the
+# earlier two-step shape, kept as an oracle. Each member becomes a list of
+# (Token, unit) pairs copied up one nesting level at a time, the lists become
+# PlacedToken blocks, V1/V2 move the verb block, and a question is built by
+# cutting the flat sequence back into runs by block and swapping the subject
+# run with the verb run. Only the ring walk (_member_order) is shared.
+
+
+def reference_linearize(s: Synapper, p: LanguageProfile) -> tuple[PlacedToken, ...]:
+    direction = direction_of(p.word_order)
+    blocks = []
+    for index in _member_order(s.main, p.word_order, direction):
+        member = s.main.members[index]
+        placed = [
+            PlacedToken(t.surface, t.category, member.role, index, unit)
+            for t, unit in _reference_constituent(member, p, direction)
+        ]
+        blocks.append((member.role, placed))
+    if p.verb_placement is not VerbPlacement.DEFAULT and len(blocks) >= 2:
+        verb_at = next((i for i, (role, _) in enumerate(blocks) if role is Role.VERB), None)
+        if verb_at is not None:
+            rest = blocks[:verb_at] + blocks[verb_at + 1 :]
+            target = 0 if p.verb_placement is VerbPlacement.V1 else min(1, len(rest))
+            blocks = rest[:target] + [blocks[verb_at]] + rest[target:]
+    flat = tuple(pt for _, block in blocks for pt in block)
+    if not flat:
+        raise DegenerateStructureError("structure produced no tokens")
+    return flat
+
+
+def _reference_constituent(c: Constituent, p: LanguageProfile, direction: Direction) -> list:
+    pre, post, reversed_slots = [], [], []
+    for branch in c.branches:
+        side, post_order = p.placement[branch.category]
+        if side is BranchSide.PRE:
+            pre.append(branch)
+        else:
+            if post_order is PostOrder.REVERSED:
+                reversed_slots.append(len(post))
+            post.append(branch)
+    for slot, branch in zip(reversed_slots, [post[i] for i in reversed(reversed_slots)]):
+        post[slot] = branch
+    out = []
+    for branch in pre:
+        out.extend((t, False) for t in branch.tokens)
+    if c.node is not None:
+        out.extend((t, len(c.node) > 1) for t in c.node)
+    else:
+        for index in _member_order(c.loop, p.word_order, direction):
+            out.extend(_reference_constituent(c.loop.members[index], p, direction))
+    for branch in post:
+        out.extend((t, False) for t in branch.tokens)
+    return out
+
+
+def reference_interrogativize(s: Synapper, wh: Token, p: LanguageProfile) -> tuple[PlacedToken, ...]:
+    base = reference_linearize(s, p)
+    mark = PlacedToken(wh.surface, Category.WH, None, -1, False)
+    if p.wh_rule is WhRule.INITIAL_NO_INVERSION:
+        return (mark,) + base
+    if p.wh_rule is WhRule.PRE_SUBJECT:
+        at = next((i for i, pt in enumerate(base) if pt.role is Role.SUBJECT), 0)
+        return base[:at] + (mark,) + base[at:]
+    runs: list[list[PlacedToken]] = []
+    for pt in base:
+        if runs and runs[-1][0].block == pt.block:
+            runs[-1].append(pt)
+        else:
+            runs.append([pt])
+    subject_at = next((i for i, run in enumerate(runs) if run[0].role is Role.SUBJECT), None)
+    verb_at = next((i for i, run in enumerate(runs) if run[0].role is Role.VERB), None)
+    if subject_at is not None and verb_at is not None:
+        runs[subject_at], runs[verb_at] = runs[verb_at], runs[subject_at]
+    return (mark,) + tuple(pt for run in runs for pt in run)
+
+
+_BRANCH_RULES = st.lists(
+    st.builds(
+        BranchPlacementRule,
+        st.sampled_from(list(Category)),
+        st.sampled_from(list(BranchSide)),
+        st.sampled_from(list(PostOrder)),
+    ),
+    max_size=8,
+)
+
+
+def _assert_matches_reference(s: Synapper, p: LanguageProfile) -> None:
+    assert linearize(s, p).placed == reference_linearize(s, p)
+    assert interrogativize(s, wh_token("why"), p).placed == reference_interrogativize(s, wh_token("why"), p)
+
+
+class TestReferenceOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(list(WordOrder)),
+        st.sampled_from(list(VerbPlacement)),
+        st.sampled_from(list(WhRule)),
+        _BRANCH_RULES,
+    )
+    def test_equals_the_two_step_reference(self, seed, order, placement, rule, branch_rules):
+        s = random_structure(random.Random(seed))
+        p = LanguageProfile(
+            name="x", word_order=order, verb_placement=placement, branch_rules=tuple(branch_rules), wh_rule=rule
+        )
+        _assert_matches_reference(s, p)
+
+    @pytest.mark.parametrize("order", list(WordOrder))
+    def test_v2_on_a_two_member_ring(self, order):
+        members = (
+            Constituent(role=Role.SUBJECT, node=(Token("Ann", Category.N),)),
+            Constituent(role=Role.VERB, node=(Token("runs", Category.V),)),
+        )
+        s = Synapper("", order, False, Loop(kind=LoopKind.CLAUSAL, members=members))
+        for rule in WhRule:
+            p = LanguageProfile(name="x", word_order=order, verb_placement=VerbPlacement.V2, wh_rule=rule)
+            assert linearize(s, p).surfaces() == ("Ann", "runs")
+            _assert_matches_reference(s, p)
+
+    @pytest.mark.parametrize("placement", list(VerbPlacement))
+    @pytest.mark.parametrize("rule", list(WhRule))
+    def test_one_member_ring(self, placement, rule):
+        s = load_structure("go")
+        p = LanguageProfile(name="x", word_order=WordOrder.VSO, verb_placement=placement, wh_rule=rule)
+        assert interrogativize(s, wh_token("why"), p).render() == "Why go"
+        _assert_matches_reference(s, p)
+
+    def test_nested_phrasal_head_read_counterclockwise(self):
+        # The object is a phrasal loop headed by "horse" (index 1); read
+        # counterclockwise its members come out as the reverse of the
+        # clockwise list from the head: "big" "old" "horse". Every token
+        # carries the object's role and ring index; "old" is a 2-token unit.
+        phrase = Loop(
+            kind=LoopKind.PHRASAL,
+            members=(
+                Constituent(node=(Token("big", Category.ADJ),)),
+                Constituent(
+                    node=(Token("horse", Category.N),),
+                    branches=(Branch(tokens=(Token("a", Category.DET),), category=Category.DET),),
+                ),
+                Constituent(node=(Token("very", Category.ADV), Token("old", Category.ADJ))),
+            ),
+            head_index=1,
+        )
+        members = (
+            Constituent(role=Role.SUBJECT, node=(Token("Jane", Category.N),)),
+            Constituent(role=Role.VERB, node=(Token("has", Category.V),)),
+            Constituent(role=Role.OBJECT, loop=phrase),
+        )
+        s = Synapper("", WordOrder.SOV, False, Loop(kind=LoopKind.CLAUSAL, members=members))
+        p = LanguageProfile(
+            name="x",
+            word_order=WordOrder.SOV,
+            branch_rules=(BranchPlacementRule(Category.DET, BranchSide.POST, PostOrder.REVERSED),),
+            wh_rule=WhRule.INITIAL_WITH_INVERSION,
+        )
+        obj = [
+            PlacedToken("big", Category.ADJ, Role.OBJECT, 2, False),
+            PlacedToken("very", Category.ADV, Role.OBJECT, 2, True),
+            PlacedToken("old", Category.ADJ, Role.OBJECT, 2, True),
+            PlacedToken("horse", Category.N, Role.OBJECT, 2, False),
+            PlacedToken("a", Category.DET, Role.OBJECT, 2, False),
+        ]
+        assert linearize(s, p).placed == (
+            PlacedToken("Jane", Category.N, Role.SUBJECT, 0, False),
+            *obj,
+            PlacedToken("has", Category.V, Role.VERB, 1, False),
+        )
+        assert interrogativize(s, wh_token("why"), p).render() == "Why has big very old horse a Jane"
+        _assert_matches_reference(s, p)

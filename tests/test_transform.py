@@ -6,11 +6,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import synapper.transform
 from synapper import (
     Category,
+    Constituent,
     InversionMismatchError,
     LanguageProfile,
+    Loop,
+    LoopKind,
     NoWhFoundError,
+    Role,
+    Synapper,
     Token,
     VerbPlacement,
     WhAlreadyPresentError,
@@ -55,6 +61,21 @@ class TestInterrogativize:
         p = LanguageProfile(name="x", word_order=WordOrder.OVS, wh_rule=WhRule.PRE_SUBJECT)
         q = interrogativize(load_structure("mary"), WHY, p)
         assert q.render() == "Chocolate loves why Mary"
+
+    def test_inversion_swaps_ring_indices_even_of_an_empty_subject(self):
+        # Inversion moves members, not written runs: a code-built subject
+        # with an empty node (which build_synapper rejects) still trades
+        # places with the verb, so the verb lands where the subject stood.
+        members = (
+            Constituent(role=Role.SUBJECT, node=()),
+            Constituent(role=Role.OBJECT, node=(Token("home", Category.N),)),
+            Constituent(role=Role.VERB, node=(Token("ran", Category.V),)),
+            Constituent(role=Role.OBJECT, node=(Token("late", Category.ADV),)),
+        )
+        s = Synapper("", WordOrder.SVO, False, Loop(kind=LoopKind.CLAUSAL, members=members))
+        p = LanguageProfile(name="x", word_order=WordOrder.SVO, wh_rule=WhRule.INITIAL_WITH_INVERSION)
+        assert linearize(s, p).render() == "Home ran late"
+        assert interrogativize(s, WHY, p).render() == "Why ran home late"
 
     def test_rejects_non_wh_token(self):
         with pytest.raises(ValueError):
@@ -179,6 +200,13 @@ class TestParseQuestion:
     def test_mismatch_messages(self, text, message):
         with pytest.raises(InversionMismatchError, match=message):
             parse_question(text, load_structure("tim"), load_profile("en"))
+
+    def test_writes_the_question_once(self, monkeypatch):
+        calls = []
+        emit = synapper.transform._emit_members
+        monkeypatch.setattr(synapper.transform, "_emit_members", lambda *a: calls.append(a) or emit(*a))
+        parse_question("Why is Tim going to the hospital", load_structure("tim"), load_profile("en"))
+        assert len(calls) == 1
 
     def test_rejects_skeleton_that_already_holds_wh(self):
         with pytest.raises(WhAlreadyPresentError):

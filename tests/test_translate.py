@@ -240,7 +240,7 @@ def sequential_rules(placed: tuple[PlacedToken, ...], rules) -> tuple[PlacedToke
 def rewrite(surfaces: list[str], *rules: MorphemeRule) -> list[str]:
     placed = tuple(PlacedToken(w, Category.N, Role.OBJECT, 0, False) for w in surfaces)
     p = LanguageProfile(name="x", word_order=WordOrder.SVO, morpheme_rules=rules)
-    out = apply_morpheme_rules(LinearSentence(placed, WordOrder.SVO, "x"), p).placed
+    out = apply_morpheme_rules(LinearSentence(placed), p).placed
     assert out == sequential_rules(placed, rules)
     return [pt.surface for pt in out]
 
@@ -304,5 +304,5 @@ _RULES = st.one_of(
 def test_fused_engine_equals_one_pass_per_rule(placed, rules):
     placed = tuple(placed)
     p = LanguageProfile(name="x", word_order=WordOrder.SVO, morpheme_rules=tuple(rules))
-    out = apply_morpheme_rules(LinearSentence(placed, WordOrder.SVO, "x"), p).placed
+    out = apply_morpheme_rules(LinearSentence(placed), p).placed
     assert out == sequential_rules(placed, rules)
