@@ -29,6 +29,7 @@ from .model import (
     _expect_str,
     _is_surface,
     _join,
+    _schema_keys,
     _word_order,
     build_synapper,
 )
@@ -149,13 +150,17 @@ def _emit_token(t: Token, nl: str, out: list[str]) -> None:
             '"category": "', t.category.value, '"', nl, "}"]
 
 
-_PROFILE_REQUIRED = {"name", "word_order", "wh_rule"}
-_PROFILE_OPTIONAL = {"verb_placement", "branch_rules", "morpheme_rules"}
+_PROFILE_REQUIRED = _schema_keys("name", "word_order", "wh_rule")
+_PROFILE_KEYS = frozenset({*_PROFILE_REQUIRED, "verb_placement", "branch_rules", "morpheme_rules"})
+_BRANCH_RULE_REQUIRED = _schema_keys("category", "side")
+_BRANCH_RULE_KEYS = frozenset({*_BRANCH_RULE_REQUIRED, "post_order"})
+_MORPHEME_RULE_REQUIRED = _schema_keys("kind", "selector")
+_MORPHEME_RULE_KEYS = frozenset({*_MORPHEME_RULE_REQUIRED, "payload", "ordinal"})
 
 
 def parse_profile(text: str) -> LanguageProfile:
     raw = _loads(text)
-    obj = _check_keys(raw, "", _PROFILE_REQUIRED, _PROFILE_OPTIONAL)
+    obj = _check_keys(raw, _PROFILE_REQUIRED, _PROFILE_KEYS, str)
     name = _expect_str(obj["name"], "name")
     if not name:
         raise MalformedDocumentError("name", "profile name must be non-empty")
@@ -188,7 +193,7 @@ def _parse_branch_rules(raw: object) -> tuple[BranchPlacementRule, ...]:
     rules = []
     for i, r in enumerate(raw):
         path = f"branch_rules[{i}]"
-        obj = _check_keys(r, path, {"category", "side"}, {"post_order"})
+        obj = _check_keys(r, _BRANCH_RULE_REQUIRED, _BRANCH_RULE_KEYS, str, path)
         category = _enum_value(Category, obj["category"], _join(path, "category"))
         if category in seen:
             raise MalformedDocumentError(
@@ -208,7 +213,7 @@ def _parse_morpheme_rules(raw: object) -> tuple[MorphemeRule, ...]:
     rules = []
     for i, r in enumerate(raw):
         path = f"morpheme_rules[{i}]"
-        obj = _check_keys(r, path, {"kind", "selector"}, {"payload", "ordinal"})
+        obj = _check_keys(r, _MORPHEME_RULE_REQUIRED, _MORPHEME_RULE_KEYS, str, path)
         kind = _enum_value(MorphemeKind, obj["kind"], _join(path, "kind"))
         selector = _expect_str(obj["selector"], _join(path, "selector"))
         payload = _expect_str(obj.get("payload", ""), _join(path, "payload"))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .model import Branch, Category, Constituent, Loop, LoopKind, Role, Synapper, SynapperError, WordOrder, _role_index
@@ -58,6 +59,11 @@ class PlacedToken(NamedTuple):
     role: Role | None
     block: int
     unit: bool
+
+
+# PlacedToken(...) runs the named tuple's generated __new__ as a Python
+# frame; building the same tuple directly takes one C call per token.
+_placed = partial(tuple.__new__, PlacedToken)
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,7 @@ def _emit(
         side, post_order = p.placement[branch.category]
         if side is BranchSide.PRE:
             for t in branch.tokens:
-                out.append(PlacedToken(t.surface, t.category, role, block, False))
+                out.append(_placed((t.surface, t.category, role, block, False)))
         else:
             if post_order is PostOrder.REVERSED:
                 reversed_slots.append(len(post))
@@ -171,11 +177,11 @@ def _emit(
     if c.node is not None:
         unit = len(c.node) > 1
         for t in c.node:
-            out.append(PlacedToken(t.surface, t.category, role, block, unit))
+            out.append(_placed((t.surface, t.category, role, block, unit)))
     else:
         assert c.loop is not None
         for index in _member_order(c.loop, p.word_order, direction):
             _emit(c.loop.members[index], role, block, p, direction, out)
     for branch in post:
         for t in branch.tokens:
-            out.append(PlacedToken(t.surface, t.category, role, block, False))
+            out.append(_placed((t.surface, t.category, role, block, False)))

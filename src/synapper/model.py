@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, KeysView, Mapping, Set as AbstractSet
 from dataclasses import dataclass
 
 
@@ -158,8 +158,33 @@ class Synapper:
 # StructureDocument is the parsed-JSON shape accepted by build_synapper.
 StructureDocument = Mapping[str, object]
 
-_TOP_KEYS_REQUIRED = {"word_order", "loop"}
-_TOP_KEYS_OPTIONAL = {"label", "surface_subject_final"}
+
+def _schema_keys(*keys: str) -> KeysView[str]:
+    """Keys that iterate in schema order and compare as a set, in C, with key views."""
+    return dict.fromkeys(keys).keys()
+
+
+# Each object's required keys, in schema order so that the first one missing
+# is the one reported whatever the hash seed, and every key it may hold.
+_TOP_REQUIRED = _schema_keys("word_order", "loop")
+_TOP_KEYS = frozenset({*_TOP_REQUIRED, "label", "surface_subject_final"})
+_LOOP_REQUIRED = _schema_keys("kind", "members")
+_LOOP_KEYS = frozenset({*_LOOP_REQUIRED, "head_index"})
+_CLAUSAL_MEMBER_REQUIRED = _schema_keys("role")
+_PHRASAL_MEMBER_REQUIRED = _schema_keys()
+_MEMBER_KEYS = frozenset({"role", "node", "loop", "branches"})
+_BRANCH_KEYS = _schema_keys("category", "tokens")
+_TOKEN_KEYS = _schema_keys("surface", "category")
+
+# isinstance tries dict first, so only a Mapping of another type takes the
+# ABC check.
+_OBJECT_TYPES = (dict, Mapping)
+
+# Enum members by their text, read without a call into enum.py.
+_WORD_ORDERS = {m.value: m for m in WordOrder}
+_LOOP_KINDS = {m.value: m for m in LoopKind}
+_ROLES = {m.value: m for m in Role}
+_CATEGORIES = {m.value: m for m in Category}
 
 # Deepest loop nesting build_synapper accepts, the main loop counting as 1.
 # Every walk over a structure recurses once or more per loop; the deepest,
@@ -177,7 +202,7 @@ def build_synapper(doc: StructureDocument) -> Synapper:
     unknown roles or categories) are collected and raised together as
     StructureValidationError.
     """
-    _check_keys(doc, "", _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL)
+    _check_keys(doc, _TOP_REQUIRED, _TOP_KEYS, str)
     label = _expect_str(doc.get("label", ""), "label")
     word_order = _word_order(doc["word_order"])
     subject_final = doc.get("surface_subject_final", False)
@@ -185,29 +210,52 @@ def build_synapper(doc: StructureDocument) -> Synapper:
         raise MalformedDocumentError("surface_subject_final", "expected a boolean")
 
     issues: list[ValidationIssue] = []
-    main = _convert_loop(doc["loop"], "loop", 1, issues)
+    main = _convert_loop(doc["loop"], (), 1, issues)
     if main.kind is not LoopKind.CLAUSAL:
         raise MalformedDocumentError("loop.kind", "the main loop must be clausal")
-    issues.extend(_loop_issues(main, "loop"))
+    _loop_issues(main, (), issues)
     if issues:
         raise StructureValidationError(issues)
     return Synapper(label=label, word_order=word_order, surface_subject_final=subject_final, main=main)
 
 
-def _check_keys(obj: object, path: str, required: set[str], optional: set[str]) -> Mapping[str, object]:
+def _check_keys(
+    obj: object, required: AbstractSet[str], allowed: AbstractSet[str], path_of: Callable[..., str], *where: object
+) -> Mapping[str, object]:
+    """obj as a mapping that holds every required key and allowed keys only.
+
+    Any Mapping is accepted. ``path_of(*where)`` is obj's key path, formatted
+    only when obj fails (``str`` alone gives the root's empty path).
+    """
+    if isinstance(obj, _OBJECT_TYPES) and obj.keys() <= allowed and required <= obj.keys():
+        return obj
+    raise _object_error(obj, required, allowed, path_of(*where))
+
+
+def _object_error(obj: object, required: AbstractSet[str], allowed: AbstractSet[str], path: str) -> DocumentError:
+    """Why obj fails _check_keys: the first unknown key in its own order, else the first missing one."""
     if not isinstance(obj, Mapping):
-        raise MalformedDocumentError(path, "expected an object")
+        return MalformedDocumentError(path, "expected an object")
     for key in obj:
-        if key not in required and key not in optional:
-            raise UnknownKeyError(_join(path, str(key)), f"unknown key {key!r}")
-    for key in required:
-        if key not in obj:
-            raise MalformedDocumentError(path, f"missing key {key!r}")
-    return obj
+        if key not in allowed:
+            return UnknownKeyError(_join(path, str(key)), f"unknown key {key!r}")
+    missing = next(key for key in required if key not in obj)
+    return MalformedDocumentError(path, f"missing key {missing!r}")
 
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+def _path(at: tuple[int, ...], *steps: str | int) -> str:
+    """The key path of a place in a structure document, formatted for a report.
+
+    ``at`` holds the member index of each loop on the way down from the main
+    loop; each step is a key, or an array index when it is an int. The
+    converters carry these instead of text, so a valid document formats none.
+    """
+    text = "loop" + "".join(f".members[{i}].loop" for i in at)
+    return text + "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in steps)
 
 
 def _expect_str(value: object, path: str) -> str:
@@ -217,141 +265,156 @@ def _expect_str(value: object, path: str) -> str:
 
 
 def _word_order(raw: object) -> WordOrder:
-    text = _expect_str(raw, "word_order")
-    try:
-        return WordOrder(text)
-    except ValueError:
-        raise UnknownWordOrderError("word_order", f"unknown word order {text!r}") from None
+    order = _WORD_ORDERS.get(_expect_str(raw, "word_order"))
+    if order is None:
+        raise UnknownWordOrderError("word_order", f"unknown word order {raw!r}")
+    return order
 
 
-def _category(raw: object, path: str, issues: list[ValidationIssue]) -> Category:
-    """An unknown category is reported and read as OTHER, so checking goes on."""
-    text = _expect_str(raw, path)
-    try:
-        return Category(text)
-    except ValueError:
-        issues.append(ValidationIssue("unknown-category", path, f"unknown category {text!r}"))
-        return Category.OTHER
-
-
-def _convert_loop(raw: object, path: str, depth: int, issues: list[ValidationIssue]) -> Loop:
+def _convert_loop(raw: object, at: tuple[int, ...], depth: int, issues: list[ValidationIssue]) -> Loop:
     if depth > MAX_DEPTH:
-        raise MalformedDocumentError(path, f"loops nest deeper than {MAX_DEPTH} levels")
-    obj = _check_keys(raw, path, {"kind", "members"}, {"head_index"})
-    kind_text = _expect_str(obj["kind"], _join(path, "kind"))
-    try:
-        kind = LoopKind(kind_text)
-    except ValueError:
-        raise MalformedDocumentError(_join(path, "kind"), f"unknown loop kind {kind_text!r}") from None
+        raise MalformedDocumentError(_path(at), f"loops nest deeper than {MAX_DEPTH} levels")
+    obj = _check_keys(raw, _LOOP_REQUIRED, _LOOP_KEYS, _path, at)
+    kind_text = obj["kind"]
+    if not isinstance(kind_text, str):
+        raise MalformedDocumentError(_path(at, "kind"), "expected a string")
+    kind = _LOOP_KINDS.get(kind_text)
+    if kind is None:
+        raise MalformedDocumentError(_path(at, "kind"), f"unknown loop kind {kind_text!r}")
     if kind is LoopKind.CLAUSAL and "head_index" in obj:
-        raise UnknownKeyError(_join(path, "head_index"), "head_index applies to phrasal loops only")
+        raise UnknownKeyError(_path(at, "head_index"), "head_index applies to phrasal loops only")
     members_raw = obj["members"]
     if not isinstance(members_raw, list):
-        raise MalformedDocumentError(_join(path, "members"), "expected an array")
-    members = tuple(
-        _convert_member(m, f"{path}.members[{i}]", kind, depth, issues) for i, m in enumerate(members_raw)
-    )
+        raise MalformedDocumentError(_path(at, "members"), "expected an array")
+    members = tuple([_convert_member(m, kind, at, i, depth, issues) for i, m in enumerate(members_raw)])
     head = obj.get("head_index", 0)
     if not isinstance(head, int) or isinstance(head, bool):
-        raise MalformedDocumentError(_join(path, "head_index"), "expected an integer")
+        raise MalformedDocumentError(_path(at, "head_index"), "expected an integer")
     if kind is LoopKind.PHRASAL and members and not 0 <= head < len(members):
-        raise MalformedDocumentError(_join(path, "head_index"), "head_index out of range")
+        raise MalformedDocumentError(_path(at, "head_index"), "head_index out of range")
     return Loop(kind=kind, members=members, head_index=head if kind is LoopKind.PHRASAL else 0)
 
 
-def _convert_member(raw: object, path: str, kind: LoopKind, depth: int, issues: list[ValidationIssue]) -> Constituent:
-    if kind is LoopKind.PHRASAL and isinstance(raw, Mapping) and "role" in raw:
-        raise UnknownKeyError(_join(path, "role"), "phrasal loop members are roleless")
-    required = {"role"} if kind is LoopKind.CLAUSAL else set()
-    obj = _check_keys(raw, path, required, {"node", "loop", "branches"})
-
+def _convert_member(
+    raw: object, kind: LoopKind, at: tuple[int, ...], i: int, depth: int, issues: list[ValidationIssue]
+) -> Constituent:
     role: Role | None = None
-    if kind is LoopKind.CLAUSAL:
-        role_text = _expect_str(obj["role"], _join(path, "role"))
-        try:
-            role = Role(role_text)
-        except ValueError:
-            issues.append(ValidationIssue("unknown-role", _join(path, "role"), f"unknown role {role_text!r}"))
+    if kind is LoopKind.PHRASAL:
+        if isinstance(raw, _OBJECT_TYPES) and "role" in raw:
+            raise UnknownKeyError(_path(at, "members", i, "role"), "phrasal loop members are roleless")
+        obj = _check_keys(raw, _PHRASAL_MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
+    else:
+        obj = _check_keys(raw, _CLAUSAL_MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
+        role_text = obj["role"]
+        if not isinstance(role_text, str):
+            raise MalformedDocumentError(_path(at, "members", i, "role"), "expected a string")
+        role = _ROLES.get(role_text)
+        if role is None:
+            path = _path(at, "members", i, "role")
+            issues.append(ValidationIssue("unknown-role", path, f"unknown role {role_text!r}"))
             role = Role.OBJECT
 
     has_node = "node" in obj
     has_loop = "loop" in obj
     if has_node == has_loop:
-        raise MalformedDocumentError(path, "expected exactly one of 'node' or 'loop'")
+        raise MalformedDocumentError(_path(at, "members", i), "expected exactly one of 'node' or 'loop'")
     if has_loop and "branches" in obj:
-        raise UnknownKeyError(_join(path, "branches"), "branches attach to nodes, not to nested loops")
+        raise UnknownKeyError(_path(at, "members", i, "branches"), "branches attach to nodes, not to nested loops")
 
     if has_loop:
-        nested = _convert_loop(obj["loop"], _join(path, "loop"), depth + 1, issues)
-        return Constituent(role=role, loop=nested)
+        return Constituent(role=role, loop=_convert_loop(obj["loop"], at + (i,), depth + 1, issues))
 
-    tokens = _convert_tokens(obj["node"], _join(path, "node"), issues)
+    node = _convert_tokens(obj["node"], issues, at, "members", i, "node")
     branches_raw = obj.get("branches", [])
     if not isinstance(branches_raw, list):
-        raise MalformedDocumentError(_join(path, "branches"), "expected an array")
-    branches = tuple(
-        _convert_branch(b, f"{path}.branches[{i}]", issues) for i, b in enumerate(branches_raw)
-    )
-    return Constituent(role=role, node=tokens, branches=branches)
+        raise MalformedDocumentError(_path(at, "members", i, "branches"), "expected an array")
+    branches = []
+    for k, b in enumerate(branches_raw):
+        if not (isinstance(b, _OBJECT_TYPES) and b.keys() == _BRANCH_KEYS):
+            raise _object_error(b, _BRANCH_KEYS, _BRANCH_KEYS, _path(at, "members", i, "branches", k))
+        text = b["category"]
+        category = _CATEGORIES.get(text) if isinstance(text, str) else None
+        if category is None:
+            category = _unknown_category(text, _path(at, "members", i, "branches", k, "category"), issues)
+        tokens = _convert_tokens(b["tokens"], issues, at, "members", i, "branches", k, "tokens")
+        branches.append(Branch(tokens=tokens, category=category))
+    return Constituent(role=role, node=node, branches=tuple(branches))
 
 
-# Stands in for unusable tokens, which are already reported, so that the
-# remaining violations in sibling members still get collected.
-_PLACEHOLDER_TOKENS = (Token("?", Category.OTHER),)
+def _convert_tokens(
+    raw: object, issues: list[ValidationIssue], at: tuple[int, ...], *steps: str | int
+) -> tuple[Token, ...]:
+    """The tokens of a node or a branch, whose array is at _path(at, *steps).
 
-
-def _convert_tokens(raw: object, path: str, issues: list[ValidationIssue]) -> tuple[Token, ...]:
+    Token runs the surface rule; nothing else here calls a function per token.
+    """
     if not isinstance(raw, list):
-        raise MalformedDocumentError(path, "expected an array of tokens")
-    if not raw:
-        issues.append(ValidationIssue("empty-node", path, "a node needs at least one token"))
-        return _PLACEHOLDER_TOKENS
+        raise MalformedDocumentError(_path(at, *steps), "expected an array of tokens")
     out = []
-    for i, t in enumerate(raw):
-        tpath = f"{path}[{i}]"
-        obj = _check_keys(t, tpath, {"surface", "category"}, set())
-        surface = _expect_str(obj["surface"], _join(tpath, "surface"))
-        category = _category(obj["category"], _join(tpath, "category"), issues)
+    for j, t in enumerate(raw):
+        if not (isinstance(t, _OBJECT_TYPES) and t.keys() == _TOKEN_KEYS):
+            raise _object_error(t, _TOKEN_KEYS, _TOKEN_KEYS, _path(at, *steps, j))
+        surface = t["surface"]
+        if not isinstance(surface, str):
+            raise MalformedDocumentError(_path(at, *steps, j, "surface"), "expected a string")
+        text = t["category"]
+        category = _CATEGORIES.get(text) if isinstance(text, str) else None
+        if category is None:
+            category = _unknown_category(text, _path(at, *steps, j, "category"), issues)
         try:
             out.append(Token(surface, category))
         except ValueError:
-            raise MalformedDocumentError(_join(tpath, "surface"), "surface must be non-empty without whitespace") from None
+            raise MalformedDocumentError(
+                _path(at, *steps, j, "surface"), "surface must be non-empty without whitespace"
+            ) from None
     return tuple(out)
 
 
-def _convert_branch(raw: object, path: str, issues: list[ValidationIssue]) -> Branch:
-    obj = _check_keys(raw, path, {"category", "tokens"}, set())
-    category = _category(obj["category"], _join(path, "category"), issues)
-    tokens = _convert_tokens(obj["tokens"], _join(path, "tokens"), issues)
-    return Branch(tokens=tokens, category=category)
+def _unknown_category(text: object, path: str, issues: list[ValidationIssue]) -> Category:
+    """Text that names no category: not a string raises; other text is reported and read as OTHER."""
+    if not isinstance(text, str):
+        raise MalformedDocumentError(path, "expected a string")
+    issues.append(ValidationIssue("unknown-category", path, f"unknown category {text!r}"))
+    return Category.OTHER
 
 
-def _loop_issues(loop: Loop, path: str) -> list[ValidationIssue]:
-    issues: list[ValidationIssue] = []
+_EMPTY_NODE = "a node needs at least one token"
+
+
+def _loop_issues(loop: Loop, at: tuple[int, ...], issues: list[ValidationIssue]) -> None:
+    """Append the semantic violations of loop, at _path(at), and of everything in it."""
     if not loop.members:
-        issues.append(ValidationIssue("empty-loop", _join(path, "members"), "a loop needs at least one member"))
-        return issues
+        issues.append(ValidationIssue("empty-loop", _path(at, "members"), "a loop needs at least one member"))
+        return
     if loop.kind is LoopKind.CLAUSAL:
-        subjects = [m for m in loop.members if m.role is Role.SUBJECT]
-        verbs = [m for m in loop.members if m.role is Role.VERB]
+        roles = [m.role for m in loop.members]
+        subjects = roles.count(Role.SUBJECT)
+        verbs = roles.count(Role.VERB)
         # Imperative escape hatch: a one-member ring may omit the subject.
-        if not subjects and len(loop.members) > 1:
-            issues.append(ValidationIssue("missing-subject", path, "clausal loop has no subject"))
-        if len(subjects) > 1:
-            issues.append(ValidationIssue("multiple-subjects", path, "clausal loop has more than one subject"))
+        if not subjects and len(roles) > 1:
+            issues.append(ValidationIssue("missing-subject", _path(at), "clausal loop has no subject"))
+        if subjects > 1:
+            issues.append(ValidationIssue("multiple-subjects", _path(at), "clausal loop has more than one subject"))
         if not verbs:
-            issues.append(ValidationIssue("missing-verb", path, "clausal loop has no verb"))
-        if len(verbs) > 1:
-            issues.append(ValidationIssue("multiple-verbs", path, "clausal loop has more than one verb"))
+            issues.append(ValidationIssue("missing-verb", _path(at), "clausal loop has no verb"))
+        if verbs > 1:
+            issues.append(ValidationIssue("multiple-verbs", _path(at), "clausal loop has more than one verb"))
     for i, member in enumerate(loop.members):
         if member.loop is not None:
-            issues.extend(_loop_issues(member.loop, f"{path}.members[{i}].loop"))
-    return issues
+            _loop_issues(member.loop, at + (i,), issues)
+        elif not member.node:
+            issues.append(ValidationIssue("empty-node", _path(at, "members", i, "node"), _EMPTY_NODE))
+        for k, branch in enumerate(member.branches):
+            if not branch.tokens:
+                path = _path(at, "members", i, "branches", k, "tokens")
+                issues.append(ValidationIssue("empty-node", path, _EMPTY_NODE))
 
 
 def structure_issues(s: Synapper) -> list[ValidationIssue]:
     """Semantic violations of a directly constructed Synapper (empty when valid)."""
-    return _loop_issues(s.main, "loop")
+    issues: list[ValidationIssue] = []
+    _loop_issues(s.main, (), issues)
+    return issues
 
 
 def iter_tokens(s: Synapper) -> Iterator[Token]:

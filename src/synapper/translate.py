@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Mapping
 
-from .linearize import LinearSentence, PlacedToken, linearize
+from .linearize import LinearSentence, PlacedToken, _placed, linearize
 from .model import (
     Branch,
     Category,
@@ -94,8 +94,16 @@ def _substitute_tokens(tokens: tuple[Token, ...], lex: Lexicon, missing: list[tu
         if target is None:
             missing.append((t.surface, t.category))
         else:
-            out.append(Token(target, t.category))
+            out.append(_target_token(target, t.category))
     return tuple(out)
+
+
+def _target_token(surface: str, category: Category) -> Token:
+    """A Token for a lexicon target, built without rerunning the surface rule Lexicon checked."""
+    token = object.__new__(Token)
+    object.__setattr__(token, "surface", surface)
+    object.__setattr__(token, "category", category)
+    return token
 
 
 def apply_morpheme_rules(sentence: LinearSentence, p: LanguageProfile) -> LinearSentence:
@@ -135,7 +143,7 @@ def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertEdit
 
 
 def _inserted(words: tuple[str, ...]) -> list[PlacedToken]:
-    return [PlacedToken(w, Category.OTHER, None, -1, False) for w in words]
+    return [_placed((w, Category.OTHER, None, -1, False)) for w in words]
 
 
 def translate(s: Synapper, lex: Lexicon, p: LanguageProfile) -> LinearSentence:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -139,3 +142,25 @@ def rotate_main(s: Synapper, k: int) -> Synapper:
         surface_subject_final=s.surface_subject_final,
         main=main,
     )
+
+
+def frames_while(call, *args):
+    """call(*args) and how many frames of each code object it ran, by sys.setprofile.
+
+    The collector is off meanwhile: finalizers it runs would add frames that
+    are not the call's.
+    """
+    frames: Counter = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            frames[frame.f_code] += 1
+
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        result = call(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return result, frames

@@ -1,23 +1,36 @@
 """Document building, validation reporting, equality, canonical forms."""
 
+import copy
 import dataclasses
+import enum
 import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synapper import (
+    Branch,
     Category,
     Constituent,
+    DocumentError,
     LanguageProfile,
     Loop,
     LoopKind,
     MalformedDocumentError,
     Role,
     StructureValidationError,
+    Synapper,
     Token,
     UnknownKeyError,
     UnknownWordOrderError,
+    ValidationIssue,
     WordOrder,
     build_synapper,
     canonical_form,
@@ -29,8 +42,9 @@ from synapper import (
     structure_issues,
     to_dot,
 )
-from synapper.model import MAX_DEPTH
-from conftest import load_structure, random_structure, rotate_main
+from synapper.model import MAX_DEPTH, _is_surface
+from conftest import FIXTURES, frames_while, load_structure, random_structure, rotate_main
+from test_totality import JSON_VALUES, STRUCTURE_DOCS
 
 
 def _doc(members, kind="clausal", order="svo", **top):
@@ -312,3 +326,433 @@ class TestDepthBound:
         with pytest.raises(MalformedDocumentError) as e:
             build_synapper(_nested_doc(MAX_DEPTH + 1))
         assert e.value.path == "loop" + ".members[0].loop" * MAX_DEPTH
+
+
+class TestStructureIssues:
+    """structure_issues checks a code-built structure as build_synapper checks a document."""
+
+    def _with_member(self, member):
+        verb = Constituent(role=Role.VERB, node=(Token("ran", Category.V),))
+        return Synapper("x", WordOrder.SVO, False, Loop(LoopKind.CLAUSAL, (member, verb)))
+
+    def test_empty_node_reported(self):
+        s = self._with_member(Constituent(role=Role.SUBJECT, node=()))
+        assert structure_issues(s) == [
+            ValidationIssue("empty-node", "loop.members[0].node", "a node needs at least one token")
+        ]
+
+    def test_empty_branch_tokens_reported(self):
+        branch = Branch(tokens=(), category=Category.ADJ)
+        s = self._with_member(Constituent(role=Role.SUBJECT, node=(Token("Tim", Category.N),), branches=(branch,)))
+        assert structure_issues(s) == [
+            ValidationIssue("empty-node", "loop.members[0].branches[0].tokens", "a node needs at least one token")
+        ]
+
+    def test_same_issues_as_the_document(self):
+        doc = _doc([_node("subject", "Mary"), {"role": "verb", "node": []}])
+        with pytest.raises(StructureValidationError) as e:
+            build_synapper(doc)
+        verb = Constituent(role=Role.VERB, node=())
+        subject = Constituent(role=Role.SUBJECT, node=(Token("Mary", Category.N),))
+        s = Synapper("", WordOrder.SVO, False, Loop(LoopKind.CLAUSAL, (subject, verb)))
+        assert structure_issues(s) == list(e.value.issues)
+
+
+# One child per hash seed; each prints the message of every missing-key case.
+_MISSING_KEY_CASES = """
+import json
+from synapper import SynapperError, parse_profile, parse_structure
+
+def message(parse, doc):
+    try:
+        parse(json.dumps(doc))
+    except SynapperError as e:
+        return str(e)
+
+node = {"role": "subject", "node": [{}]}
+branch = {"role": "subject", "node": [{"surface": "a", "category": "N"}], "branches": [{}]}
+print(json.dumps([
+    message(parse_structure, {}),
+    message(parse_structure, {"word_order": "svo", "loop": {}}),
+    message(parse_structure, {"word_order": "svo", "loop": {"kind": "clausal", "members": [node]}}),
+    message(parse_structure, {"word_order": "svo", "loop": {"kind": "clausal", "members": [branch]}}),
+    message(parse_profile, {}),
+    message(parse_profile, {"name": "x", "word_order": "svo", "wh_rule": "initial_plain", "branch_rules": [{}]}),
+    message(parse_profile, {"name": "x", "word_order": "svo", "wh_rule": "initial_plain", "morpheme_rules": [{}]}),
+]))
+"""
+
+
+def test_missing_key_reported_in_schema_order_whatever_the_hash_seed():
+    import synapper
+
+    src = str(Path(synapper.__file__).resolve().parent.parent)
+    seen = set()
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", _MISSING_KEY_CASES], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        seen.add(tuple(json.loads(out)))
+    assert seen == {
+        (
+            "missing key 'word_order'",
+            "loop: missing key 'kind'",
+            "loop.members[0].node[0]: missing key 'surface'",
+            "loop.members[0].branches[0]: missing key 'category'",
+            "missing key 'name'",
+            "branch_rules[0]: missing key 'category'",
+            "morpheme_rules[0]: missing key 'kind'",
+        )
+    }
+
+
+# The reader as it was before path formatting and enum calls left its
+# success path: one _check_keys per object, paths built as it goes, and
+# Enum(text) for every role, kind and category. Its one change is that
+# required keys are tuples, so the first missing key is the schema's first.
+# It is the oracle for build_synapper on valid and on broken documents.
+
+
+def reference_build_synapper(doc):
+    _ref_check_keys(doc, "", ("word_order", "loop"), {"label", "surface_subject_final"})
+    label = _ref_expect_str(doc.get("label", ""), "label")
+    text = _ref_expect_str(doc["word_order"], "word_order")
+    try:
+        word_order = WordOrder(text)
+    except ValueError:
+        raise UnknownWordOrderError("word_order", f"unknown word order {text!r}") from None
+    subject_final = doc.get("surface_subject_final", False)
+    if not isinstance(subject_final, bool):
+        raise MalformedDocumentError("surface_subject_final", "expected a boolean")
+
+    issues = []
+    main = _ref_convert_loop(doc["loop"], "loop", 1, issues)
+    if main.kind is not LoopKind.CLAUSAL:
+        raise MalformedDocumentError("loop.kind", "the main loop must be clausal")
+    issues.extend(_ref_loop_issues(main, "loop"))
+    if issues:
+        raise StructureValidationError(issues)
+    return Synapper(label=label, word_order=word_order, surface_subject_final=subject_final, main=main)
+
+
+def _ref_check_keys(obj, path, required, optional):
+    if not isinstance(obj, Mapping):
+        raise MalformedDocumentError(path, "expected an object")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise UnknownKeyError(_ref_join(path, str(key)), f"unknown key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise MalformedDocumentError(path, f"missing key {key!r}")
+    return obj
+
+
+def _ref_join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _ref_expect_str(value, path):
+    if not isinstance(value, str):
+        raise MalformedDocumentError(path, "expected a string")
+    return value
+
+
+def _ref_category(raw, path, issues):
+    text = _ref_expect_str(raw, path)
+    try:
+        return Category(text)
+    except ValueError:
+        issues.append(ValidationIssue("unknown-category", path, f"unknown category {text!r}"))
+        return Category.OTHER
+
+
+def _ref_convert_loop(raw, path, depth, issues):
+    if depth > MAX_DEPTH:
+        raise MalformedDocumentError(path, f"loops nest deeper than {MAX_DEPTH} levels")
+    obj = _ref_check_keys(raw, path, ("kind", "members"), {"head_index"})
+    kind_text = _ref_expect_str(obj["kind"], _ref_join(path, "kind"))
+    try:
+        kind = LoopKind(kind_text)
+    except ValueError:
+        raise MalformedDocumentError(_ref_join(path, "kind"), f"unknown loop kind {kind_text!r}") from None
+    if kind is LoopKind.CLAUSAL and "head_index" in obj:
+        raise UnknownKeyError(_ref_join(path, "head_index"), "head_index applies to phrasal loops only")
+    members_raw = obj["members"]
+    if not isinstance(members_raw, list):
+        raise MalformedDocumentError(_ref_join(path, "members"), "expected an array")
+    members = tuple(
+        _ref_convert_member(m, f"{path}.members[{i}]", kind, depth, issues) for i, m in enumerate(members_raw)
+    )
+    head = obj.get("head_index", 0)
+    if not isinstance(head, int) or isinstance(head, bool):
+        raise MalformedDocumentError(_ref_join(path, "head_index"), "expected an integer")
+    if kind is LoopKind.PHRASAL and members and not 0 <= head < len(members):
+        raise MalformedDocumentError(_ref_join(path, "head_index"), "head_index out of range")
+    return Loop(kind=kind, members=members, head_index=head if kind is LoopKind.PHRASAL else 0)
+
+
+def _ref_convert_member(raw, path, kind, depth, issues):
+    if kind is LoopKind.PHRASAL and isinstance(raw, Mapping) and "role" in raw:
+        raise UnknownKeyError(_ref_join(path, "role"), "phrasal loop members are roleless")
+    required = ("role",) if kind is LoopKind.CLAUSAL else ()
+    obj = _ref_check_keys(raw, path, required, {"node", "loop", "branches"})
+
+    role = None
+    if kind is LoopKind.CLAUSAL:
+        role_text = _ref_expect_str(obj["role"], _ref_join(path, "role"))
+        try:
+            role = Role(role_text)
+        except ValueError:
+            issues.append(ValidationIssue("unknown-role", _ref_join(path, "role"), f"unknown role {role_text!r}"))
+            role = Role.OBJECT
+
+    has_node = "node" in obj
+    has_loop = "loop" in obj
+    if has_node == has_loop:
+        raise MalformedDocumentError(path, "expected exactly one of 'node' or 'loop'")
+    if has_loop and "branches" in obj:
+        raise UnknownKeyError(_ref_join(path, "branches"), "branches attach to nodes, not to nested loops")
+
+    if has_loop:
+        nested = _ref_convert_loop(obj["loop"], _ref_join(path, "loop"), depth + 1, issues)
+        return Constituent(role=role, loop=nested)
+
+    tokens = _ref_convert_tokens(obj["node"], _ref_join(path, "node"), issues)
+    branches_raw = obj.get("branches", [])
+    if not isinstance(branches_raw, list):
+        raise MalformedDocumentError(_ref_join(path, "branches"), "expected an array")
+    branches = tuple(_ref_convert_branch(b, f"{path}.branches[{i}]", issues) for i, b in enumerate(branches_raw))
+    return Constituent(role=role, node=tokens, branches=branches)
+
+
+_REF_PLACEHOLDER_TOKENS = (Token("?", Category.OTHER),)
+
+
+def _ref_convert_tokens(raw, path, issues):
+    if not isinstance(raw, list):
+        raise MalformedDocumentError(path, "expected an array of tokens")
+    if not raw:
+        issues.append(ValidationIssue("empty-node", path, "a node needs at least one token"))
+        return _REF_PLACEHOLDER_TOKENS
+    out = []
+    for i, t in enumerate(raw):
+        tpath = f"{path}[{i}]"
+        obj = _ref_check_keys(t, tpath, ("surface", "category"), set())
+        surface = _ref_expect_str(obj["surface"], _ref_join(tpath, "surface"))
+        category = _ref_category(obj["category"], _ref_join(tpath, "category"), issues)
+        try:
+            out.append(Token(surface, category))
+        except ValueError:
+            raise MalformedDocumentError(
+                _ref_join(tpath, "surface"), "surface must be non-empty without whitespace"
+            ) from None
+    return tuple(out)
+
+
+def _ref_convert_branch(raw, path, issues):
+    obj = _ref_check_keys(raw, path, ("category", "tokens"), set())
+    category = _ref_category(obj["category"], _ref_join(path, "category"), issues)
+    tokens = _ref_convert_tokens(obj["tokens"], _ref_join(path, "tokens"), issues)
+    return Branch(tokens=tokens, category=category)
+
+
+def _ref_loop_issues(loop, path):
+    issues = []
+    if not loop.members:
+        issues.append(ValidationIssue("empty-loop", _ref_join(path, "members"), "a loop needs at least one member"))
+        return issues
+    if loop.kind is LoopKind.CLAUSAL:
+        subjects = [m for m in loop.members if m.role is Role.SUBJECT]
+        verbs = [m for m in loop.members if m.role is Role.VERB]
+        if not subjects and len(loop.members) > 1:
+            issues.append(ValidationIssue("missing-subject", path, "clausal loop has no subject"))
+        if len(subjects) > 1:
+            issues.append(ValidationIssue("multiple-subjects", path, "clausal loop has more than one subject"))
+        if not verbs:
+            issues.append(ValidationIssue("missing-verb", path, "clausal loop has no verb"))
+        if len(verbs) > 1:
+            issues.append(ValidationIssue("multiple-verbs", path, "clausal loop has more than one verb"))
+    for i, member in enumerate(loop.members):
+        if member.loop is not None:
+            issues.extend(_ref_loop_issues(member.loop, f"{path}.members[{i}].loop"))
+    return issues
+
+
+class _ReadOnlyMapping(Mapping):
+    """A Mapping that is not a dict, so readers must take the ABC route."""
+
+    def __init__(self, items):
+        self._items = items
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+# Keys of every object in a structure document, and text that gets past the
+# type checks: every enum value and surfaces that break the surface rule.
+_SCHEMA_KEYS = [
+    "label", "word_order", "surface_subject_final", "loop", "kind", "head_index",
+    "members", "role", "node", "branches", "surface", "category", "tokens",
+]
+_SCHEMA_TEXT = sorted(
+    {m.value for e in (WordOrder, LoopKind, Role, Category) for m in e} | {"", "a b", "NOUN", "captain", "Svo"}
+)
+_VALUES = st.sampled_from([0, 1, 7, -1, True, None, [], {}]) | st.sampled_from(_SCHEMA_TEXT) | JSON_VALUES
+
+
+def _containers(value, out):
+    """Every dict and list inside value, grouped by the object they look like."""
+    if isinstance(value, (dict, list)):
+        out.setdefault(_looks_like(value), []).append(value)
+        for child in value.values() if isinstance(value, dict) else value:
+            _containers(child, out)
+    return out
+
+
+def _looks_like(container):
+    if isinstance(container, list):
+        return "array"
+    for key, kind in (("word_order", "top"), ("kind", "loop"), ("surface", "token"), ("tokens", "branch")):
+        if key in container:
+            return kind
+    return "member"
+
+
+@st.composite
+def reader_documents(draw):
+    """A valid document with zero to three faults, some or all objects as non-dict Mappings.
+
+    Each fault picks a kind of object first, so that rare objects such as
+    loops are hit as often as tokens.
+    """
+    if draw(st.booleans()):
+        structure = random_structure(random.Random(draw(st.integers(0, 2**32))), max_ring=5, max_depth=3)
+        doc = json.loads(serialize_structure(structure))
+    else:
+        doc = copy.deepcopy(draw(st.sampled_from(STRUCTURE_DOCS)))
+    for _ in range(draw(st.integers(0, 3))):
+        groups = _containers(doc, {})
+        place = draw(st.sampled_from(groups[draw(st.sampled_from(sorted(groups)))]))
+        keys = sorted(place) if isinstance(place, dict) else list(range(len(place)))
+        fault = draw(st.sampled_from(["value", "drop", "add", "empty"]))
+        if fault == "empty" or not keys:
+            place.clear()
+        elif fault == "value":
+            place[draw(st.sampled_from(keys))] = draw(_VALUES)
+        elif fault == "drop":
+            del place[draw(st.sampled_from(keys))]
+        elif isinstance(place, dict):
+            place[draw(st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=3))] = draw(_VALUES)
+        else:
+            place.insert(draw(st.integers(0, len(place))), draw(_VALUES))
+    wrap = draw(st.sampled_from(["none", "all", "some"]))
+    return doc if wrap == "none" else _wrap_mappings(doc, lambda: wrap == "all" or draw(st.booleans()))
+
+
+def _wrap_mappings(value, choose):
+    if isinstance(value, list):
+        return [_wrap_mappings(v, choose) for v in value]
+    if isinstance(value, dict):
+        items = {k: _wrap_mappings(v, choose) for k, v in value.items()}
+        return _ReadOnlyMapping(items) if choose() else items
+    return value
+
+
+def _outcome(build, doc):
+    try:
+        return build(doc)
+    except StructureValidationError as e:
+        return StructureValidationError, Counter(e.issues)
+    except DocumentError as e:
+        return type(e), e.path, e.message
+
+
+@settings(max_examples=250, deadline=None)
+@given(reader_documents())
+def test_build_synapper_agrees_with_the_reference_reader(doc):
+    assert _outcome(build_synapper, doc) == _outcome(reference_build_synapper, doc)
+
+
+# Values for the single-fault sweep: wrong types, bad and misplaced enum
+# text, a surface breaking the surface rule, and small valid parts.
+_PALETTE = [
+    0, 1, 2, -1, True, None, "", "a b", "NOUN", "phrasal", "subject", "N", [], {},
+    [{"surface": "x", "category": "N"}],
+    [{"category": "ADJ", "tokens": [{"surface": "y", "category": "ADJ"}]}],
+    {"kind": "phrasal", "members": [{"node": [{"surface": "x", "category": "N"}]}]},
+]
+
+
+def _places(value, at=()):
+    """(key path, value) of value and of everything inside it."""
+    yield at, value
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _places(child, at + (key,))
+
+
+_DROP = object()
+
+
+def _single_faults(doc):
+    """Copies of doc with one change: a key dropped, set or added with a palette value, or an array emptied."""
+    text = json.dumps(doc)
+    for at, place in _places(doc):
+        if isinstance(place, dict):
+            edits = [(key, _DROP) for key in place] + [(key, v) for key in _SCHEMA_KEYS for v in _PALETTE]
+        elif isinstance(place, list) and place:
+            edits = [(slice(None), [])]
+        else:
+            continue
+        for key, value in edits:
+            faulty = json.loads(text)
+            target = faulty
+            for step in at:
+                target = target[step]
+            if value is _DROP:
+                del target[key]
+            else:
+                target[key] = json.loads(json.dumps(value))
+            yield faulty
+
+
+@pytest.mark.parametrize("name", ["cena_b", "colette"])
+def test_build_synapper_agrees_with_the_reference_reader_on_every_single_fault(name):
+    doc = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+    for faulty in _single_faults(doc):
+        for variant in (faulty, _wrap_mappings(faulty, lambda: True)):
+            assert _outcome(build_synapper, variant) == _outcome(reference_build_synapper, variant)
+
+
+def _doubled_tokens(value):
+    """The same document with every token listed twice, so only token counts change."""
+    if isinstance(value, list):
+        return [_doubled_tokens(v) for v in value]
+    if isinstance(value, dict):
+        out = {k: _doubled_tokens(v) for k, v in value.items()}
+        for key in ("node", "tokens"):
+            if key in out:
+                out[key] = out[key] * 2
+        return out
+    return value
+
+
+def test_only_token_checks_run_a_frame_per_token():
+    doc = json.loads((FIXTURES / "space_news.json").read_text(encoding="utf-8"))
+    s, frames = frames_while(build_synapper, doc)
+    doubled, doubled_frames = frames_while(build_synapper, _doubled_tokens(doc))
+    n = sum(1 for _ in iter_tokens(s))
+    assert sum(1 for _ in iter_tokens(doubled)) == 2 * n
+
+    per_token = {Token.__init__.__code__, Token.__post_init__.__code__, _is_surface.__code__}
+    assert {code: frames[code] for code in per_token} == dict.fromkeys(per_token, n)
+    assert doubled_frames - frames == Counter(dict.fromkeys(per_token, n))
+    assert not [code for code in frames if Path(code.co_filename) == Path(enum.__file__)]
+    assert not [code for code in frames if code.co_name in ("_join", "_path")]

@@ -24,7 +24,8 @@ from synapper import (
     substitute_lexemes,
     translate,
 )
-from conftest import LEXICONS, load_profile, load_structure
+from synapper.model import _is_surface
+from conftest import LEXICONS, frames_while, load_profile, load_structure
 
 from synapper import parse_lexicon
 
@@ -65,6 +66,14 @@ def test_substitution_looks_each_token_up_once(name):
     except MissingLexemeError:
         pass
     assert sorted(looked_up) == sorted(t.surface for t in iter_tokens(s))
+
+
+def test_substitution_reruns_no_surface_rule():
+    # Lexicon.__init__ checked every target already.
+    s = load_structure("space_news")
+    out, frames = frames_while(substitute_lexemes, s, identity_lexicon(s))
+    assert out == s
+    assert frames[_is_surface.__code__] == 0
 
 
 def test_substitution_preserves_structure_shape():
