@@ -12,8 +12,9 @@ edges following the stored clockwise order, and nested loops as clusters.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Mapping
 from json.encoder import encode_basestring
-from typing import Callable
+from typing import Any
 
 from .model import (
     Branch,
@@ -25,6 +26,9 @@ from .model import (
     Synapper,
     SynapperError,
     Token,
+    _CATEGORIES,
+    _TEXT,
+    _by_text,
     _check_keys,
     _expect_str,
     _is_surface,
@@ -78,12 +82,12 @@ def serialize_structure(s: Synapper) -> str:
     Written directly for the fixed schema; the text is byte-for-byte what
     ``json.dumps(doc, indent=2, ensure_ascii=False)`` gives for the same
     document. Free text (label, surfaces) goes through ``json``'s own
-    escaper; enum values are fixed ASCII and are written as they are.
+    escaper; enum text comes from ``model._TEXT``, fixed ASCII written as it is.
     """
     out = ["{\n"]
     if s.label:
         out += ['  "label": ', encode_basestring(s.label), ",\n"]
-    out += ['  "word_order": "', s.word_order.value, '",\n']
+    out += ['  "word_order": "', _TEXT[s.word_order], '",\n']
     if s.surface_subject_final:
         out.append('  "surface_subject_final": true,\n')
     out.append('  "loop": ')
@@ -111,7 +115,7 @@ def _emit_array(items: tuple, emit_item: Callable[..., None], nl: str, out: list
 
 def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
     inner = nl + "  "
-    out += ["{", inner, '"kind": "', loop.kind.value, '",']
+    out += ["{", inner, '"kind": "', _TEXT[loop.kind], '",']
     if loop.kind is LoopKind.PHRASAL:
         out += [inner, '"head_index": ', str(loop.head_index), ","]
     out += [inner, '"members": ']
@@ -123,10 +127,10 @@ def _emit_member(c: Constituent, nl: str, out: list[str]) -> None:
     inner = nl + "  "
     out.append("{")
     if c.role is not None:
-        out += [inner, '"role": "', c.role.value, '",']
+        out += [inner, '"role": "', _TEXT[c.role], '",']
     if c.node is not None:
         out += [inner, '"node": ']
-        _emit_array(c.node, _emit_token, inner, out)
+        _emit_tokens(c.node, inner, out)
     else:
         assert c.loop is not None
         out += [inner, '"loop": ']
@@ -139,15 +143,27 @@ def _emit_member(c: Constituent, nl: str, out: list[str]) -> None:
 
 def _emit_branch(b: Branch, nl: str, out: list[str]) -> None:
     inner = nl + "  "
-    out += ["{", inner, '"category": "', b.category.value, '",', inner, '"tokens": ']
-    _emit_array(b.tokens, _emit_token, inner, out)
+    out += ["{", inner, '"category": "', _TEXT[b.category], '",', inner, '"tokens": ']
+    _emit_tokens(b.tokens, inner, out)
     out += [nl, "}"]
 
 
-def _emit_token(t: Token, nl: str, out: list[str]) -> None:
-    inner = nl + "  "
-    out += ["{", inner, '"surface": ', encode_basestring(t.surface), ",", inner,
-            '"category": "', t.category.value, '"', nl, "}"]
+def _emit_tokens(tokens: tuple[Token, ...], nl: str, out: list[str]) -> None:
+    """A token array, as _emit_array would write it, with one ``out +=`` per token."""
+    if not tokens:
+        out.append("[]")
+        return
+    item = nl + "  "
+    field = item + "  "
+    opening = "{" + field + '"surface": '
+    middle = "," + field + '"category": "'
+    closing = '"' + item + "}"
+    sep = "[" + item + opening
+    following = "," + item + opening
+    for t in tokens:
+        out += [sep, encode_basestring(t.surface), middle, _TEXT[t.category], closing]
+        sep = following
+    out += [nl, "]"]
 
 
 _PROFILE_REQUIRED = _schema_keys("name", "word_order", "wh_rule")
@@ -157,6 +173,14 @@ _BRANCH_RULE_KEYS = frozenset({*_BRANCH_RULE_REQUIRED, "post_order"})
 _MORPHEME_RULE_REQUIRED = _schema_keys("kind", "selector")
 _MORPHEME_RULE_KEYS = frozenset({*_MORPHEME_RULE_REQUIRED, "payload", "ordinal"})
 
+# Profile enum members by their text, in definition order: the order an
+# "expected one of" message lists them in.
+_WH_RULES = _by_text(WhRule)
+_VERB_PLACEMENTS = _by_text(VerbPlacement)
+_BRANCH_SIDES = _by_text(BranchSide)
+_POST_ORDERS = _by_text(PostOrder)
+_MORPHEME_KINDS = _by_text(MorphemeKind)
+
 
 def parse_profile(text: str) -> LanguageProfile:
     raw = _loads(text)
@@ -165,8 +189,8 @@ def parse_profile(text: str) -> LanguageProfile:
     if not name:
         raise MalformedDocumentError("name", "profile name must be non-empty")
     word_order = _word_order(obj["word_order"])
-    wh_rule = _enum_value(WhRule, obj["wh_rule"], "wh_rule")
-    placement = _enum_value(VerbPlacement, obj.get("verb_placement", "default"), "verb_placement")
+    wh_rule = _enum_value(_WH_RULES, obj["wh_rule"], "wh_rule")
+    placement = _enum_value(_VERB_PLACEMENTS, obj.get("verb_placement", "default"), "verb_placement")
     return LanguageProfile(
         name=name,
         word_order=word_order,
@@ -177,13 +201,14 @@ def parse_profile(text: str) -> LanguageProfile:
     )
 
 
-def _enum_value(enum_cls, value: object, path: str):
+def _enum_value(members: Mapping[str, Any], value: object, path: str) -> Any:
+    """The member named by value, from one of the {text: member} tables."""
     text = _expect_str(value, path)
-    try:
-        return enum_cls(text)
-    except ValueError:
-        options = ", ".join(member.value for member in enum_cls)
-        raise MalformedDocumentError(path, f"unknown value {text!r} (expected one of: {options})") from None
+    member = members.get(text)
+    if member is None:
+        options = ", ".join(members)
+        raise MalformedDocumentError(path, f"unknown value {text!r} (expected one of: {options})")
+    return member
 
 
 def _parse_branch_rules(raw: object) -> tuple[BranchPlacementRule, ...]:
@@ -194,14 +219,14 @@ def _parse_branch_rules(raw: object) -> tuple[BranchPlacementRule, ...]:
     for i, r in enumerate(raw):
         path = f"branch_rules[{i}]"
         obj = _check_keys(r, _BRANCH_RULE_REQUIRED, _BRANCH_RULE_KEYS, str, path)
-        category = _enum_value(Category, obj["category"], _join(path, "category"))
+        category = _enum_value(_CATEGORIES, obj["category"], _join(path, "category"))
         if category in seen:
             raise MalformedDocumentError(
                 _join(path, "category"), f"duplicate placement for category {category.value!r}"
             )
         seen.add(category)
-        side = _enum_value(BranchSide, obj["side"], _join(path, "side"))
-        post_order = _enum_value(PostOrder, obj.get("post_order", "source"), _join(path, "post_order"))
+        side = _enum_value(_BRANCH_SIDES, obj["side"], _join(path, "side"))
+        post_order = _enum_value(_POST_ORDERS, obj.get("post_order", "source"), _join(path, "post_order"))
         rules.append(BranchPlacementRule(category=category, side=side, post_order=post_order))
     return tuple(rules)
 
@@ -214,7 +239,7 @@ def _parse_morpheme_rules(raw: object) -> tuple[MorphemeRule, ...]:
     for i, r in enumerate(raw):
         path = f"morpheme_rules[{i}]"
         obj = _check_keys(r, _MORPHEME_RULE_REQUIRED, _MORPHEME_RULE_KEYS, str, path)
-        kind = _enum_value(MorphemeKind, obj["kind"], _join(path, "kind"))
+        kind = _enum_value(_MORPHEME_KINDS, obj["kind"], _join(path, "kind"))
         selector = _expect_str(obj["selector"], _join(path, "selector"))
         payload = _expect_str(obj.get("payload", ""), _join(path, "payload"))
         ordinal = obj.get("ordinal", i)
@@ -251,10 +276,9 @@ def parse_lexicon(text: str) -> Lexicon:
             raise MalformedSyntaxError("empty field", lineno)
         if not (_is_surface(source) and _is_surface(target)):
             raise MalformedSyntaxError("source and target must be single tokens without whitespace", lineno)
-        try:
-            category = Category(cat_text)
-        except ValueError:
-            raise MalformedSyntaxError(f"unknown category {cat_text!r}", lineno) from None
+        category = _CATEGORIES.get(cat_text)
+        if category is None:
+            raise MalformedSyntaxError(f"unknown category {cat_text!r}", lineno)
         key = (source, category)
         if key in entries:
             raise MalformedSyntaxError(f"duplicate entry for {source!r}/{category.value}", lineno)
@@ -287,7 +311,7 @@ def _dot_loop(loop: Loop, prefix: str, indent: str, out: list[str]) -> str:
         else:
             assert member.loop is not None
             out.append(f"{indent}subgraph cluster_{mid} {{")
-            out.append(f'{indent}  label="{member.loop.kind.value} loop";')
+            out.append(f'{indent}  label="{_TEXT[member.loop.kind]} loop";')
             rep = _dot_loop(member.loop, mid + "m", indent + "  ", out)
             out.append(f"{indent}}}")
         for k, branch in enumerate(member.branches):

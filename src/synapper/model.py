@@ -20,6 +20,7 @@ import enum
 import json
 from collections.abc import Callable, Iterator, KeysView, Mapping, Set as AbstractSet
 from dataclasses import dataclass
+from typing import Any
 
 
 class WordOrder(enum.Enum):
@@ -54,6 +55,14 @@ class Category(enum.Enum):
 class LoopKind(enum.Enum):
     CLAUSAL = "clausal"
     PHRASAL = "phrasal"
+
+
+# Members of these four are singletons compared by identity, so they hash by
+# identity too, in C. Enum's own __hash__ is a Python function, which every
+# dict or set lookup of a member would run: in _TEXT below, in a profile's
+# placement table and in a lexicon's keys.
+for _tags in (WordOrder, Role, Category, LoopKind):
+    _tags.__hash__ = object.__hash__  # type: ignore[method-assign]
 
 
 class SynapperError(Exception):
@@ -180,16 +189,31 @@ _TOKEN_KEYS = _schema_keys("surface", "category")
 # ABC check.
 _OBJECT_TYPES = (dict, Mapping)
 
-# Enum members by their text, read without a call into enum.py.
-_WORD_ORDERS = {m.value: m for m in WordOrder}
-_LOOP_KINDS = {m.value: m for m in LoopKind}
-_ROLES = {m.value: m for m in Role}
-_CATEGORIES = {m.value: m for m in Category}
+
+def _by_text(tags: type[enum.Enum]) -> dict[str, Any]:
+    """An enum's members by their text, in definition order.
+
+    A lookup here runs no frame in enum.py, where ``Enum(text)`` runs two,
+    and building it reads ``_value_``, where ``member.value`` runs two more.
+    """
+    return {m._value_: m for m in tags.__members__.values()}
+
+
+_WORD_ORDERS = _by_text(WordOrder)
+_LOOP_KINDS = _by_text(LoopKind)
+_ROLES = _by_text(Role)
+_CATEGORIES = _by_text(Category)
+# The text of every member of those four: the writers read it here, since
+# ``member.value`` runs two frames in enum.py.
+_TEXT: dict[enum.Enum, str] = {
+    m: text for table in (_WORD_ORDERS, _LOOP_KINDS, _ROLES, _CATEGORIES) for text, m in table.items()
+}
 
 # Deepest loop nesting build_synapper accepts, the main loop counting as 1.
 # Every walk over a structure recurses once or more per loop; the deepest,
-# structural_equal, takes three frames per loop, so 100 levels stay well
-# inside Python's default recursion limit of 1000 whatever the caller's stack.
+# build_synapper's converter and serialize_structure's emitter, hold three
+# frames per loop, so 100 levels stay well inside Python's default recursion
+# limit of 1000 whatever the caller's stack.
 MAX_DEPTH = 100
 
 
@@ -458,52 +482,64 @@ def structural_equal(a: Synapper, b: Synapper) -> bool:
 def _loops_equal(x: Loop, y: Loop) -> bool:
     if x.kind is not y.kind or len(x.members) != len(y.members):
         return False
-    return all(
-        _constituents_equal(p, q) for p, q in zip(_rotated_members(x), _rotated_members(y))
-    )
-
-
-def _constituents_equal(p: Constituent, q: Constituent) -> bool:
-    if p.role is not q.role:
-        return False
-    if (p.node is None) != (q.node is None):
-        return False
-    if p.node is not None and p.node != q.node:
-        return False
-    if p.loop is not None and not _loops_equal(p.loop, q.loop):  # type: ignore[union-attr]
-        return False
-    if len(p.branches) != len(q.branches):
-        return False
-    return all(
-        bp.category is bq.category and bp.tokens == bq.tokens
-        for bp, bq in zip(p.branches, q.branches)
-    )
+    for p, q in zip(_rotated_members(x), _rotated_members(y)):
+        # Equal nodes are both None or both tokens, so then both hold loops.
+        if p.role is not q.role or p.node != q.node or p.branches != q.branches:
+            return False
+        if p.loop is not None and not _loops_equal(p.loop, q.loop):  # type: ignore[arg-type]
+            return False
+    return True
 
 
 def canonical_form(s: Synapper) -> str:
-    """Deterministic one-line text; equal exactly when structural_equal holds."""
-    payload = {"word_order": s.word_order.value, "loop": _canon_loop(s.main)}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Deterministic one-line text; equal exactly when structural_equal holds.
+
+    The text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
+    the document ``{"loop", "word_order"}``, written directly. Each loop is
+    ``{"kind", "members"}`` with its members rotated to the anchor; each
+    member is ``{"branches"?, "loop" | "node", "role"?}``, each branch
+    ``{"category", "tokens"}`` and each token ``[surface, category]``.
+    Surfaces are escaped to ASCII, as ``json.dumps`` does by default. Label,
+    surface flag and ``head_index`` are left out.
+    """
+    out = ['{"loop":']
+    _canon_loop(s.main, out)
+    out += [',"word_order":"', _TEXT[s.word_order], '"}']
+    return "".join(out)
 
 
-def _canon_loop(loop: Loop) -> dict:
-    return {
-        "kind": loop.kind.value,
-        "members": [_canon_member(m) for m in _rotated_members(loop)],
-    }
+def _canon_loop(loop: Loop, out: list[str]) -> None:
+    out += ['{"kind":"', _TEXT[loop.kind], '","members":[']
+    sep = "{"
+    for c in _rotated_members(loop):
+        # A member's keys in sorted order: branches, then loop or node, then role.
+        out.append(sep)
+        if c.branches:
+            branch_sep = '"branches":[{"category":"'
+            for b in c.branches:
+                out += [branch_sep, _TEXT[b.category], '","tokens":']
+                _canon_tokens(b.tokens, out)
+                branch_sep = '},{"category":"'
+            out.append("}],")
+        if c.loop is not None:
+            out.append('"loop":')
+            _canon_loop(c.loop, out)
+        else:
+            out.append('"node":')
+            _canon_tokens(c.node, out)  # type: ignore[arg-type]
+        if c.role is not None:
+            out += [',"role":"', _TEXT[c.role], '"']
+        sep = "},{"
+    out.append("}]}" if loop.members else "]}")
 
 
-def _canon_member(c: Constituent) -> dict:
-    out: dict = {}
-    if c.role is not None:
-        out["role"] = c.role.value
-    if c.node is not None:
-        out["node"] = [[t.surface, t.category.value] for t in c.node]
-    if c.loop is not None:
-        out["loop"] = _canon_loop(c.loop)
-    if c.branches:
-        out["branches"] = [
-            {"category": b.category.value, "tokens": [[t.surface, t.category.value] for t in b.tokens]}
-            for b in c.branches
-        ]
-    return out
+# json.dumps's default escaper: every non-ASCII character as \uXXXX.
+_escape_ascii = json.encoder.encode_basestring_ascii
+
+
+def _canon_tokens(tokens: tuple[Token, ...], out: list[str]) -> None:
+    sep = "[["
+    for t in tokens:
+        out += [sep, _escape_ascii(t.surface), ',"', _TEXT[t.category], '"]']
+        sep = ",["
+    out.append("]" if tokens else "[]")

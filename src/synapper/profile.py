@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .model import Category, MalformedDocumentError, Role, WordOrder
+from .model import Category, MalformedDocumentError, Role, WordOrder, _CATEGORIES, _ROLES
 
 
 class VerbPlacement(enum.Enum):
@@ -74,21 +74,19 @@ class MorphemeRule:
         if not self.selector:
             raise MalformedDocumentError("selector", "selector must be non-empty")
         if self.kind is MorphemeKind.DROP_CATEGORY:
-            try:
-                operand = Category(self.selector)
-            except ValueError:
+            operand = _CATEGORIES.get(self.selector)
+            if operand is None:
                 raise MalformedDocumentError(
                     "selector", f"drop selector must be a category tag, got {self.selector!r}"
-                ) from None
+                )
             if self.payload:
                 raise MalformedDocumentError("payload", "drop rules take no payload")
         elif self.kind is MorphemeKind.SUFFIX_ON_ROLE:
-            try:
-                operand = Role(self.selector)
-            except ValueError:
+            operand = _ROLES.get(self.selector)
+            if operand is None:
                 raise MalformedDocumentError(
                     "selector", f"suffix selector must be a role, got {self.selector!r}"
-                ) from None
+                )
             if not self.payload:
                 raise MalformedDocumentError("payload", "suffix rules need a payload")
         else:
@@ -128,7 +126,7 @@ class LanguageProfile:
     passes: tuple[MorphemeRule | InsertEdits, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        placement = dict.fromkeys(Category, _DEFAULT_PLACEMENT)
+        placement = dict.fromkeys(_CATEGORIES.values(), _DEFAULT_PLACEMENT)
         for rule in reversed(self.branch_rules):
             placement[rule.category] = (rule.side, rule.post_order)
         object.__setattr__(self, "placement", placement)

@@ -1,4 +1,4 @@
-"""Declarative/interrogative surface transforms and subject-position repair.
+"""Declarative and interrogative surface transforms.
 
 Interrogativization decides where the WH token goes: depending on the
 profile it is prepended, with or without subject/verb inversion, or slotted
@@ -12,8 +12,6 @@ rebuild the skeleton's question and compare it with the one given.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from .linearize import LinearSentence, PlacedToken, _emit_members, _sentence_order
 from .model import Category, Role, Synapper, SynapperError, Token
@@ -92,13 +90,6 @@ def parse_question(text: str, s: Synapper, p: LanguageProfile) -> LinearSentence
     if q.render() != " ".join(words):
         raise InversionMismatchError("question does not match the structure's interrogative form")
     return q
-
-
-def normalize_subject_position(s: Synapper) -> Synapper:
-    """Clear the subject-final surface flag; the ring itself never moves."""
-    if not s.surface_subject_final:
-        return s
-    return replace(s, surface_subject_final=False)
 
 
 def _swap_subject_verb(order: list[int], s: Synapper) -> None:

@@ -1,8 +1,10 @@
 """Serialization round-trips, strict parse errors, lexicon TSV, DOT export."""
 
 import dataclasses
+import enum
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,7 @@ from synapper import (
     substitute_lexemes,
     to_dot,
 )
-from conftest import FIXTURES, PROFILES, load_profile, load_structure, random_structure
+from conftest import FIXTURES, LEXICONS, PROFILES, frames_while, load_profile, load_structure, random_structure
 
 ALL_FIXTURES = ["horse", "tim", "colette", "cena_a", "cena_b", "space_news", "mary", "go"]
 ALL_PROFILES = ["en", "fr", "ja-gloss", "cy-gloss", "uz", "uz-gloss", "vso", "en-articles"]
@@ -302,11 +304,13 @@ class TestLexiconParsing:
         with pytest.raises(MalformedSyntaxError) as e:
             parse_lexicon("# x\nJane\tNOUN\tJane\n")
         assert e.value.line == 2
+        assert str(e.value) == "line 2: unknown category 'NOUN'"
 
     def test_duplicate_pair_reports_line(self):
         with pytest.raises(MalformedSyntaxError) as e:
             parse_lexicon("a\tDET\tbir\na\tDET\tbitta\n")
         assert e.value.line == 2
+        assert str(e.value) == "line 2: duplicate entry for 'a'/DET"
 
     def test_same_surface_different_category_allowed(self):
         lex = parse_lexicon("fast\tADJ\ttez\nfast\tN\tro'za\n")
@@ -317,6 +321,71 @@ class TestLexiconParsing:
         with pytest.raises(MalformedSyntaxError) as e:
             parse_lexicon(f"# x\n{line}\n")
         assert e.value.line == 2
+
+
+_PROFILE_HEAD = '"name": "x", "word_order": "svo", "wh_rule": "initial_plain"'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"name": "x", "word_order": "svo", "wh_rule": "shout"}',
+            "wh_rule: unknown value 'shout' (expected one of: initial_inversion, initial_plain, pre_subject)",
+        ),
+        (
+            '{%s, "verb_placement": "v3"}' % _PROFILE_HEAD,
+            "verb_placement: unknown value 'v3' (expected one of: default, v1, v2)",
+        ),
+        (
+            '{%s, "branch_rules": [{"category": "NOUN", "side": "pre"}]}' % _PROFILE_HEAD,
+            "branch_rules[0].category: unknown value 'NOUN' "
+            "(expected one of: N, V, AUX, ADJ, ADV, DET, PRON, PREP, WH, ADJP, OTHER)",
+        ),
+        (
+            '{%s, "branch_rules": [{"category": "N", "side": "up"}]}' % _PROFILE_HEAD,
+            "branch_rules[0].side: unknown value 'up' (expected one of: pre, post)",
+        ),
+        (
+            '{%s, "branch_rules": [{"category": "N", "side": "pre", "post_order": "x"}]}' % _PROFILE_HEAD,
+            "branch_rules[0].post_order: unknown value 'x' (expected one of: source, reversed)",
+        ),
+        (
+            '{%s, "branch_rules": [{"category": "N", "side": "pre"}, {"category": "N", "side": "post"}]}'
+            % _PROFILE_HEAD,
+            "branch_rules[1].category: duplicate placement for category 'N'",
+        ),
+        (
+            '{%s, "morpheme_rules": [{"kind": "swap", "selector": "a"}]}' % _PROFILE_HEAD,
+            "morpheme_rules[0].kind: unknown value 'swap' "
+            "(expected one of: drop_category, insert_before, insert_after, suffix_on_role)",
+        ),
+        (
+            '{%s, "morpheme_rules": [{"kind": "drop_category", "selector": "NOUN"}]}' % _PROFILE_HEAD,
+            "morpheme_rules[0].selector: drop selector must be a category tag, got 'NOUN'",
+        ),
+        (
+            '{%s, "morpheme_rules": [{"kind": "suffix_on_role", "selector": "topic", "payload": "da"}]}'
+            % _PROFILE_HEAD,
+            "morpheme_rules[0].selector: suffix selector must be a role, got 'topic'",
+        ),
+    ],
+)
+def test_profile_enum_errors_name_the_value_and_every_option(text, message):
+    with pytest.raises(MalformedDocumentError) as e:
+        parse_profile(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, path",
+    [(parse_profile, PROFILES / f"{name}.json") for name in ALL_PROFILES] + [(parse_lexicon, LEXICONS / "en-uz.tsv")],
+    ids=[*ALL_PROFILES, "en-uz"],
+)
+def test_profiles_and_lexicons_read_enum_text_without_an_enum_frame(parse, path):
+    """Enum members come from {text: member} tables, and model enums hash in C."""
+    _, frames = frames_while(parse, path.read_text(encoding="utf-8"))
+    assert Path(enum.__file__) not in {Path(code.co_filename) for code in frames}
 
 
 @pytest.mark.parametrize(

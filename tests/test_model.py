@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import enum
+import itertools
 import json
 import os
 import random
@@ -44,6 +45,7 @@ from synapper import (
 )
 from synapper.model import MAX_DEPTH, _is_surface
 from conftest import FIXTURES, frames_while, load_structure, random_structure, rotate_main
+from test_io import EDGE_MEMBERS
 from test_totality import JSON_VALUES, STRUCTURE_DOCS
 
 
@@ -294,6 +296,150 @@ class TestCanonicalForm:
     def test_excludes_label(self):
         s = load_structure("mary")
         assert canonical_form(s) == canonical_form(dataclasses.replace(s, label="renamed"))
+
+
+# canonical_form and structural_equal as they were written before the direct
+# emitter: the document as nested dicts through json.dumps, and a walk that
+# compares member by member. They are the oracle for both.
+
+
+def reference_canonical_form(s):
+    payload = {"word_order": s.word_order.value, "loop": _ref_canon_loop(s.main)}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _ref_rotated_members(loop):
+    if loop.kind is LoopKind.PHRASAL:
+        i = loop.head_index
+    else:
+        i = next((i for i, m in enumerate(loop.members) if m.role is Role.SUBJECT), 0)
+    return loop.members[i:] + loop.members[:i]
+
+
+def _ref_canon_loop(loop):
+    return {"kind": loop.kind.value, "members": [_ref_canon_member(m) for m in _ref_rotated_members(loop)]}
+
+
+def _ref_canon_member(c):
+    out = {}
+    if c.role is not None:
+        out["role"] = c.role.value
+    if c.node is not None:
+        out["node"] = [[t.surface, t.category.value] for t in c.node]
+    if c.loop is not None:
+        out["loop"] = _ref_canon_loop(c.loop)
+    if c.branches:
+        out["branches"] = [
+            {"category": b.category.value, "tokens": [[t.surface, t.category.value] for t in b.tokens]}
+            for b in c.branches
+        ]
+    return out
+
+
+def reference_structural_equal(a, b):
+    return a.word_order is b.word_order and _ref_loops_equal(a.main, b.main)
+
+
+def _ref_loops_equal(x, y):
+    if x.kind is not y.kind or len(x.members) != len(y.members):
+        return False
+    return all(_ref_constituents_equal(p, q) for p, q in zip(_ref_rotated_members(x), _ref_rotated_members(y)))
+
+
+def _ref_constituents_equal(p, q):
+    if p.role is not q.role:
+        return False
+    if (p.node is None) != (q.node is None):
+        return False
+    if p.node is not None and p.node != q.node:
+        return False
+    if p.loop is not None and not _ref_loops_equal(p.loop, q.loop):
+        return False
+    if len(p.branches) != len(q.branches):
+        return False
+    return all(bp.category is bq.category and bp.tokens == bq.tokens for bp, bq in zip(p.branches, q.branches))
+
+
+def _unchecked_token(surface, category):
+    """A Token that skips the surface rule, so that whitespace reaches the escaper too."""
+    token = object.__new__(Token)
+    object.__setattr__(token, "surface", surface)
+    object.__setattr__(token, "category", category)
+    return token
+
+
+def _retokened(loop, token_for):
+    """loop with each token t, counted in stored order from 0, replaced by token_for(index, t)."""
+    count = itertools.count()
+
+    def tokens(ts):
+        return tuple(token_for(next(count), t) for t in ts)
+
+    def walk(lp):
+        members = []
+        for m in lp.members:
+            if m.loop is not None:
+                members.append(dataclasses.replace(m, loop=walk(m.loop)))
+            else:
+                branches = tuple(Branch(tokens(b.tokens), b.category) for b in m.branches)
+                members.append(dataclasses.replace(m, node=tokens(m.node), branches=branches))
+        return dataclasses.replace(lp, members=tuple(members))
+
+    return walk(loop)
+
+
+# Everything ASCII escaping must handle: quote, backslash, every control
+# character, non-ASCII letters, a line separator and an astral character
+# (written as a surrogate pair).
+_ESCAPED_CHARS = ['"', "\\", *map(chr, range(0x20)), "a", "\u00e9", "\u00df", "\u65e5", "\u2028", "\U0001f600"]
+_escaped_surfaces = st.text(alphabet=st.sampled_from(_ESCAPED_CHARS), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    words=st.lists(_escaped_surfaces, min_size=1, max_size=8),
+    extra=st.lists(st.sampled_from(list(EDGE_MEMBERS.values())), max_size=2),
+    turn=st.integers(min_value=1, max_value=8),
+    at=st.integers(min_value=0, max_value=10**6),
+    change=st.sampled_from(["surface", "category"]),
+)
+def test_canonical_form_and_equality_agree_with_the_reference(seed, words, extra, turn, at, change):
+    s = random_structure(random.Random(seed), max_ring=4, max_depth=3)
+    main = _retokened(s.main, lambda i, t: _unchecked_token(words[i % len(words)], t.category))
+    s = dataclasses.replace(s, main=dataclasses.replace(main, members=main.members + tuple(extra)))
+    at %= sum(1 for _ in iter_tokens(s))
+
+    def perturb(i, t):
+        if i != at:
+            return t
+        if change == "category":
+            return _unchecked_token(t.surface, Category.WH if t.category is not Category.WH else Category.N)
+        return _unchecked_token(t.surface + words[0], t.category)
+
+    structures = [s, rotate_main(s, turn), dataclasses.replace(s, main=_retokened(s.main, perturb))]
+    for a in structures:
+        assert canonical_form(a) == reference_canonical_form(a)
+        for b in structures:
+            assert structural_equal(a, b) == reference_structural_equal(a, b)
+            assert (canonical_form(a) == canonical_form(b)) == structural_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["canonical_form", "serialize_structure", "to_dot", "structural_equal"])
+def test_write_path_runs_no_enum_or_json_encoder_frame(name):
+    """Enum text comes from one table and the text is written directly, with no frame in enum.py or json."""
+    s, other = load_structure("space_news"), load_structure("space_news")
+    calls = {
+        "canonical_form": canonical_form,
+        "serialize_structure": serialize_structure,
+        "to_dot": to_dot,
+        "structural_equal": lambda x: structural_equal(x, other),
+    }
+    result, frames = frames_while(calls[name], s)
+    assert result
+    files = {Path(code.co_filename) for code in frames}
+    assert Path(enum.__file__) not in files
+    assert Path(json.encoder.__file__) not in files
 
 
 def test_iter_tokens_stored_order():

@@ -1,4 +1,4 @@
-"""Interrogative and declarative transforms plus subject-position repair."""
+"""Interrogative and declarative transforms."""
 
 import dataclasses
 import random
@@ -25,7 +25,6 @@ from synapper import (
     declarativize,
     interrogativize,
     linearize,
-    normalize_subject_position,
     parse_question,
     structural_equal,
     wh_token,
@@ -240,20 +239,3 @@ def _mary_asking_what():
     patched = dataclasses.replace(s.main.members[2], node=(Token("what", Category.WH),))
     return dataclasses.replace(s, main=dataclasses.replace(s.main, members=s.main.members[:2] + (patched,)))
 
-
-class TestNormalizeSubjectPosition:
-    def test_clears_the_flag(self):
-        s = load_structure("mary")
-        assert s.surface_subject_final
-        n = normalize_subject_position(s)
-        assert not n.surface_subject_final
-        assert structural_equal(n, s)
-
-    def test_identity_when_already_clear(self):
-        s = load_structure("tim")
-        assert normalize_subject_position(s) is s
-
-    def test_idempotent(self):
-        s = load_structure("space_news")
-        once = normalize_subject_position(s)
-        assert normalize_subject_position(once) is once
