@@ -12,14 +12,12 @@ edges following the stored clockwise order, and nested loops as clusters.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from json.encoder import encode_basestring
 from typing import Any
 
 from .model import (
-    Branch,
     Category,
-    Constituent,
     Loop,
     LoopKind,
     MalformedDocumentError,
@@ -96,21 +94,8 @@ def serialize_structure(s: Synapper) -> str:
     return "".join(out)
 
 
-# Each emitter writes one JSON value from its opening bracket to its closing
-# one; ``nl`` is a newline plus the indent of the line that opens the value.
-
-
-def _emit_array(items: tuple, emit_item: Callable[..., None], nl: str, out: list[str]) -> None:
-    if not items:
-        out.append("[]")
-        return
-    item = nl + "  "
-    sep = "[" + item
-    for x in items:
-        out.append(sep)
-        emit_item(x, item, out)
-        sep = "," + item
-    out += [nl, "]"]
+# Each emitter writes one JSON value, bracket to bracket, with its separators
+# worked out once per level; ``nl`` is a newline plus the value's first indent.
 
 
 def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
@@ -119,37 +104,38 @@ def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
     if loop.kind is LoopKind.PHRASAL:
         out += [inner, '"head_index": ', str(loop.head_index), ","]
     out += [inner, '"members": ']
-    _emit_array(loop.members, _emit_member, inner, out)
-    out += [nl, "}"]
-
-
-def _emit_member(c: Constituent, nl: str, out: list[str]) -> None:
-    inner = nl + "  "
-    out.append("{")
-    if c.role is not None:
-        out += [inner, '"role": "', _TEXT[c.role], '",']
-    if c.node is not None:
-        out += [inner, '"node": ']
-        _emit_tokens(c.node, inner, out)
-    else:
-        assert c.loop is not None
-        out += [inner, '"loop": ']
-        _emit_loop(c.loop, inner, out)
-    if c.branches:
-        out += [",", inner, '"branches": ']
-        _emit_array(c.branches, _emit_branch, inner, out)
-    out += [nl, "}"]
-
-
-def _emit_branch(b: Branch, nl: str, out: list[str]) -> None:
-    inner = nl + "  "
-    out += ["{", inner, '"category": "', _TEXT[b.category], '",', inner, '"tokens": ']
-    _emit_tokens(b.tokens, inner, out)
-    out += [nl, "}"]
+    item = inner + "  "
+    field = item + "  "
+    branch = field + "  "
+    branch_field = branch + "  "
+    opening = branch + "{" + branch_field + '"category": "'
+    first_branch = "," + field + '"branches": [' + opening
+    next_branch = branch + "}," + opening
+    sep = "[" + item + "{"
+    following = item + "}," + item + "{"
+    for c in loop.members:
+        out.append(sep)
+        if c.role is not None:
+            out += [field, '"role": "', _TEXT[c.role], '",']
+        if c.node is not None:
+            out += [field, '"node": ']
+            _emit_tokens(c.node, field, out)
+        else:
+            out += [field, '"loop": ']
+            _emit_loop(c.loop, field, out)  # type: ignore[arg-type]
+        if c.branches:
+            branch_sep = first_branch
+            for b in c.branches:
+                out += [branch_sep, _TEXT[b.category], '",', branch_field, '"tokens": ']
+                _emit_tokens(b.tokens, branch_field, out)
+                branch_sep = next_branch
+            out += [branch, "}", field, "]"]
+        sep = following
+    out += [item, "}", inner, "]", nl, "}"] if loop.members else ["[]", nl, "}"]
 
 
 def _emit_tokens(tokens: tuple[Token, ...], nl: str, out: list[str]) -> None:
-    """A token array, as _emit_array would write it, with one ``out +=`` per token."""
+    """A token array, with one ``out +=`` per token and its separators worked out once."""
     if not tokens:
         out.append("[]")
         return
@@ -326,5 +312,5 @@ def _dot_loop(loop: Loop, prefix: str, indent: str, out: list[str]) -> str:
 
 
 def _esc_label(tokens) -> str:
-    text = " ".join(t.surface for t in tokens)
+    text = " ".join([t.surface for t in tokens])
     return text.replace("\\", "\\\\").replace('"', '\\"')

@@ -210,10 +210,11 @@ _TEXT: dict[enum.Enum, str] = {
 }
 
 # Deepest loop nesting build_synapper accepts, the main loop counting as 1.
-# Every walk over a structure recurses once or more per loop; the deepest,
-# build_synapper's converter and serialize_structure's emitter, hold three
-# frames per loop, so 100 levels stay well inside Python's default recursion
-# limit of 1000 whatever the caller's stack.
+# Every walk over a structure recurses once or more per loop. The deepest,
+# build_synapper's converter, holds three frames per loop (its member list
+# comprehension is one before Python 3.12); the others, serialize_structure's
+# emitter and substitute_lexemes among them, hold one. So 100 levels stay well
+# inside Python's default recursion limit of 1000 whatever the caller's stack.
 MAX_DEPTH = 100
 
 
@@ -234,9 +235,9 @@ def build_synapper(doc: StructureDocument) -> Synapper:
         raise MalformedDocumentError("surface_subject_final", "expected a boolean")
 
     issues: list[ValidationIssue] = []
-    main = _convert_loop(doc["loop"], (), 1, issues)
+    main = _convert_loop(doc["loop"], (), issues)
     if main.kind is not LoopKind.CLAUSAL:
-        raise MalformedDocumentError("loop.kind", "the main loop must be clausal")
+        raise MalformedDocumentError("loop.kind", _MAIN_NOT_CLAUSAL)
     _loop_issues(main, (), issues)
     if issues:
         raise StructureValidationError(issues)
@@ -295,9 +296,9 @@ def _word_order(raw: object) -> WordOrder:
     return order
 
 
-def _convert_loop(raw: object, at: tuple[int, ...], depth: int, issues: list[ValidationIssue]) -> Loop:
-    if depth > MAX_DEPTH:
-        raise MalformedDocumentError(_path(at), f"loops nest deeper than {MAX_DEPTH} levels")
+def _convert_loop(raw: object, at: tuple[int, ...], issues: list[ValidationIssue]) -> Loop:
+    if len(at) >= MAX_DEPTH:
+        raise MalformedDocumentError(_path(at), _TOO_DEEP)
     obj = _check_keys(raw, _LOOP_REQUIRED, _LOOP_KEYS, _path, at)
     kind_text = obj["kind"]
     if not isinstance(kind_text, str):
@@ -310,22 +311,22 @@ def _convert_loop(raw: object, at: tuple[int, ...], depth: int, issues: list[Val
     members_raw = obj["members"]
     if not isinstance(members_raw, list):
         raise MalformedDocumentError(_path(at, "members"), "expected an array")
-    members = tuple([_convert_member(m, kind, at, i, depth, issues) for i, m in enumerate(members_raw)])
+    members = tuple([_convert_member(m, kind, at, i, issues) for i, m in enumerate(members_raw)])
     head = obj.get("head_index", 0)
     if not isinstance(head, int) or isinstance(head, bool):
         raise MalformedDocumentError(_path(at, "head_index"), "expected an integer")
     if kind is LoopKind.PHRASAL and members and not 0 <= head < len(members):
-        raise MalformedDocumentError(_path(at, "head_index"), "head_index out of range")
+        raise MalformedDocumentError(_path(at, "head_index"), _HEAD_OUT_OF_RANGE)
     return Loop(kind=kind, members=members, head_index=head if kind is LoopKind.PHRASAL else 0)
 
 
 def _convert_member(
-    raw: object, kind: LoopKind, at: tuple[int, ...], i: int, depth: int, issues: list[ValidationIssue]
+    raw: object, kind: LoopKind, at: tuple[int, ...], i: int, issues: list[ValidationIssue]
 ) -> Constituent:
     role: Role | None = None
     if kind is LoopKind.PHRASAL:
         if isinstance(raw, _OBJECT_TYPES) and "role" in raw:
-            raise UnknownKeyError(_path(at, "members", i, "role"), "phrasal loop members are roleless")
+            raise UnknownKeyError(_path(at, "members", i, "role"), _ROLELESS)
         obj = _check_keys(raw, _PHRASAL_MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
     else:
         obj = _check_keys(raw, _CLAUSAL_MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
@@ -346,7 +347,7 @@ def _convert_member(
         raise UnknownKeyError(_path(at, "members", i, "branches"), "branches attach to nodes, not to nested loops")
 
     if has_loop:
-        return Constituent(role=role, loop=_convert_loop(obj["loop"], at + (i,), depth + 1, issues))
+        return Constituent(role=role, loop=_convert_loop(obj["loop"], at + (i,), issues))
 
     node = _convert_tokens(obj["node"], issues, at, "members", i, "node")
     branches_raw = obj.get("branches", [])
@@ -402,16 +403,37 @@ def _unknown_category(text: object, path: str, issues: list[ValidationIssue]) ->
     return Category.OTHER
 
 
+# Messages build_synapper and structure_issues share: structure_issues reports
+# a code-built structure as parsing its serialized text would.
 _EMPTY_NODE = "a node needs at least one token"
+_MAIN_NOT_CLAUSAL = "the main loop must be clausal"
+_HEAD_OUT_OF_RANGE = "head_index out of range"
+_ROLELESS = "phrasal loop members are roleless"
+_MISSING_ROLE = "missing key 'role'"
+_TOO_DEEP = f"loops nest deeper than {MAX_DEPTH} levels"
 
 
 def _loop_issues(loop: Loop, at: tuple[int, ...], issues: list[ValidationIssue]) -> None:
-    """Append the semantic violations of loop, at _path(at), and of everything in it."""
+    """Append the violations of loop, at _path(at), and of everything in it."""
+    if len(at) >= MAX_DEPTH:
+        issues.append(ValidationIssue("too-deep", _path(at), _TOO_DEEP))
+        return
     if not loop.members:
         issues.append(ValidationIssue("empty-loop", _path(at, "members"), "a loop needs at least one member"))
         return
-    if loop.kind is LoopKind.CLAUSAL:
-        roles = [m.role for m in loop.members]
+    roles = [m.role for m in loop.members]
+    if loop.kind is LoopKind.PHRASAL:
+        if not 0 <= loop.head_index < len(roles):
+            issues.append(ValidationIssue("head-out-of-range", _path(at, "head_index"), _HEAD_OUT_OF_RANGE))
+        if roles.count(None) < len(roles):
+            for i, role in enumerate(roles):
+                if role is not None:
+                    issues.append(ValidationIssue("role-in-phrasal-loop", _path(at, "members", i, "role"), _ROLELESS))
+    else:
+        if None in roles:
+            for i, role in enumerate(roles):
+                if role is None:
+                    issues.append(ValidationIssue("missing-role", _path(at, "members", i), _MISSING_ROLE))
         subjects = roles.count(Role.SUBJECT)
         verbs = roles.count(Role.VERB)
         # Imperative escape hatch: a one-member ring may omit the subject.
@@ -435,8 +457,10 @@ def _loop_issues(loop: Loop, at: tuple[int, ...], issues: list[ValidationIssue])
 
 
 def structure_issues(s: Synapper) -> list[ValidationIssue]:
-    """Semantic violations of a directly constructed Synapper (empty when valid)."""
+    """Every law build_synapper enforces that a directly constructed Synapper breaks (empty when valid)."""
     issues: list[ValidationIssue] = []
+    if s.main.kind is not LoopKind.CLAUSAL:
+        issues.append(ValidationIssue("main-loop-not-clausal", "loop.kind", _MAIN_NOT_CLAUSAL))
     _loop_issues(s.main, (), issues)
     return issues
 

@@ -10,7 +10,6 @@ reach inside them.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Mapping
 
 from .linearize import LinearSentence, PlacedToken, _placed, linearize
@@ -27,28 +26,32 @@ from .model import (
 )
 from .profile import InsertEdits, LanguageProfile, MorphemeKind, MorphemeRule
 
+_Pair = tuple[str, Category]
+
 
 class Lexicon:
-    """Immutable mapping from (surface, category) to a target surface.
+    """Immutable mapping from (surface, category) to a target Token, built once and shared by every translation.
 
     Source and target must each be one token surface (``model._is_surface``);
     any other pair raises SynapperError naming it.
     """
 
-    def __init__(self, entries: Mapping[tuple[str, Category], str]):
-        self._entries = dict(entries)
-        for (source, category), target in self._entries.items():
-            if not (_is_surface(source) and _is_surface(target)):
-                raise SynapperError(
-                    f"lexicon entry {source!r}/{category.value} -> {target!r}: "
-                    "source and target must be single tokens without whitespace"
-                )
+    def __init__(self, entries: Mapping[_Pair, str]):
+        self._tokens: dict[_Pair, Token] = {}
+        for (source, category), target in entries.items():
+            try:
+                if not _is_surface(source):
+                    raise ValueError(source)
+                self._tokens[source, category] = Token(target, category)
+            except ValueError:
+                message = "source and target must be single tokens without whitespace"
+                raise SynapperError(f"lexicon entry {source!r}/{category.value} -> {target!r}: {message}") from None
 
     def lookup(self, surface: str, category: Category) -> str | None:
-        return self._entries.get((surface, category))
+        return getattr(self._tokens.get((surface, category)), "surface", None)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._tokens)
 
 
 def identity_lexicon(s: Synapper) -> Lexicon:
@@ -58,52 +61,44 @@ def identity_lexicon(s: Synapper) -> Lexicon:
 class MissingLexemeError(SynapperError):
     """Raised with the complete list of uncovered (surface, category) pairs."""
 
-    def __init__(self, pairs: list[tuple[str, Category]]):
+    def __init__(self, pairs: list[_Pair]):
         self.pairs = tuple(sorted(set(pairs), key=lambda p: (p[0], p[1].value)))
         listed = ", ".join(f"{s!r}/{c.value}" for s, c in self.pairs)
         super().__init__(f"lexicon misses {len(self.pairs)} pairs: {listed}")
 
 
 def substitute_lexemes(s: Synapper, lex: Lexicon) -> Synapper:
-    """Swap every token's surface in one walk; uncovered pairs raise together at the end."""
-    missing: list[tuple[str, Category]] = []
-    main = _substitute_loop(s.main, lex, missing)
+    """Swap every token for the lexicon's own target Token in one walk; uncovered pairs raise together at the end."""
+    missing: list[_Pair] = []
+    main = _substitute_loop(s.main, lex._tokens, missing)
     if missing:
         raise MissingLexemeError(missing)
-    return replace(s, main=main)
+    return Synapper(s.label, s.word_order, s.surface_subject_final, main)
 
 
-def _substitute_loop(loop: Loop, lex: Lexicon, missing: list[tuple[str, Category]]) -> Loop:
-    return replace(loop, members=tuple(_substitute_member(m, lex, missing) for m in loop.members))
+def _substitute_loop(loop: Loop, targets: dict[_Pair, Token], missing: list[_Pair]) -> Loop:
+    members = []
+    for c in loop.members:
+        if c.loop is not None:
+            members.append(Constituent(role=c.role, loop=_substitute_loop(c.loop, targets, missing)))
+            continue
+        node = _substitute_tokens(c.node, targets, missing)  # type: ignore[arg-type]
+        branches = []
+        for b in c.branches:
+            branches.append(Branch(_substitute_tokens(b.tokens, targets, missing), b.category))
+        members.append(Constituent(role=c.role, node=node, branches=tuple(branches)))
+    return Loop(loop.kind, tuple(members), loop.head_index)
 
 
-def _substitute_member(c: Constituent, lex: Lexicon, missing: list[tuple[str, Category]]) -> Constituent:
-    if c.loop is not None:
-        return Constituent(role=c.role, loop=_substitute_loop(c.loop, lex, missing))
-    branches = tuple(
-        Branch(tokens=_substitute_tokens(b.tokens, lex, missing), category=b.category)
-        for b in c.branches
-    )
-    return Constituent(role=c.role, node=_substitute_tokens(c.node, lex, missing), branches=branches)
-
-
-def _substitute_tokens(tokens: tuple[Token, ...], lex: Lexicon, missing: list[tuple[str, Category]]) -> tuple[Token, ...]:
+def _substitute_tokens(tokens: tuple[Token, ...], targets: dict[_Pair, Token], missing: list[_Pair]) -> tuple[Token, ...]:
     out = []
     for t in tokens:
-        target = lex.lookup(t.surface, t.category)
+        target = targets.get((t.surface, t.category))
         if target is None:
             missing.append((t.surface, t.category))
         else:
-            out.append(_target_token(target, t.category))
+            out.append(target)
     return tuple(out)
-
-
-def _target_token(surface: str, category: Category) -> Token:
-    """A Token for a lexicon target, built without rerunning the surface rule Lexicon checked."""
-    token = object.__new__(Token)
-    object.__setattr__(token, "surface", surface)
-    object.__setattr__(token, "category", category)
-    return token
 
 
 def apply_morpheme_rules(sentence: LinearSentence, p: LanguageProfile) -> LinearSentence:

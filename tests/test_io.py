@@ -33,6 +33,7 @@ from synapper import (
     substitute_lexemes,
     to_dot,
 )
+from synapper import io_formats
 from conftest import FIXTURES, LEXICONS, PROFILES, frames_while, load_profile, load_structure, random_structure
 
 ALL_FIXTURES = ["horse", "tim", "colette", "cena_a", "cena_b", "space_news", "mary", "go"]
@@ -186,6 +187,22 @@ class TestDirectSerializer:
         main = dataclasses.replace(s.main, members=s.main.members + tuple(extra))
         s = dataclasses.replace(s, label=label, surface_subject_final=flag, main=main)
         assert serialize_structure(s) == reference_serialize(s)
+
+    def test_one_frame_per_loop_and_per_token_run(self):
+        """_emit_loop writes members and branches itself; each node or branch's tokens take one frame."""
+        s = load_structure("space_news")
+        _, frames = frames_while(serialize_structure, s)
+        loops, runs = 0, 0
+        pending = [s.main]
+        while pending:
+            loop = pending.pop()
+            loops += 1
+            for m in loop.members:
+                if m.loop is not None:
+                    pending.append(m.loop)
+                runs += (m.node is not None) + len(m.branches)
+        written = {code.co_name: n for code, n in frames.items() if code.co_filename == io_formats.__file__}
+        assert written == {"serialize_structure": 1, "_emit_loop": loops, "_emit_tokens": runs}
 
 
 class TestStructureErrors:

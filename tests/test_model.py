@@ -28,6 +28,7 @@ from synapper import (
     Role,
     StructureValidationError,
     Synapper,
+    SynapperError,
     Token,
     UnknownKeyError,
     UnknownWordOrderError,
@@ -35,12 +36,14 @@ from synapper import (
     WordOrder,
     build_synapper,
     canonical_form,
+    identity_lexicon,
     iter_tokens,
     linearize,
     parse_structure,
     serialize_structure,
     structural_equal,
     structure_issues,
+    substitute_lexemes,
     to_dot,
 )
 from synapper.model import MAX_DEPTH, _is_surface
@@ -467,11 +470,29 @@ class TestDepthBound:
         assert len(linearize(s, LanguageProfile(name="x", word_order=WordOrder.SOV)).placed) == MAX_DEPTH + 1
         assert canonical_form(parse_structure(serialize_structure(s))) == canonical_form(s)
         assert to_dot(s).count("subgraph cluster_") == MAX_DEPTH - 1
+        assert substitute_lexemes(s, identity_lexicon(s)) == s
+        assert structure_issues(s) == []
 
     def test_one_level_deeper_is_rejected_with_its_path(self):
         with pytest.raises(MalformedDocumentError) as e:
             build_synapper(_nested_doc(MAX_DEPTH + 1))
         assert e.value.path == "loop" + ".members[0].loop" * MAX_DEPTH
+
+
+# The issue each structure from _breaking reports.
+_HEAD_RANGE = "head_index out of range"
+_LAW_ISSUES = {
+    "head past the end": ValidationIssue("head-out-of-range", "loop.members[0].loop.head_index", _HEAD_RANGE),
+    "negative head": ValidationIssue("head-out-of-range", "loop.members[0].loop.head_index", _HEAD_RANGE),
+    "phrasal main loop": ValidationIssue("main-loop-not-clausal", "loop.kind", "the main loop must be clausal"),
+    "role in a phrasal loop": ValidationIssue(
+        "role-in-phrasal-loop", "loop.members[0].loop.members[1].role", "phrasal loop members are roleless"
+    ),
+    "clausal member without a role": ValidationIssue("missing-role", "loop.members[2]", "missing key 'role'"),
+    "loops past the depth bound": ValidationIssue(
+        "too-deep", "loop" + ".members[0].loop" * MAX_DEPTH, f"loops nest deeper than {MAX_DEPTH} levels"
+    ),
+}
 
 
 class TestStructureIssues:
@@ -502,6 +523,97 @@ class TestStructureIssues:
         subject = Constituent(role=Role.SUBJECT, node=(Token("Mary", Category.N),))
         s = Synapper("", WordOrder.SVO, False, Loop(LoopKind.CLAUSAL, (subject, verb)))
         assert structure_issues(s) == list(e.value.issues)
+
+    @pytest.mark.parametrize("law", _LAW_ISSUES)
+    def test_every_law_of_the_reader_is_reported(self, law):
+        """Each law build_synapper enforces, broken alone: reported as reading the written text reports it."""
+        s = _breaking(law)
+        issue = _LAW_ISSUES[law]
+        assert structure_issues(s) == [issue]
+        with pytest.raises(DocumentError) as e:
+            parse_structure(serialize_structure(s))
+        assert (e.value.path, e.value.message) == (issue.path, issue.message)
+
+
+def _phrase(head=0, role=None):
+    """A two-member phrasal loop; role goes on its second member."""
+    a = Constituent(node=(Token("very", Category.ADV),))
+    b = Constituent(role=role, node=(Token("big", Category.ADJ),))
+    return Loop(LoopKind.PHRASAL, (a, b), head)
+
+
+def _breaking(law):
+    """A code-built structure that breaks one law of build_synapper and no other."""
+    subject = Constituent(role=Role.SUBJECT, node=(Token("Tim", Category.N),))
+    verb = Constituent(role=Role.VERB, node=(Token("ran", Category.V),))
+    members = {
+        "head past the end": (Constituent(role=Role.SUBJECT, loop=_phrase(head=5)), verb),
+        "negative head": (Constituent(role=Role.SUBJECT, loop=_phrase(head=-1)), verb),
+        "role in a phrasal loop": (Constituent(role=Role.SUBJECT, loop=_phrase(role=Role.OBJECT)), verb),
+        "clausal member without a role": (subject, verb, Constituent(node=(Token("far", Category.ADV),))),
+    }
+    if law == "phrasal main loop":
+        return Synapper("x", WordOrder.SVO, False, _phrase())
+    if law == "loops past the depth bound":
+        deepest = Constituent(role=Role.SUBJECT, loop=build_synapper(_nested_doc(MAX_DEPTH)).main)
+        return Synapper("x", WordOrder.SVO, False, Loop(LoopKind.CLAUSAL, (deepest, verb)))
+    return Synapper("x", WordOrder.SVO, False, Loop(LoopKind.CLAUSAL, members[law]))
+
+
+def _loops(loop):
+    yield loop
+    for m in loop.members:
+        if m.loop is not None:
+            yield from _loops(m.loop)
+
+
+def _swapped(loop, old, new):
+    """loop with its nested loop old (by identity) replaced by new."""
+    if loop is old:
+        return new
+    members = [m if m.loop is None else dataclasses.replace(m, loop=_swapped(m.loop, old, new)) for m in loop.members]
+    return dataclasses.replace(loop, members=tuple(members))
+
+
+def _broken(loop, law, at):
+    """loop with one law possibly broken; some changes leave it valid."""
+    n = len(loop.members)
+    if law == "head past the end":
+        return dataclasses.replace(loop, head_index=n + at % 3)
+    if law == "negative head":
+        return dataclasses.replace(loop, head_index=-1 - at % 3)
+    if law == "phrasal":
+        members = tuple(dataclasses.replace(m, role=None) for m in loop.members)
+        return Loop(LoopKind.PHRASAL, members, at % n)
+    if law == "clausal":
+        roles = [Role.SUBJECT, Role.VERB] + [Role.OBJECT] * n
+        members = tuple(dataclasses.replace(m, role=r) for m, r in zip(loop.members, roles))
+        return Loop(LoopKind.CLAUSAL, members)
+    role = Role.OBJECT if law == "role on" else None
+    members = list(loop.members)
+    members[at % n] = dataclasses.replace(members[at % n], role=role)
+    return dataclasses.replace(loop, members=tuple(members))
+
+
+_LAW_BREAKS = ["head past the end", "negative head", "phrasal", "clausal", "role on", "role off"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    breaks=st.lists(st.tuples(st.sampled_from(_LAW_BREAKS), st.integers(0, 10**6), st.integers(0, 10**6)), max_size=3),
+)
+def test_structure_issues_are_empty_exactly_when_the_written_text_reads_back(seed, breaks):
+    s = random_structure(random.Random(seed), max_ring=4, max_depth=3)
+    for law, which, at in breaks:
+        loops = list(_loops(s.main))
+        target = loops[which % len(loops)]
+        s = dataclasses.replace(s, main=_swapped(s.main, target, _broken(target, law, at)))
+    try:
+        reads_back = structural_equal(parse_structure(serialize_structure(s)), s)
+    except SynapperError:
+        reads_back = False
+    assert (structure_issues(s) == []) == reads_back
 
 
 # One child per hash seed; each prints the message of every missing-key case.

@@ -1,5 +1,7 @@
 """Lexeme substitution, morpheme rewriting, and the full translation pipeline."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from synapper import (
     PlacedToken,
     Role,
     SynapperError,
+    Token,
     WordOrder,
     apply_morpheme_rules,
     identity_lexicon,
@@ -54,26 +57,52 @@ def test_partial_lexicon_reports_only_gaps():
     assert {s for s, _ in e.value.pairs} == {"a", "very", "fast", "brown", "horse"}
 
 
+class _CountingTargets(dict):
+    """A lexicon's target table that records every key substitution asks it for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = Counter()
+
+    def get(self, key, default=None):
+        self.asked[key] += 1
+        return super().get(key, default)
+
+
 @pytest.mark.parametrize("name", ["horse", "space_news"])
 def test_substitution_looks_each_token_up_once(name):
     s = load_structure(name)
     lex = en_uz()
-    looked_up = []
-    lookup = lex.lookup
-    lex.lookup = lambda surface, category: looked_up.append(surface) or lookup(surface, category)
+    lex._tokens = _CountingTargets(lex._tokens)
     try:
         substitute_lexemes(s, lex)
     except MissingLexemeError:
         pass
-    assert sorted(looked_up) == sorted(t.surface for t in iter_tokens(s))
+    assert lex._tokens.asked == Counter((t.surface, t.category) for t in iter_tokens(s))
 
 
 def test_substitution_reruns_no_surface_rule():
-    # Lexicon.__init__ checked every target already.
+    # Lexicon.__init__ built and checked every target Token already.
     s = load_structure("space_news")
     out, frames = frames_while(substitute_lexemes, s, identity_lexicon(s))
     assert out == s
     assert frames[_is_surface.__code__] == 0
+    assert frames[Token.__init__.__code__] == 0
+    assert frames[Token.__post_init__.__code__] == 0
+
+
+def test_substitution_puts_the_lexicons_own_tokens_in_place():
+    s, lex = load_structure("horse"), en_uz()
+    out = substitute_lexemes(s, lex)
+    pairs = [(t.surface, t.category) for t in iter_tokens(s)]
+    assert all(t is lex._tokens[pair] for t, pair in zip(iter_tokens(out), pairs, strict=True))
+
+
+def test_overriding_lookup_leaves_substitution_alone():
+    # Substitution reads the target tokens, not the public lookup.
+    lex = en_uz()
+    lex.lookup = lambda surface, category: None
+    assert substitute_lexemes(load_structure("horse"), lex) == substitute_lexemes(load_structure("horse"), en_uz())
 
 
 def test_substitution_preserves_structure_shape():
