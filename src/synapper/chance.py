@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .model import SynapperError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Largest n accepted. n! must print in full, and Python 3.11 refuses to turn
 # an int of more than 4,300 digits into text; 1,000! has 2,568 digits.
@@ -28,6 +31,8 @@ class ChanceProbability:
     denominator: int
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(1, self.denominator)
 
 

@@ -1,20 +1,18 @@
 """Command-line interface.
 
 One subcommand per operation: validate, linearize, translate, question,
-declarativize, compare, canon, dot, prob, orders. Successful output goes
-to stdout; failures print a JSON error report to stderr and exit 1; usage
-errors exit 2. ``linearize`` and ``translate`` apply the profile's
-morpheme rules; ``question``, ``declarativize`` and ``orders`` operate
-on the bare linearization.
+declarativize, compare, canon, dot, prob, orders. Each command is one
+function from its parsed arguments to its whole stdout text, and ``run``
+writes it. Failures print a JSON error report to stderr and exit 1; usage
+errors exit 2. ``linearize`` and ``translate`` apply the profile's morpheme
+rules; ``question``, ``declarativize`` and ``orders`` use the bare linearization.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import sys
-from pathlib import Path
 
 from .chance import chance_probability
 from .io_formats import (
@@ -41,10 +39,12 @@ from .translate import MissingLexemeError, apply_morpheme_rules, translate
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        text = args.op(args)
     except SynapperError as e:
         sys.stderr.write(json.dumps(_error_report(e), indent=2, ensure_ascii=False) + "\n")
         return 1
+    sys.stdout.write(text)
+    return 0
 
 
 def main() -> None:
@@ -68,7 +68,8 @@ def _error_report(e: SynapperError) -> dict:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as e:
         reason = e.strerror or e
     except UnicodeDecodeError as e:
@@ -78,83 +79,69 @@ def _read(path: str) -> str:
     raise SynapperError(f"cannot read {path}: {reason}")
 
 
-def _load_structure(path: str):
-    return parse_structure(_read(path))
+def _validate(args) -> str:
+    parse_structure(_read(args.structure))
+    return "OK\n"
 
 
-def _load_profile(path: str):
-    return parse_profile(_read(path))
+def _linearize(args) -> str:
+    p = parse_profile(_read(args.profile))
+    sentence = apply_morpheme_rules(linearize(parse_structure(_read(args.structure)), p), p)
+    return sentence.render() + "\n"
 
 
-def _cmd_validate(args) -> int:
-    _load_structure(args.structure)
-    print("OK")
-    return 0
-
-
-def _cmd_linearize(args) -> int:
-    p = _load_profile(args.profile)
-    sentence = apply_morpheme_rules(linearize(_load_structure(args.structure), p), p)
-    print(sentence.render())
-    return 0
-
-
-def _cmd_translate(args) -> int:
-    s = _load_structure(args.structure)
+def _translate(args) -> str:
+    s = parse_structure(_read(args.structure))
     lex = parse_lexicon(_read(args.lexicon))
-    print(translate(s, lex, _load_profile(args.profile)).render())
-    return 0
+    return translate(s, lex, parse_profile(_read(args.profile))).render() + "\n"
 
 
-def _cmd_question(args) -> int:
-    s = _load_structure(args.structure)
+def _question(args) -> str:
+    s = parse_structure(_read(args.structure))
     try:
         wh = wh_token(args.wh)
     except ValueError as exc:
         raise SynapperError(f"invalid wh word {args.wh!r}: must be one non-empty token") from exc
-    print(interrogativize(s, wh, _load_profile(args.profile)).render())
-    return 0
+    return interrogativize(s, wh, parse_profile(_read(args.profile))).render() + "\n"
 
 
-def _cmd_declarativize(args) -> int:
-    skeleton = _load_structure(args.structure)
-    p = _load_profile(args.profile)
+def _declarativize(args) -> str:
+    skeleton = parse_structure(_read(args.structure))
+    p = parse_profile(_read(args.profile))
     parse_question(args.question, skeleton, p)
-    print(linearize(skeleton, p).render())
-    return 0
+    return linearize(skeleton, p).render() + "\n"
 
 
-def _cmd_compare(args) -> int:
-    same = structural_equal(_load_structure(args.a), _load_structure(args.b))
-    print("SAME" if same else "DIFFERENT")
-    return 0
+def _compare(args) -> str:
+    same = structural_equal(parse_structure(_read(args.a)), parse_structure(_read(args.b)))
+    return "SAME\n" if same else "DIFFERENT\n"
 
 
-def _cmd_canon(args) -> int:
-    print(canonical_form(_load_structure(args.structure)))
-    return 0
+def _canon(args) -> str:
+    return canonical_form(parse_structure(_read(args.structure))) + "\n"
 
 
-def _cmd_dot(args) -> int:
-    sys.stdout.write(to_dot(_load_structure(args.structure)))
-    return 0
+def _dot(args) -> str:
+    return to_dot(parse_structure(_read(args.structure)))
 
 
-def _cmd_prob(args) -> int:
+def _prob(args) -> str:
+    import decimal
+
     denominator = chance_probability(args.n).denominator
     # 1/n! from the exact integer, rounded half to even to seven significant
     # digits; past n = 170 the float probability underflows.
     quotient = decimal.Context(prec=7).divide(decimal.Decimal(1), denominator)
-    print(f"{quotient:.6e} (1/{denominator})")
-    return 0
+    return f"{quotient:.6e} (1/{denominator})\n"
 
 
-def _cmd_orders(args) -> int:
-    s = _load_structure(args.structure)
+def _orders(args) -> str:
+    s = parse_structure(_read(args.structure))
+    lines = []
     for order in WordOrder:
         bare = LanguageProfile(name=order.value, word_order=order)
-        print(f"{order.name}: {linearize(s, bare).render()}")
-    return 0
+        lines.append(f"{order.name}: {linearize(s, bare).render()}\n")
+    return "".join(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,51 +153,51 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("validate", help="check a structure file and print OK")
     cmd.add_argument("structure", help="path to a structure JSON file")
-    cmd.set_defaults(handler=_cmd_validate)
+    cmd.set_defaults(op=_validate)
 
     cmd = sub.add_parser("linearize", help="render a structure under a profile")
     cmd.add_argument("structure")
     cmd.add_argument("--profile", required=True, help="path to a profile JSON file")
-    cmd.set_defaults(handler=_cmd_linearize)
+    cmd.set_defaults(op=_linearize)
 
     cmd = sub.add_parser("translate", help="substitute lexemes and render under a profile")
     cmd.add_argument("structure")
     cmd.add_argument("--lexicon", required=True, help="path to a TSV lexicon")
     cmd.add_argument("--profile", required=True)
-    cmd.set_defaults(handler=_cmd_translate)
+    cmd.set_defaults(op=_translate)
 
     cmd = sub.add_parser("question", help="render the interrogative form")
     cmd.add_argument("structure")
     cmd.add_argument("--profile", required=True)
     cmd.add_argument("--wh", required=True, help="question word to add")
-    cmd.set_defaults(handler=_cmd_question)
+    cmd.set_defaults(op=_question)
 
     cmd = sub.add_parser("declarativize", help="undo a question against its structure")
     cmd.add_argument("structure")
     cmd.add_argument("--profile", required=True)
     cmd.add_argument("--question", required=True, help="the full question text")
-    cmd.set_defaults(handler=_cmd_declarativize)
+    cmd.set_defaults(op=_declarativize)
 
     cmd = sub.add_parser("compare", help="print SAME or DIFFERENT for two structures")
     cmd.add_argument("a")
     cmd.add_argument("b")
-    cmd.set_defaults(handler=_cmd_compare)
+    cmd.set_defaults(op=_compare)
 
     cmd = sub.add_parser("canon", help="print the canonical one-line form")
     cmd.add_argument("structure")
-    cmd.set_defaults(handler=_cmd_canon)
+    cmd.set_defaults(op=_canon)
 
     cmd = sub.add_parser("dot", help="print Graphviz source for a structure")
     cmd.add_argument("structure")
-    cmd.set_defaults(handler=_cmd_dot)
+    cmd.set_defaults(op=_dot)
 
     cmd = sub.add_parser("prob", help="chance probability that n members line up")
     cmd.add_argument("n", type=int)
-    cmd.set_defaults(handler=_cmd_prob)
+    cmd.set_defaults(op=_prob)
 
     cmd = sub.add_parser("orders", help="render a structure in all six word orders")
     cmd.add_argument("structure")
-    cmd.set_defaults(handler=_cmd_orders)
+    cmd.set_defaults(op=_orders)
 
     return parser
 

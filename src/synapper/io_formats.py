@@ -56,7 +56,7 @@ class MalformedSyntaxError(SynapperError):
         super().__init__(f"line {line}: {message}")
 
 
-def _loads(text: str) -> object:
+def _loads(text: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -68,10 +68,7 @@ def _loads(text: str) -> object:
 
 
 def parse_structure(text: str) -> Synapper:
-    doc = _loads(text)
-    if not isinstance(doc, dict):
-        raise MalformedDocumentError("", "expected an object")
-    return build_synapper(doc)
+    return build_synapper(_loads(text))
 
 
 def serialize_structure(s: Synapper) -> str:

@@ -210,11 +210,10 @@ _TEXT: dict[enum.Enum, str] = {
 }
 
 # Deepest loop nesting build_synapper accepts, the main loop counting as 1.
-# Every walk over a structure recurses once or more per loop. The deepest,
-# build_synapper's converter, holds three frames per loop (its member list
-# comprehension is one before Python 3.12); the others, serialize_structure's
-# emitter and substitute_lexemes among them, hold one. So 100 levels stay well
-# inside Python's default recursion limit of 1000 whatever the caller's stack.
+# Every walk over a structure, build_synapper's converter, serialize_structure's
+# emitter and substitute_lexemes among them, holds one frame per loop. So 100
+# levels stay well inside Python's default recursion limit of 1000 whatever
+# the caller's stack.
 MAX_DEPTH = 100
 
 
@@ -311,59 +310,54 @@ def _convert_loop(raw: object, at: tuple[int, ...], issues: list[ValidationIssue
     members_raw = obj["members"]
     if not isinstance(members_raw, list):
         raise MalformedDocumentError(_path(at, "members"), "expected an array")
-    members = tuple([_convert_member(m, kind, at, i, issues) for i, m in enumerate(members_raw)])
+    phrasal = kind is LoopKind.PHRASAL
+    members = []
+    for i, m in enumerate(members_raw):
+        if phrasal:
+            if isinstance(m, _OBJECT_TYPES) and "role" in m:
+                raise UnknownKeyError(_path(at, "members", i, "role"), _ROLELESS)
+            member = _check_keys(m, _PHRASAL_MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
+            role: Role | None = None
+        else:
+            member = _check_keys(m, _CLAUSAL_MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
+            role_text = member["role"]
+            if not isinstance(role_text, str):
+                raise MalformedDocumentError(_path(at, "members", i, "role"), "expected a string")
+            role = _ROLES.get(role_text)
+            if role is None:
+                path = _path(at, "members", i, "role")
+                issues.append(ValidationIssue("unknown-role", path, f"unknown role {role_text!r}"))
+                role = Role.OBJECT
+        has_node = "node" in member
+        has_loop = "loop" in member
+        if has_node == has_loop:
+            raise MalformedDocumentError(_path(at, "members", i), "expected exactly one of 'node' or 'loop'")
+        if has_loop and "branches" in member:
+            raise UnknownKeyError(_path(at, "members", i, "branches"), "branches attach to nodes, not to nested loops")
+        if has_loop:
+            members.append(Constituent(role=role, loop=_convert_loop(member["loop"], at + (i,), issues)))
+            continue
+        node = _convert_tokens(member["node"], issues, at, "members", i, "node")
+        branches_raw = member.get("branches", [])
+        if not isinstance(branches_raw, list):
+            raise MalformedDocumentError(_path(at, "members", i, "branches"), "expected an array")
+        branches = []
+        for k, b in enumerate(branches_raw):
+            if not (isinstance(b, _OBJECT_TYPES) and b.keys() == _BRANCH_KEYS):
+                raise _object_error(b, _BRANCH_KEYS, _BRANCH_KEYS, _path(at, "members", i, "branches", k))
+            text = b["category"]
+            category = _CATEGORIES.get(text) if isinstance(text, str) else None
+            if category is None:
+                category = _unknown_category(text, _path(at, "members", i, "branches", k, "category"), issues)
+            tokens = _convert_tokens(b["tokens"], issues, at, "members", i, "branches", k, "tokens")
+            branches.append(Branch(tokens=tokens, category=category))
+        members.append(Constituent(role=role, node=node, branches=tuple(branches)))
     head = obj.get("head_index", 0)
     if not isinstance(head, int) or isinstance(head, bool):
         raise MalformedDocumentError(_path(at, "head_index"), "expected an integer")
-    if kind is LoopKind.PHRASAL and members and not 0 <= head < len(members):
+    if phrasal and members and not 0 <= head < len(members):
         raise MalformedDocumentError(_path(at, "head_index"), _HEAD_OUT_OF_RANGE)
-    return Loop(kind=kind, members=members, head_index=head if kind is LoopKind.PHRASAL else 0)
-
-
-def _convert_member(
-    raw: object, kind: LoopKind, at: tuple[int, ...], i: int, issues: list[ValidationIssue]
-) -> Constituent:
-    role: Role | None = None
-    if kind is LoopKind.PHRASAL:
-        if isinstance(raw, _OBJECT_TYPES) and "role" in raw:
-            raise UnknownKeyError(_path(at, "members", i, "role"), _ROLELESS)
-        obj = _check_keys(raw, _PHRASAL_MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
-    else:
-        obj = _check_keys(raw, _CLAUSAL_MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
-        role_text = obj["role"]
-        if not isinstance(role_text, str):
-            raise MalformedDocumentError(_path(at, "members", i, "role"), "expected a string")
-        role = _ROLES.get(role_text)
-        if role is None:
-            path = _path(at, "members", i, "role")
-            issues.append(ValidationIssue("unknown-role", path, f"unknown role {role_text!r}"))
-            role = Role.OBJECT
-
-    has_node = "node" in obj
-    has_loop = "loop" in obj
-    if has_node == has_loop:
-        raise MalformedDocumentError(_path(at, "members", i), "expected exactly one of 'node' or 'loop'")
-    if has_loop and "branches" in obj:
-        raise UnknownKeyError(_path(at, "members", i, "branches"), "branches attach to nodes, not to nested loops")
-
-    if has_loop:
-        return Constituent(role=role, loop=_convert_loop(obj["loop"], at + (i,), issues))
-
-    node = _convert_tokens(obj["node"], issues, at, "members", i, "node")
-    branches_raw = obj.get("branches", [])
-    if not isinstance(branches_raw, list):
-        raise MalformedDocumentError(_path(at, "members", i, "branches"), "expected an array")
-    branches = []
-    for k, b in enumerate(branches_raw):
-        if not (isinstance(b, _OBJECT_TYPES) and b.keys() == _BRANCH_KEYS):
-            raise _object_error(b, _BRANCH_KEYS, _BRANCH_KEYS, _path(at, "members", i, "branches", k))
-        text = b["category"]
-        category = _CATEGORIES.get(text) if isinstance(text, str) else None
-        if category is None:
-            category = _unknown_category(text, _path(at, "members", i, "branches", k, "category"), issues)
-        tokens = _convert_tokens(b["tokens"], issues, at, "members", i, "branches", k, "tokens")
-        branches.append(Branch(tokens=tokens, category=category))
-    return Constituent(role=role, node=node, branches=tuple(branches))
+    return Loop(kind=kind, members=tuple(members), head_index=head if phrasal else 0)
 
 
 def _convert_tokens(

@@ -46,7 +46,13 @@ class TestValidate:
         assert (code, out) == (1, "")
         report = json.loads(err)
         assert report["error"] == "SynapperError"
-        assert report["message"].startswith(f"cannot read {bad}: not UTF-8 (")
+        assert report["message"] == f"cannot read {bad}: not UTF-8 (invalid start byte at byte 0)"
+
+    def test_unreadable_paths_report_the_os_reason(self, run_cli, tmp_path):
+        for path, reason in (("no_such_file.json", "No such file or directory"), (str(tmp_path), "Is a directory")):
+            code, out, err = run_cli("validate", path)
+            assert (code, out) == (1, "")
+            assert json.loads(err)["message"] == f"cannot read {path}: {reason}"
 
     def test_path_with_a_nul_character_reports_json(self, run_cli):
         code, _, err = run_cli("validate", "a\x00b.json")
@@ -343,18 +349,34 @@ def _run_synapper_process(*args: str) -> subprocess.CompletedProcess:
     The child enters through ``cli.main``, the function the ``synapper``
     console script is wired to, so exit codes are the real process status.
     """
+    return _run_python("-m", "synapper", *args)
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with these arguments in a child process that imports the same package."""
     env = dict(os.environ)
     src = str(Path(synapper.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "synapper", *args], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def test_console_script_runs():
     proc = _run_synapper_process("prob", "10")
     assert proc.returncode == 0
     assert proc.stdout == "2.755732e-7 (1/3628800)\n"
+
+
+def test_importing_the_cli_loads_no_number_tower():
+    """decimal and fractions (and numbers, which both import) load only when prob or as_fraction runs."""
+    proc = _run_python(
+        "-c",
+        "import sys; before = set(sys.modules); import synapper.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "synapper.cli" in added
+    assert not added & {"decimal", "_decimal", "_pydecimal", "fractions", "numbers"}
 
 
 def test_console_script_usage_error_exits_2():

@@ -8,6 +8,9 @@ declarativize of every question that succeeded, as printed and with one
 word appended; and compare over every ordered fixture pair. ``prob`` is
 left out; its output is tested against exact arithmetic in test_cli.py.
 
+The same cases also call each command's op directly: an op returns its
+whole stdout text, or raises the error ``run`` reports, and writes nothing.
+
 When a change to the CLI's output is intended, regenerate the file from a
 checkout with
 
@@ -24,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from synapper import SynapperError, cli
 from synapper.cli import run as cli_run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,11 +91,32 @@ def test_matrix_matches_the_golden_cases():
     assert matrix == [c["argv"] for c in GOLDEN_CASES]
 
 
-@pytest.mark.parametrize(
-    "case", GOLDEN_CASES, ids=[f"{i:03d}-{c['argv'][0]}" for i, c in enumerate(GOLDEN_CASES)]
-)
+CASE_IDS = [f"{i:03d}-{c['argv'][0]}" for i, c in enumerate(GOLDEN_CASES)]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=CASE_IDS)
 def test_cli_output_is_unchanged(case):
     assert run_case(case["argv"]) == case
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=CASE_IDS)
+def test_each_op_returns_the_recorded_stdout(case):
+    args = cli._build_parser().parse_args(case["argv"])
+    written = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(written), contextlib.redirect_stderr(written):
+            if case["code"] == 0:
+                assert args.op(args) == case["stdout"]
+            else:
+                with pytest.raises(SynapperError) as e:
+                    args.op(args)
+    finally:
+        os.chdir(cwd)
+    assert written.getvalue() == ""
+    if case["code"] != 0:
+        assert json.dumps(cli._error_report(e.value), indent=2, ensure_ascii=False) + "\n" == case["stderr"]
 
 
 def _regenerate() -> None:

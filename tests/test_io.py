@@ -212,8 +212,11 @@ class TestStructureErrors:
         assert e.value.line == 3
 
     def test_top_level_must_be_object(self):
-        with pytest.raises(MalformedDocumentError):
-            parse_structure("[1, 2]")
+        for text in ("[1, 2]", "1", '"x"', "null", "true"):
+            with pytest.raises(MalformedDocumentError) as e:
+                parse_structure(text)
+            assert type(e.value) is MalformedDocumentError
+            assert (e.value.path, e.value.message) == ("", "expected an object")
 
     def test_every_bundled_fixture_parses_or_reports(self):
         bad = (FIXTURES / "bad_two_subjects.json").read_text(encoding="utf-8")

@@ -12,6 +12,7 @@ import sys
 from collections import Counter
 from collections.abc import Mapping
 from pathlib import Path
+from types import CodeType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,7 @@ from synapper import (
     substitute_lexemes,
     to_dot,
 )
+from synapper import model
 from synapper.model import MAX_DEPTH, _is_surface
 from conftest import FIXTURES, frames_while, load_structure, random_structure, rotate_main
 from test_io import EDGE_MEMBERS
@@ -1014,3 +1016,34 @@ def test_only_token_checks_run_a_frame_per_token():
     assert doubled_frames - frames == Counter(dict.fromkeys(per_token, n))
     assert not [code for code in frames if Path(code.co_filename) == Path(enum.__file__)]
     assert not [code for code in frames if code.co_name in ("_join", "_path")]
+
+
+def test_the_reader_runs_one_frame_per_loop_and_per_token_run():
+    """_convert_loop converts its members itself; each node or branch's tokens take one frame."""
+    doc = json.loads((FIXTURES / "space_news.json").read_text(encoding="utf-8"))
+    s, frames = frames_while(build_synapper, doc)
+    loops, members, runs = 0, 0, 0
+    pending = [s.main]
+    while pending:
+        loop = pending.pop()
+        loops += 1
+        members += len(loop.members)
+        for m in loop.members:
+            if m.loop is not None:
+                pending.append(m.loop)
+            runs += (m.node is not None) + len(m.branches)
+    per_token = {Token.__post_init__.__code__, _is_surface.__code__}
+    read = {code: n for code, n in frames.items() if code.co_filename == model.__file__ and code not in per_token}
+    # The roles list comprehension in _loop_issues is a frame of its own before Python 3.12.
+    comprehensions = [c for c in model._loop_issues.__code__.co_consts if isinstance(c, CodeType)]
+    assert read == {
+        build_synapper.__code__: 1,
+        model._check_keys.__code__: 1 + loops + members,
+        model._expect_str.__code__: 2,
+        model._word_order.__code__: 1,
+        model._convert_loop.__code__: loops,
+        model._convert_tokens.__code__: runs,
+        Constituent.__post_init__.__code__: members,
+        model._loop_issues.__code__: loops,
+        **dict.fromkeys(comprehensions, loops),
+    }
