@@ -10,8 +10,8 @@ reading direction and starting constituent are supplied at linearization
 time, never stored here.
 
 ``build_synapper`` turns a plain-dict document (the parsed JSON form) into
-a validated immutable ``Synapper``, reporting the complete list of
-invariant violations instead of stopping at the first one.
+a validated immutable ``Synapper``; ``structure_issues`` alone checks its
+laws, reporting the complete list of violations, not only the first.
 """
 
 from __future__ import annotations
@@ -179,8 +179,7 @@ _TOP_REQUIRED = _schema_keys("word_order", "loop")
 _TOP_KEYS = frozenset({*_TOP_REQUIRED, "label", "surface_subject_final"})
 _LOOP_REQUIRED = _schema_keys("kind", "members")
 _LOOP_KEYS = frozenset({*_LOOP_REQUIRED, "head_index"})
-_CLAUSAL_MEMBER_REQUIRED = _schema_keys("role")
-_PHRASAL_MEMBER_REQUIRED = _schema_keys()
+_MEMBER_REQUIRED = _schema_keys()
 _MEMBER_KEYS = frozenset({"role", "node", "loop", "branches"})
 _BRANCH_KEYS = _schema_keys("category", "tokens")
 _TOKEN_KEYS = _schema_keys("surface", "category")
@@ -220,11 +219,11 @@ MAX_DEPTH = 100
 def build_synapper(doc: StructureDocument) -> Synapper:
     """Build a validated Synapper from a document.
 
-    Structural malformations (wrong types, unknown keys, a bad word order,
-    loops nested deeper than MAX_DEPTH) raise immediately with the offending
-    key path. Semantic violations (loop role laws, empty nodes or loops,
-    unknown roles or categories) are collected and raised together as
-    StructureValidationError.
+    What cannot be converted (wrong types, unknown keys, a bad word order or
+    loop kind, ``head_index`` on a clausal loop, loops nested deeper than
+    MAX_DEPTH) raises at once with the offending key path. Unknown roles and
+    categories, then every issue ``structure_issues`` finds in the converted
+    structure, are collected and raised together as StructureValidationError.
     """
     _check_keys(doc, _TOP_REQUIRED, _TOP_KEYS, str)
     label = _expect_str(doc.get("label", ""), "label")
@@ -235,12 +234,11 @@ def build_synapper(doc: StructureDocument) -> Synapper:
 
     issues: list[ValidationIssue] = []
     main = _convert_loop(doc["loop"], (), issues)
-    if main.kind is not LoopKind.CLAUSAL:
-        raise MalformedDocumentError("loop.kind", _MAIN_NOT_CLAUSAL)
-    _loop_issues(main, (), issues)
+    s = Synapper(label=label, word_order=word_order, surface_subject_final=subject_final, main=main)
+    issues += structure_issues(s)
     if issues:
         raise StructureValidationError(issues)
-    return Synapper(label=label, word_order=word_order, surface_subject_final=subject_final, main=main)
+    return s
 
 
 def _check_keys(
@@ -296,6 +294,9 @@ def _word_order(raw: object) -> WordOrder:
 
 
 def _convert_loop(raw: object, at: tuple[int, ...], issues: list[ValidationIssue]) -> Loop:
+    # The one law checked here rather than in structure_issues: this function
+    # recurses once per nested loop, so without the bound a deep enough
+    # document would exhaust Python's recursion limit before any check ran.
     if len(at) >= MAX_DEPTH:
         raise MalformedDocumentError(_path(at), _TOO_DEEP)
     obj = _check_keys(raw, _LOOP_REQUIRED, _LOOP_KEYS, _path, at)
@@ -310,16 +311,11 @@ def _convert_loop(raw: object, at: tuple[int, ...], issues: list[ValidationIssue
     members_raw = obj["members"]
     if not isinstance(members_raw, list):
         raise MalformedDocumentError(_path(at, "members"), "expected an array")
-    phrasal = kind is LoopKind.PHRASAL
     members = []
     for i, m in enumerate(members_raw):
-        if phrasal:
-            if isinstance(m, _OBJECT_TYPES) and "role" in m:
-                raise UnknownKeyError(_path(at, "members", i, "role"), _ROLELESS)
-            member = _check_keys(m, _PHRASAL_MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
-            role: Role | None = None
-        else:
-            member = _check_keys(m, _CLAUSAL_MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
+        member = _check_keys(m, _MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
+        role: Role | None = None
+        if "role" in member:
             role_text = member["role"]
             if not isinstance(role_text, str):
                 raise MalformedDocumentError(_path(at, "members", i, "role"), "expected a string")
@@ -352,12 +348,11 @@ def _convert_loop(raw: object, at: tuple[int, ...], issues: list[ValidationIssue
             tokens = _convert_tokens(b["tokens"], issues, at, "members", i, "branches", k, "tokens")
             branches.append(Branch(tokens=tokens, category=category))
         members.append(Constituent(role=role, node=node, branches=tuple(branches)))
+    # A clausal loop has no head_index, so it gets the default 0.
     head = obj.get("head_index", 0)
     if not isinstance(head, int) or isinstance(head, bool):
         raise MalformedDocumentError(_path(at, "head_index"), "expected an integer")
-    if phrasal and members and not 0 <= head < len(members):
-        raise MalformedDocumentError(_path(at, "head_index"), _HEAD_OUT_OF_RANGE)
-    return Loop(kind=kind, members=tuple(members), head_index=head if phrasal else 0)
+    return Loop(kind=kind, members=tuple(members), head_index=head)
 
 
 def _convert_tokens(
@@ -397,13 +392,7 @@ def _unknown_category(text: object, path: str, issues: list[ValidationIssue]) ->
     return Category.OTHER
 
 
-# Messages build_synapper and structure_issues share: structure_issues reports
-# a code-built structure as parsing its serialized text would.
 _EMPTY_NODE = "a node needs at least one token"
-_MAIN_NOT_CLAUSAL = "the main loop must be clausal"
-_HEAD_OUT_OF_RANGE = "head_index out of range"
-_ROLELESS = "phrasal loop members are roleless"
-_MISSING_ROLE = "missing key 'role'"
 _TOO_DEEP = f"loops nest deeper than {MAX_DEPTH} levels"
 
 
@@ -418,16 +407,17 @@ def _loop_issues(loop: Loop, at: tuple[int, ...], issues: list[ValidationIssue])
     roles = [m.role for m in loop.members]
     if loop.kind is LoopKind.PHRASAL:
         if not 0 <= loop.head_index < len(roles):
-            issues.append(ValidationIssue("head-out-of-range", _path(at, "head_index"), _HEAD_OUT_OF_RANGE))
+            issues.append(ValidationIssue("head-out-of-range", _path(at, "head_index"), "head_index out of range"))
         if roles.count(None) < len(roles):
             for i, role in enumerate(roles):
                 if role is not None:
-                    issues.append(ValidationIssue("role-in-phrasal-loop", _path(at, "members", i, "role"), _ROLELESS))
+                    path = _path(at, "members", i, "role")
+                    issues.append(ValidationIssue("role-in-phrasal-loop", path, "phrasal loop members are roleless"))
     else:
         if None in roles:
             for i, role in enumerate(roles):
                 if role is None:
-                    issues.append(ValidationIssue("missing-role", _path(at, "members", i), _MISSING_ROLE))
+                    issues.append(ValidationIssue("missing-role", _path(at, "members", i), "missing key 'role'"))
         subjects = roles.count(Role.SUBJECT)
         verbs = roles.count(Role.VERB)
         # Imperative escape hatch: a one-member ring may omit the subject.
@@ -451,10 +441,15 @@ def _loop_issues(loop: Loop, at: tuple[int, ...], issues: list[ValidationIssue])
 
 
 def structure_issues(s: Synapper) -> list[ValidationIssue]:
-    """Every law build_synapper enforces that a directly constructed Synapper breaks (empty when valid)."""
+    """Every law s breaks, in the order found (empty when valid).
+
+    build_synapper reports these for the structure it reads, so reading
+    serialize_structure(s) reports them too; only a loop past MAX_DEPTH
+    raises there at once instead.
+    """
     issues: list[ValidationIssue] = []
     if s.main.kind is not LoopKind.CLAUSAL:
-        issues.append(ValidationIssue("main-loop-not-clausal", "loop.kind", _MAIN_NOT_CLAUSAL))
+        issues.append(ValidationIssue("main-loop-not-clausal", "loop.kind", "the main loop must be clausal"))
     _loop_issues(s.main, (), issues)
     return issues
 

@@ -34,6 +34,40 @@ class TestValidate:
         assert report["error"] == "StructureValidationError"
         assert report["issues"][0]["code"] == "multiple-subjects"
 
+    def test_loop_laws_are_reported_together_in_one_report(self, run_cli, tmp_path):
+        node = {"node": [{"surface": "x", "category": "N"}]}
+        phrase = {"kind": "phrasal", "head_index": 5, "members": [node]}
+        members = [{"role": r, **node} for r in ("subject", "subject", "verb")] + [{"role": "object", "loop": phrase}]
+        doc = {"word_order": "svo", "loop": {"kind": "clausal", "members": members}}
+        path = tmp_path / "laws.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (1, "")
+        report = json.loads(err)
+        assert report["error"] == "StructureValidationError"
+        head = "loop.members[3].loop.head_index"
+        assert report["issues"] == [
+            {"code": "multiple-subjects", "path": "loop", "message": "clausal loop has more than one subject"},
+            {"code": "head-out-of-range", "path": head, "message": "head_index out of range"},
+        ]
+
+    @pytest.mark.parametrize("kind, role", [("clausal", None), ("phrasal", 5)])
+    def test_a_role_that_is_not_text_reports_its_path(self, run_cli, tmp_path, kind, role):
+        member = {"role": role, "node": [{"surface": "x", "category": "N"}]}
+        verb = {"role": "verb", "node": [{"surface": "ran", "category": "V"}]}
+        subject = {"role": "subject", "loop": {"kind": kind, "members": [member]}}
+        doc = {"word_order": "svo", "loop": {"kind": "clausal", "members": [verb, subject]}}
+        path = tmp_path / "role.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (1, "")
+        role_path = "loop.members[1].loop.members[0].role"
+        assert json.loads(err) == {
+            "error": "MalformedDocumentError",
+            "message": f"{role_path}: expected a string",
+            "path": role_path,
+        }
+
     def test_missing_file(self, run_cli):
         code, _, err = run_cli("validate", "no_such_file.json")
         assert code == 1

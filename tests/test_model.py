@@ -29,7 +29,6 @@ from synapper import (
     Role,
     StructureValidationError,
     Synapper,
-    SynapperError,
     Token,
     UnknownKeyError,
     UnknownWordOrderError,
@@ -90,12 +89,6 @@ class TestShapeErrors:
             build_synapper(doc)
         assert e.value.path == "loop.direction"
 
-    def test_main_loop_must_be_clausal(self):
-        doc = {"word_order": "svo", "loop": {"kind": "phrasal", "members": [_node(None, "x")]}}
-        with pytest.raises(MalformedDocumentError) as e:
-            build_synapper(doc)
-        assert e.value.path == "loop.kind"
-
     def test_member_needs_node_or_loop(self):
         with pytest.raises(MalformedDocumentError) as e:
             build_synapper(_doc([{"role": "subject"}] + GOOD[1:]))
@@ -107,36 +100,6 @@ class TestShapeErrors:
         with pytest.raises(UnknownKeyError) as e:
             build_synapper(doc)
         assert e.value.path == "loop.head_index"
-
-    def test_head_index_out_of_range(self):
-        doc = _doc(
-            [
-                _node("subject", "Mary"),
-                _node("verb", "saw", category="V"),
-                {
-                    "role": "object",
-                    "loop": {"kind": "phrasal", "head_index": 5, "members": [_node(None, "x")]},
-                },
-            ]
-        )
-        with pytest.raises(MalformedDocumentError) as e:
-            build_synapper(doc)
-        assert e.value.path.endswith("head_index")
-
-    def test_phrasal_members_are_roleless(self):
-        doc = _doc(
-            [
-                _node("subject", "Mary"),
-                _node("verb", "saw", category="V"),
-                {
-                    "role": "object",
-                    "loop": {"kind": "phrasal", "members": [_node("object", "x")]},
-                },
-            ]
-        )
-        with pytest.raises(UnknownKeyError) as e:
-            build_synapper(doc)
-        assert "roleless" in str(e.value)
 
     def test_branches_on_nested_loop_rejected(self):
         doc = _doc(
@@ -158,6 +121,21 @@ class TestShapeErrors:
         with pytest.raises(MalformedDocumentError) as e:
             build_synapper(_doc([_node("subject", "two words")] + GOOD[1:]))
         assert e.value.path.endswith("surface")
+
+    @pytest.mark.parametrize("kind, role", [("clausal", None), ("clausal", 5), ("phrasal", None), ("phrasal", 5)])
+    def test_a_role_that_is_not_text_is_a_shape_error_in_either_kind(self, kind, role):
+        member = {"role": role, "node": [{"surface": "x", "category": "N"}]}
+        doc = _doc(GOOD[:2] + [{"role": "object", "loop": {"kind": kind, "members": [member]}}])
+        with pytest.raises(MalformedDocumentError) as e:
+            build_synapper(doc)
+        assert (e.value.path, e.value.message) == ("loop.members[2].loop.members[0].role", "expected a string")
+
+    def test_a_shape_error_anywhere_takes_precedence_over_the_laws(self):
+        phrase = {"kind": "phrasal", "head_index": 5, "members": [_node("object", "x")]}
+        doc = _doc([{"role": "subject", "loop": phrase}, _node("subject", "Sue"), {"role": "verb", "node": 1}])
+        with pytest.raises(MalformedDocumentError) as e:
+            build_synapper(doc)
+        assert (e.value.path, e.value.message) == ("loop.members[2].node", "expected an array of tokens")
 
 
 class TestSemanticIssues:
@@ -199,6 +177,49 @@ class TestSemanticIssues:
     def test_single_member_ring_may_omit_subject(self):
         s = build_synapper(_doc([_node("verb", "go", category="V")]))
         assert structure_issues(s) == []
+
+    def test_main_loop_must_be_clausal(self):
+        doc = {"word_order": "svo", "loop": {"kind": "phrasal", "members": [_node(None, "x")]}}
+        with pytest.raises(StructureValidationError) as e:
+            build_synapper(doc)
+        assert e.value.issues == (
+            ValidationIssue("main-loop-not-clausal", "loop.kind", "the main loop must be clausal"),
+        )
+
+    def test_head_index_out_of_range(self):
+        phrase = {"kind": "phrasal", "head_index": 5, "members": [_node(None, "x")]}
+        with pytest.raises(StructureValidationError) as e:
+            build_synapper(_doc(GOOD[:2] + [{"role": "object", "loop": phrase}]))
+        assert e.value.issues == (
+            ValidationIssue("head-out-of-range", "loop.members[2].loop.head_index", "head_index out of range"),
+        )
+
+    def test_phrasal_members_are_roleless(self):
+        phrase = {"kind": "phrasal", "members": [_node("object", "x")]}
+        with pytest.raises(StructureValidationError) as e:
+            build_synapper(_doc(GOOD[:2] + [{"role": "object", "loop": phrase}]))
+        path = "loop.members[2].loop.members[0].role"
+        assert e.value.issues == (ValidationIssue("role-in-phrasal-loop", path, "phrasal loop members are roleless"),)
+
+    def test_clausal_members_need_a_role(self):
+        with pytest.raises(StructureValidationError) as e:
+            build_synapper(_doc(GOOD + [_node(None, "far", category="ADV")]))
+        assert e.value.issues == (ValidationIssue("missing-role", "loop.members[3]", "missing key 'role'"),)
+
+    def test_the_laws_are_reported_together(self):
+        phrase = {"kind": "phrasal", "head_index": 5, "members": [_node("captain", "x")]}
+        members = [{"loop": phrase}, {"role": "verb", "node": []}]
+        with pytest.raises(StructureValidationError) as e:
+            build_synapper({"word_order": "svo", "loop": {"kind": "phrasal", "members": members}})
+        roleless = "phrasal loop members are roleless"
+        assert e.value.issues == (
+            ValidationIssue("unknown-role", "loop.members[0].loop.members[0].role", "unknown role 'captain'"),
+            ValidationIssue("main-loop-not-clausal", "loop.kind", "the main loop must be clausal"),
+            ValidationIssue("role-in-phrasal-loop", "loop.members[1].role", roleless),
+            ValidationIssue("head-out-of-range", "loop.members[0].loop.head_index", "head_index out of range"),
+            ValidationIssue("role-in-phrasal-loop", "loop.members[0].loop.members[0].role", roleless),
+            ValidationIssue("empty-node", "loop.members[1].node", "a node needs at least one token"),
+        )
 
     def test_nested_clausal_checked_too(self):
         members = GOOD[:2] + [
@@ -528,13 +549,23 @@ class TestStructureIssues:
 
     @pytest.mark.parametrize("law", _LAW_ISSUES)
     def test_every_law_of_the_reader_is_reported(self, law):
-        """Each law build_synapper enforces, broken alone: reported as reading the written text reports it."""
+        """Each law build_synapper enforces, broken alone: reported as reading the written text reports it.
+
+        The reader raises at once for a loop past the depth bound, with the
+        issue's path and message; every other law is a collected issue.
+        """
         s = _breaking(law)
         issue = _LAW_ISSUES[law]
         assert structure_issues(s) == [issue]
-        with pytest.raises(DocumentError) as e:
-            parse_structure(serialize_structure(s))
-        assert (e.value.path, e.value.message) == (issue.path, issue.message)
+        text = serialize_structure(s)
+        if law == "loops past the depth bound":
+            with pytest.raises(MalformedDocumentError) as e:
+                parse_structure(text)
+            assert (e.value.path, e.value.message) == (issue.path, issue.message)
+        else:
+            with pytest.raises(StructureValidationError) as e:
+                parse_structure(text)
+            assert e.value.issues == (issue,)
 
 
 def _phrase(head=0, role=None):
@@ -611,11 +642,13 @@ def test_structure_issues_are_empty_exactly_when_the_written_text_reads_back(see
         loops = list(_loops(s.main))
         target = loops[which % len(loops)]
         s = dataclasses.replace(s, main=_swapped(s.main, target, _broken(target, law, at)))
-    try:
-        reads_back = structural_equal(parse_structure(serialize_structure(s)), s)
-    except SynapperError:
-        reads_back = False
-    assert (structure_issues(s) == []) == reads_back
+    issues = structure_issues(s)
+    if issues:
+        with pytest.raises(StructureValidationError) as e:
+            parse_structure(serialize_structure(s))
+        assert e.value.issues == tuple(issues)
+    else:
+        assert structural_equal(parse_structure(serialize_structure(s)), s)
 
 
 # One child per hash seed; each prints the message of every missing-key case.
@@ -669,9 +702,12 @@ def test_missing_key_reported_in_schema_order_whatever_the_hash_seed():
 
 # The reader as it was before path formatting and enum calls left its
 # success path: one _check_keys per object, paths built as it goes, and
-# Enum(text) for every role, kind and category. Its one change is that
-# required keys are tuples, so the first missing key is the schema's first.
-# It is the oracle for build_synapper on valid and on broken documents.
+# Enum(text) for every role, kind and category. It has two changes. Required
+# keys are tuples, so the first missing key is the schema's first. Every
+# loop law (main loop clausal, head in range, roleless phrasal members, a
+# role on every clausal member, subject and verb counts) is an issue of
+# _ref_loop_issues, checked after conversion. It is the oracle for
+# build_synapper on valid and on broken documents.
 
 
 def reference_build_synapper(doc):
@@ -688,8 +724,6 @@ def reference_build_synapper(doc):
 
     issues = []
     main = _ref_convert_loop(doc["loop"], "loop", 1, issues)
-    if main.kind is not LoopKind.CLAUSAL:
-        raise MalformedDocumentError("loop.kind", "the main loop must be clausal")
     issues.extend(_ref_loop_issues(main, "loop"))
     if issues:
         raise StructureValidationError(issues)
@@ -742,24 +776,19 @@ def _ref_convert_loop(raw, path, depth, issues):
     if not isinstance(members_raw, list):
         raise MalformedDocumentError(_ref_join(path, "members"), "expected an array")
     members = tuple(
-        _ref_convert_member(m, f"{path}.members[{i}]", kind, depth, issues) for i, m in enumerate(members_raw)
+        _ref_convert_member(m, f"{path}.members[{i}]", depth, issues) for i, m in enumerate(members_raw)
     )
     head = obj.get("head_index", 0)
     if not isinstance(head, int) or isinstance(head, bool):
         raise MalformedDocumentError(_ref_join(path, "head_index"), "expected an integer")
-    if kind is LoopKind.PHRASAL and members and not 0 <= head < len(members):
-        raise MalformedDocumentError(_ref_join(path, "head_index"), "head_index out of range")
     return Loop(kind=kind, members=members, head_index=head if kind is LoopKind.PHRASAL else 0)
 
 
-def _ref_convert_member(raw, path, kind, depth, issues):
-    if kind is LoopKind.PHRASAL and isinstance(raw, Mapping) and "role" in raw:
-        raise UnknownKeyError(_ref_join(path, "role"), "phrasal loop members are roleless")
-    required = ("role",) if kind is LoopKind.CLAUSAL else ()
-    obj = _ref_check_keys(raw, path, required, {"node", "loop", "branches"})
+def _ref_convert_member(raw, path, depth, issues):
+    obj = _ref_check_keys(raw, path, (), {"role", "node", "loop", "branches"})
 
     role = None
-    if kind is LoopKind.CLAUSAL:
+    if "role" in obj:
         role_text = _ref_expect_str(obj["role"], _ref_join(path, "role"))
         try:
             role = Role(role_text)
@@ -819,10 +848,23 @@ def _ref_convert_branch(raw, path, issues):
 
 def _ref_loop_issues(loop, path):
     issues = []
+    if path == "loop" and loop.kind is not LoopKind.CLAUSAL:
+        issues.append(ValidationIssue("main-loop-not-clausal", "loop.kind", "the main loop must be clausal"))
     if not loop.members:
         issues.append(ValidationIssue("empty-loop", _ref_join(path, "members"), "a loop needs at least one member"))
         return issues
-    if loop.kind is LoopKind.CLAUSAL:
+    if loop.kind is LoopKind.PHRASAL:
+        if not 0 <= loop.head_index < len(loop.members):
+            head_path = _ref_join(path, "head_index")
+            issues.append(ValidationIssue("head-out-of-range", head_path, "head_index out of range"))
+        for i, member in enumerate(loop.members):
+            if member.role is not None:
+                role_path = f"{path}.members[{i}].role"
+                issues.append(ValidationIssue("role-in-phrasal-loop", role_path, "phrasal loop members are roleless"))
+    else:
+        for i, member in enumerate(loop.members):
+            if member.role is None:
+                issues.append(ValidationIssue("missing-role", f"{path}.members[{i}]", "missing key 'role'"))
         subjects = [m for m in loop.members if m.role is Role.SUBJECT]
         verbs = [m for m in loop.members if m.role is Role.VERB]
         if not subjects and len(loop.members) > 1:
@@ -1038,6 +1080,7 @@ def test_the_reader_runs_one_frame_per_loop_and_per_token_run():
     comprehensions = [c for c in model._loop_issues.__code__.co_consts if isinstance(c, CodeType)]
     assert read == {
         build_synapper.__code__: 1,
+        model.structure_issues.__code__: 1,
         model._check_keys.__code__: 1 + loops + members,
         model._expect_str.__code__: 2,
         model._word_order.__code__: 1,
