@@ -109,13 +109,13 @@ def _member_order(loop: Loop, order: WordOrder, direction: Direction) -> list[in
     n = len(loop.members)
     if n == 0:
         return []
-    if loop.kind is LoopKind.PHRASAL:
-        seq = [(loop.head_index + i) % n for i in range(n)]
-        return seq if direction is Direction.CLOCKWISE else seq[::-1]
-    start = _start_index(loop, order)
+    phrasal = loop.kind is LoopKind.PHRASAL
+    start = loop.head_index % n if phrasal else _start_index(loop, order)
+    seq = [*range(start, n), *range(start)]
     if direction is Direction.CLOCKWISE:
-        return [(start + i) % n for i in range(n)]
-    return [start] + [(start - i) % n for i in range(1, n)]
+        return seq
+    # Counterclockwise a phrasal head comes last; a clausal start stays first.
+    return seq[::-1] if phrasal else seq[:1] + seq[:0:-1]
 
 
 def _start_index(loop: Loop, order: WordOrder) -> int:
@@ -135,9 +135,8 @@ def _start_index(loop: Loop, order: WordOrder) -> int:
 
 def _first_object_index(loop: Loop, subject: int | None) -> int | None:
     n = len(loop.members)
-    origin = subject if subject is not None else 0
-    for step in range(n):
-        idx = (origin + 1 + step) % n
+    after = (subject if subject is not None else 0) + 1
+    for idx in (*range(after, n), *range(after)):
         if loop.members[idx].role is Role.OBJECT:
             return idx
     return None
@@ -158,21 +157,20 @@ def _emit(
     c: Constituent, role: Role | None, block: int, p: LanguageProfile, direction: Direction, out: list[PlacedToken]
 ) -> None:
     """Append c's tokens, with nested loops and branches, to out; all carry role and block."""
-    post: list[Branch] = []
-    # Post branches keep stored order except that the Reversed subset is
-    # flipped in place; the usual all-Reversed case is a plain reversal.
-    reversed_slots: list[int] = []
+    # Post branches keep stored order, except that each Reversed slot (None
+    # here) takes the last Reversed branch not yet written: that subset flips.
+    post: list[Branch | None] = []
+    flipped: list[Branch] = []
     for branch in c.branches:
         side, post_order = p.placement[branch.category]
         if side is BranchSide.PRE:
             for t in branch.tokens:
                 out.append(_placed((t.surface, t.category, role, block, False)))
+        elif post_order is PostOrder.REVERSED:
+            flipped.append(branch)
+            post.append(None)
         else:
-            if post_order is PostOrder.REVERSED:
-                reversed_slots.append(len(post))
             post.append(branch)
-    for slot, branch in zip(reversed_slots, [post[i] for i in reversed(reversed_slots)]):
-        post[slot] = branch
 
     if c.node is not None:
         unit = len(c.node) > 1
@@ -183,5 +181,5 @@ def _emit(
         for index in _member_order(c.loop, p.word_order, direction):
             _emit(c.loop.members[index], role, block, p, direction, out)
     for branch in post:
-        for t in branch.tokens:
+        for t in (branch or flipped.pop()).tokens:
             out.append(_placed((t.surface, t.category, role, block, False)))

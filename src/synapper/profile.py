@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .model import Category, MalformedDocumentError, Role, WordOrder, _CATEGORIES, _ROLES
+from .model import Category, MalformedDocumentError, Role, WordOrder, _CATEGORIES, _ROLES, _is_surface
 
 
 class VerbPlacement(enum.Enum):
@@ -58,6 +58,7 @@ class MorphemeRule:
     selector meaning depends on kind: a category name for drop_category, an
     anchor surface for the inserts (applies at every occurrence), a role name
     for suffix_on_role. payload is the inserted word sequence or the suffix.
+    An anchor and a suffix are one token each, as surfaces are.
 
     The shape is checked once, here: a rule that does not fit its kind raises
     MalformedDocumentError naming the field. operand keeps what the check
@@ -87,9 +88,11 @@ class MorphemeRule:
                 raise MalformedDocumentError(
                     "selector", f"suffix selector must be a role, got {self.selector!r}"
                 )
-            if not self.payload:
-                raise MalformedDocumentError("payload", "suffix rules need a payload")
+            if not _is_surface(self.payload):
+                raise MalformedDocumentError("payload", f"suffix must be one token, got {self.payload!r}")
         else:
+            if not _is_surface(self.selector):
+                raise MalformedDocumentError("selector", f"insert anchor must be one token, got {self.selector!r}")
             operand = tuple(self.payload.split())
             if not operand:
                 raise MalformedDocumentError("payload", "insert rules need a payload")

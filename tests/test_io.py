@@ -286,6 +286,10 @@ class TestProfileParsing:
             ({"kind": "suffix_on_role", "selector": "topic", "payload": "da"}, "selector"),
             ({"kind": "suffix_on_role", "selector": "subject"}, "payload"),
             ({"kind": "insert_before", "selector": "a", "payload": "  "}, "payload"),
+            ({"kind": "suffix_on_role", "selector": "subject", "payload": " s"}, "payload"),
+            ({"kind": "suffix_on_role", "selector": "subject", "payload": " "}, "payload"),
+            ({"kind": "insert_before", "selector": "a b", "payload": "x"}, "selector"),
+            ({"kind": "insert_after", "selector": " a", "payload": "x"}, "selector"),
         ],
     )
     def test_rule_shape_errors(self, rule, bad_path):

@@ -29,7 +29,6 @@ from synapper import (
     linearize,
     wh_token,
 )
-from synapper.linearize import _member_order
 from conftest import load_profile, load_structure, random_structure, rotate_main
 
 
@@ -241,13 +240,53 @@ def test_o_initial_orders_start_at_first_object_clockwise_from_subject():
 # (Token, unit) pairs copied up one nesting level at a time, the lists become
 # PlacedToken blocks, V1/V2 move the verb block, and a question is built by
 # cutting the flat sequence back into runs by block and swapping the subject
-# run with the verb run. Only the ring walk (_member_order) is shared.
+# run with the verb run. The ring walk is the reference's own too: each index
+# is computed modulo the ring size, one member at a time.
+
+
+def _reference_member_order(loop: Loop, order: WordOrder, direction: Direction) -> list[int]:
+    n = len(loop.members)
+    if n == 0:
+        return []
+    if loop.kind is LoopKind.PHRASAL:
+        seq = [(loop.head_index + i) % n for i in range(n)]
+        return seq if direction is Direction.CLOCKWISE else seq[::-1]
+    start = _reference_start_index(loop, order)
+    if direction is Direction.CLOCKWISE:
+        return [(start + i) % n for i in range(n)]
+    return [start] + [(start - i) % n for i in range(1, n)]
+
+
+def _reference_start_index(loop: Loop, order: WordOrder) -> int:
+    roles = [m.role for m in loop.members]
+    subject = roles.index(Role.SUBJECT) if Role.SUBJECT in roles else None
+    verb = roles.index(Role.VERB) if Role.VERB in roles else None
+    if order in (WordOrder.SVO, WordOrder.SOV):
+        candidates = [subject, verb]
+    elif order in (WordOrder.VSO, WordOrder.VOS):
+        candidates = [verb, subject]
+    else:
+        candidates = [_reference_first_object_index(loop, subject), subject, verb]
+    for candidate in candidates:
+        if candidate is not None:
+            return candidate
+    return 0
+
+
+def _reference_first_object_index(loop: Loop, subject: int | None) -> int | None:
+    n = len(loop.members)
+    origin = subject if subject is not None else 0
+    for step in range(n):
+        idx = (origin + 1 + step) % n
+        if loop.members[idx].role is Role.OBJECT:
+            return idx
+    return None
 
 
 def reference_linearize(s: Synapper, p: LanguageProfile) -> tuple[PlacedToken, ...]:
     direction = direction_of(p.word_order)
     blocks = []
-    for index in _member_order(s.main, p.word_order, direction):
+    for index in _reference_member_order(s.main, p.word_order, direction):
         member = s.main.members[index]
         placed = [
             PlacedToken(t.surface, t.category, member.role, index, unit)
@@ -284,7 +323,7 @@ def _reference_constituent(c: Constituent, p: LanguageProfile, direction: Direct
     if c.node is not None:
         out.extend((t, len(c.node) > 1) for t in c.node)
     else:
-        for index in _member_order(c.loop, p.word_order, direction):
+        for index in _reference_member_order(c.loop, p.word_order, direction):
             out.extend(_reference_constituent(c.loop.members[index], p, direction))
     for branch in post:
         out.extend((t, False) for t in branch.tokens)
@@ -406,4 +445,40 @@ class TestReferenceOracle:
             PlacedToken("has", Category.V, Role.VERB, 1, False),
         )
         assert interrogativize(s, wh_token("why"), p).render() == "Why has big very old horse a Jane"
+        _assert_matches_reference(s, p)
+
+    def test_a_source_slot_between_reversed_post_branches(self):
+        # Stored post branches a1 (Reversed), p (Source), a2 (Reversed), j
+        # (Reversed): p keeps its slot and the Reversed ones fill theirs in
+        # reverse stored order. random_structure gives a node at most two
+        # branches, so the property above never reaches this case.
+        def branch(surface: str, category: Category) -> Branch:
+            return Branch(tokens=(Token(surface, category),), category=category)
+
+        obj = Constituent(
+            role=Role.OBJECT,
+            node=(Token("x", Category.N),),
+            branches=(
+                branch("a1", Category.ADJ),
+                branch("p", Category.PREP),
+                branch("a2", Category.ADJ),
+                branch("j", Category.ADJP),
+            ),
+        )
+        members = (
+            Constituent(role=Role.SUBJECT, node=(Token("S", Category.N),)),
+            Constituent(role=Role.VERB, node=(Token("v", Category.V),)),
+            obj,
+        )
+        s = Synapper("", WordOrder.SVO, False, Loop(kind=LoopKind.CLAUSAL, members=members))
+        p = LanguageProfile(
+            name="x",
+            word_order=WordOrder.SVO,
+            branch_rules=(
+                BranchPlacementRule(Category.ADJ, BranchSide.POST, PostOrder.REVERSED),
+                BranchPlacementRule(Category.PREP, BranchSide.POST, PostOrder.SOURCE),
+                BranchPlacementRule(Category.ADJP, BranchSide.POST, PostOrder.REVERSED),
+            ),
+        )
+        assert linearize(s, p).render() == "S v x j p a2 a1"
         _assert_matches_reference(s, p)

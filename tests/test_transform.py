@@ -29,7 +29,8 @@ from synapper import (
     structural_equal,
     wh_token,
 )
-from conftest import load_profile, load_structure, random_structure
+from synapper.linearize import _emit_members
+from conftest import frames_while, load_profile, load_structure, random_structure
 
 WHY = wh_token("why")
 
@@ -161,6 +162,15 @@ class TestDeclarativize:
         spaced = dataclasses.replace(q, placed=(q.placed[0]._replace(surface="why not"),) + q.placed[1:])
         with pytest.raises(InversionMismatchError):
             declarativize(spaced, s, p)
+
+    def test_builds_no_token_and_writes_the_question_once(self):
+        s, p = load_structure("tim"), load_profile("en")
+        q = interrogativize(s, WHY, p)
+        back, frames = frames_while(declarativize, q, s, p)
+        assert back is s
+        assert frames[Token.__init__.__code__] == 0
+        assert frames[Token.__post_init__.__code__] == 0
+        assert frames[_emit_members.__code__] == 1
 
     def test_rejects_wh_not_initial(self):
         s = load_structure("mary")

@@ -214,6 +214,10 @@ class TestMorphemeRules:
             (MorphemeKind.INSERT_AFTER, "a", " ", "payload"),
             (MorphemeKind.INSERT_BEFORE, "", "x", "selector"),
             (MorphemeKind.DROP_CATEGORY, "", "", "selector"),
+            (MorphemeKind.SUFFIX_ON_ROLE, "subject", " s", "payload"),
+            (MorphemeKind.SUFFIX_ON_ROLE, "subject", " ", "payload"),
+            (MorphemeKind.INSERT_BEFORE, "a b", "x", "selector"),
+            (MorphemeKind.INSERT_AFTER, "a\t", "x", "selector"),
         ],
     )
     def test_shape_is_checked_when_built(self, kind, selector, payload, field):
