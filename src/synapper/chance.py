@@ -7,10 +7,9 @@ of hitting any single one by coincidence is 1/n!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import SynapperError
+from .model import SynapperError, _Value, _set
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -24,11 +23,16 @@ class NTooSmallError(SynapperError):
     """A loop needs at least two members for the question to make sense."""
 
 
-@dataclass(frozen=True)
-class ChanceProbability:
+class ChanceProbability(_Value):
+    __slots__ = __match_args__ = ("n", "probability", "denominator")
     n: int
     probability: float
     denominator: int
+
+    def __init__(self, n: int, probability: float, denominator: int) -> None:
+        _set(self, "n", n)
+        _set(self, "probability", probability)
+        _set(self, "denominator", denominator)
 
     def as_fraction(self) -> Fraction:
         from fractions import Fraction

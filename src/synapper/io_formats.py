@@ -29,7 +29,6 @@ from .model import (
     _by_text,
     _check_keys,
     _expect_str,
-    _is_surface,
     _join,
     _schema_keys,
     _word_order,
@@ -45,7 +44,7 @@ from .profile import (
     VerbPlacement,
     WhRule,
 )
-from .translate import Lexicon
+from .translate import Lexicon, _target_token
 
 
 class MalformedSyntaxError(SynapperError):
@@ -242,11 +241,11 @@ def parse_lexicon(text: str) -> Lexicon:
     """Parse tab-separated ``source<TAB>category<TAB>target`` lines.
 
     Blank lines and lines starting with ``#`` are skipped; every malformed
-    line (wrong field count, a source or target that is not one token,
-    unknown category, duplicate pair) is reported with its 1-based line
-    number.
+    line (wrong field count, an empty field, unknown category, a source or
+    target that is not one token, duplicate pair) is reported with its
+    1-based line number, the first of these that applies.
     """
-    entries: dict[tuple[str, Category], str] = {}
+    tokens: dict[tuple[str, Category], Token] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -257,16 +256,18 @@ def parse_lexicon(text: str) -> Lexicon:
         source, cat_text, target = (p.strip() for p in parts)
         if not source or not target:
             raise MalformedSyntaxError("empty field", lineno)
-        if not (_is_surface(source) and _is_surface(target)):
-            raise MalformedSyntaxError("source and target must be single tokens without whitespace", lineno)
         category = _CATEGORIES.get(cat_text)
         if category is None:
             raise MalformedSyntaxError(f"unknown category {cat_text!r}", lineno)
+        try:
+            token = _target_token(source, category, target)
+        except ValueError:
+            raise MalformedSyntaxError("source and target must be single tokens without whitespace", lineno) from None
         key = (source, category)
-        if key in entries:
+        if key in tokens:
             raise MalformedSyntaxError(f"duplicate entry for {source!r}/{category.value}", lineno)
-        entries[key] = target
-    return Lexicon(entries)
+        tokens[key] = token
+    return Lexicon._of_tokens(tokens)
 
 
 def to_dot(s: Synapper) -> str:

@@ -19,11 +19,23 @@ here; language-dependent rewrites live in the translation pipeline.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .model import Branch, Category, Constituent, Loop, LoopKind, Role, Synapper, SynapperError, WordOrder, _role_index
+from .model import (
+    Branch,
+    Category,
+    Constituent,
+    Loop,
+    LoopKind,
+    Role,
+    Synapper,
+    SynapperError,
+    WordOrder,
+    _Value,
+    _role_index,
+    _set,
+)
 from .profile import BranchSide, LanguageProfile, PostOrder, VerbPlacement
 
 
@@ -66,9 +78,12 @@ class PlacedToken(NamedTuple):
 _placed = partial(tuple.__new__, PlacedToken)
 
 
-@dataclass(frozen=True)
-class LinearSentence:
+class LinearSentence(_Value):
+    __slots__ = __match_args__ = ("placed",)
     placed: tuple[PlacedToken, ...]
+
+    def __init__(self, placed: tuple[PlacedToken, ...]) -> None:
+        _set(self, "placed", placed)
 
     def surfaces(self) -> tuple[str, ...]:
         return tuple(p.surface for p in self.placed)

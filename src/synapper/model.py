@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Callable, Iterator, KeysView, Mapping, Set as AbstractSet
-from dataclasses import dataclass
 from typing import Any
 
 
@@ -90,11 +89,59 @@ class UnknownWordOrderError(DocumentError):
     pass
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+# Sets a field of a value class in its constructor, past the class's own
+# __setattr__, which refuses every assignment.
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value classes: fields in ``__slots__``, set once.
+
+    A subclass names its constructor's fields, in order, in
+    ``__match_args__``. Equality, hash, repr and pickling read those fields
+    alone, so a field the constructor derives and leaves out of them is left
+    out of all four. Equality holds only between objects of one class.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: Any) -> Any:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        # Rebuilt through the constructor, which reruns its checks.
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ValidationIssue(_Value):
+    __slots__ = __match_args__ = ("code", "path", "message")
     code: str
     path: str
     message: str
+
+    def __init__(self, code: str, path: str, message: str) -> None:
+        _set(self, "code", code)
+        _set(self, "path", path)
+        _set(self, "message", message)
 
 
 class StructureValidationError(SynapperError):
@@ -111,57 +158,102 @@ def _is_surface(text: str) -> bool:
     return text.split() == [text]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(_Value):
+    __slots__ = __match_args__ = ("surface", "category")
     surface: str
     category: Category
 
-    def __post_init__(self) -> None:
-        if not _is_surface(self.surface):
-            raise ValueError(f"token surface must be non-empty without whitespace: {self.surface!r}")
+    def __init__(self, surface: str, category: Category) -> None:
+        if not _is_surface(surface):
+            raise ValueError(f"token surface must be non-empty without whitespace: {surface!r}")
+        _set(self, "surface", surface)
+        _set(self, "category", category)
+
+    # structural_equal compares tokens and branches one by one, so these two
+    # compare their fields directly rather than through _Value's tuples.
+    def __eq__(self, other: Any) -> Any:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.surface == other.surface and self.category is other.category
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.category))
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(_Value):
     """Token group attached to exactly one node.
 
     A node's branches keep their source order as their position in
     ``Constituent.branches``; every layer reads that position as the order.
     """
 
+    __slots__ = __match_args__ = ("tokens", "category")
     tokens: tuple[Token, ...]
     category: Category
 
+    def __init__(self, tokens: tuple[Token, ...], category: Category) -> None:
+        _set(self, "tokens", tokens)
+        _set(self, "category", category)
 
-@dataclass(frozen=True)
-class Constituent:
+    def __eq__(self, other: Any) -> Any:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.category is other.category and self.tokens == other.tokens
+
+    def __hash__(self) -> int:
+        return hash((self.tokens, self.category))
+
+
+class Constituent(_Value):
     """One member of a loop: a node or a nested loop, plus branches on nodes."""
 
-    role: Role | None = None
-    node: tuple[Token, ...] | None = None
-    loop: "Loop | None" = None
-    branches: tuple[Branch, ...] = ()
+    __slots__ = __match_args__ = ("role", "node", "loop", "branches")
+    role: Role | None
+    node: tuple[Token, ...] | None
+    loop: Loop | None
+    branches: tuple[Branch, ...]
 
-    def __post_init__(self) -> None:
-        if (self.node is None) == (self.loop is None):
+    def __init__(
+        self,
+        role: Role | None = None,
+        node: tuple[Token, ...] | None = None,
+        loop: Loop | None = None,
+        branches: tuple[Branch, ...] = (),
+    ) -> None:
+        if (node is None) == (loop is None):
             raise ValueError("constituent needs exactly one of node or loop")
-        if self.loop is not None and self.branches:
+        if loop is not None and branches:
             raise ValueError("branches attach to nodes, not to nested loops")
+        _set(self, "role", role)
+        _set(self, "node", node)
+        _set(self, "loop", loop)
+        _set(self, "branches", branches)
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(_Value):
+    __slots__ = __match_args__ = ("kind", "members", "head_index")
     kind: LoopKind
     members: tuple[Constituent, ...]
-    head_index: int = 0
+    head_index: int
+
+    def __init__(self, kind: LoopKind, members: tuple[Constituent, ...], head_index: int = 0) -> None:
+        _set(self, "kind", kind)
+        _set(self, "members", members)
+        _set(self, "head_index", head_index)
 
 
-@dataclass(frozen=True)
-class Synapper:
+class Synapper(_Value):
+    __slots__ = __match_args__ = ("label", "word_order", "surface_subject_final", "main")
     label: str
     word_order: WordOrder
     surface_subject_final: bool
     main: Loop
+
+    def __init__(self, label: str, word_order: WordOrder, surface_subject_final: bool, main: Loop) -> None:
+        _set(self, "label", label)
+        _set(self, "word_order", word_order)
+        _set(self, "surface_subject_final", surface_subject_final)
+        _set(self, "main", main)
 
 
 # StructureDocument is the parsed-JSON shape accepted by build_synapper.

@@ -9,10 +9,9 @@ sequences. Profiles never change the structure itself.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Mapping
 
-from .model import Category, MalformedDocumentError, Role, WordOrder, _CATEGORIES, _ROLES, _is_surface
+from .model import Category, MalformedDocumentError, Role, WordOrder, _CATEGORIES, _ROLES, _Value, _is_surface, _set
 
 
 class VerbPlacement(enum.Enum):
@@ -31,11 +30,16 @@ class PostOrder(enum.Enum):
     REVERSED = "reversed"
 
 
-@dataclass(frozen=True)
-class BranchPlacementRule:
+class BranchPlacementRule(_Value):
+    __slots__ = __match_args__ = ("category", "side", "post_order")
     category: Category
     side: BranchSide
-    post_order: PostOrder = PostOrder.SOURCE
+    post_order: PostOrder
+
+    def __init__(self, category: Category, side: BranchSide, post_order: PostOrder = PostOrder.SOURCE) -> None:
+        _set(self, "category", category)
+        _set(self, "side", side)
+        _set(self, "post_order", post_order)
 
 
 class WhRule(enum.Enum):
@@ -51,8 +55,7 @@ class MorphemeKind(enum.Enum):
     SUFFIX_ON_ROLE = "suffix_on_role"
 
 
-@dataclass(frozen=True)
-class MorphemeRule:
+class MorphemeRule(_Value):
     """One token-sequence rewrite.
 
     selector meaning depends on kind: a category name for drop_category, an
@@ -62,41 +65,44 @@ class MorphemeRule:
 
     The shape is checked once, here: a rule that does not fit its kind raises
     MalformedDocumentError naming the field. operand keeps what the check
-    parsed: the Category to drop, the inserted words, or the Role to suffix.
+    parsed: the Category to drop, the inserted words, or the Role to suffix;
+    it stays out of equality and repr.
     """
 
+    __match_args__ = ("kind", "selector", "payload", "ordinal")
+    __slots__ = (*__match_args__, "operand")
     kind: MorphemeKind
     selector: str
-    payload: str = ""
-    ordinal: int = 0
-    operand: Category | Role | tuple[str, ...] = field(init=False, repr=False, compare=False)
+    payload: str
+    ordinal: int
+    operand: Category | Role | tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.selector:
+    def __init__(self, kind: MorphemeKind, selector: str, payload: str = "", ordinal: int = 0) -> None:
+        if not selector:
             raise MalformedDocumentError("selector", "selector must be non-empty")
-        if self.kind is MorphemeKind.DROP_CATEGORY:
-            operand = _CATEGORIES.get(self.selector)
+        if kind is MorphemeKind.DROP_CATEGORY:
+            operand = _CATEGORIES.get(selector)
             if operand is None:
-                raise MalformedDocumentError(
-                    "selector", f"drop selector must be a category tag, got {self.selector!r}"
-                )
-            if self.payload:
+                raise MalformedDocumentError("selector", f"drop selector must be a category tag, got {selector!r}")
+            if payload:
                 raise MalformedDocumentError("payload", "drop rules take no payload")
-        elif self.kind is MorphemeKind.SUFFIX_ON_ROLE:
-            operand = _ROLES.get(self.selector)
+        elif kind is MorphemeKind.SUFFIX_ON_ROLE:
+            operand = _ROLES.get(selector)
             if operand is None:
-                raise MalformedDocumentError(
-                    "selector", f"suffix selector must be a role, got {self.selector!r}"
-                )
-            if not _is_surface(self.payload):
-                raise MalformedDocumentError("payload", f"suffix must be one token, got {self.payload!r}")
+                raise MalformedDocumentError("selector", f"suffix selector must be a role, got {selector!r}")
+            if not _is_surface(payload):
+                raise MalformedDocumentError("payload", f"suffix must be one token, got {payload!r}")
         else:
-            if not _is_surface(self.selector):
-                raise MalformedDocumentError("selector", f"insert anchor must be one token, got {self.selector!r}")
-            operand = tuple(self.payload.split())
+            if not _is_surface(selector):
+                raise MalformedDocumentError("selector", f"insert anchor must be one token, got {selector!r}")
+            operand = tuple(payload.split())
             if not operand:
                 raise MalformedDocumentError("payload", "insert rules need a payload")
-        object.__setattr__(self, "operand", operand)
+        _set(self, "kind", kind)
+        _set(self, "selector", selector)
+        _set(self, "payload", payload)
+        _set(self, "ordinal", ordinal)
+        _set(self, "operand", operand)
 
 
 # Unlisted categories place branches before the node in source order.
@@ -110,30 +116,47 @@ _DEFAULT_PLACEMENT = (BranchSide.PRE, PostOrder.SOURCE)
 InsertEdits = dict[str, tuple[tuple[str, ...], tuple[str, ...]]]
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class LanguageProfile(_Value):
     """A target language, compiled once when built.
 
     placement maps every Category to its branch (side, post_order); the
     first branch rule for a category wins. passes holds the morpheme rules
     as the engine runs them: one step per pass over the token sequence.
+    Both are derived from the other fields, so they stay out of equality
+    and repr.
     """
 
+    __match_args__ = ("name", "word_order", "verb_placement", "branch_rules", "wh_rule", "morpheme_rules")
+    __slots__ = (*__match_args__, "placement", "passes")
     name: str
     word_order: WordOrder
-    verb_placement: VerbPlacement = VerbPlacement.DEFAULT
-    branch_rules: tuple[BranchPlacementRule, ...] = ()
-    wh_rule: WhRule = WhRule.INITIAL_NO_INVERSION
-    morpheme_rules: tuple[MorphemeRule, ...] = ()
-    placement: Mapping[Category, tuple[BranchSide, PostOrder]] = field(init=False, repr=False, compare=False)
-    passes: tuple[MorphemeRule | InsertEdits, ...] = field(init=False, repr=False, compare=False)
+    verb_placement: VerbPlacement
+    branch_rules: tuple[BranchPlacementRule, ...]
+    wh_rule: WhRule
+    morpheme_rules: tuple[MorphemeRule, ...]
+    placement: Mapping[Category, tuple[BranchSide, PostOrder]]
+    passes: tuple[MorphemeRule | InsertEdits, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        word_order: WordOrder,
+        verb_placement: VerbPlacement = VerbPlacement.DEFAULT,
+        branch_rules: tuple[BranchPlacementRule, ...] = (),
+        wh_rule: WhRule = WhRule.INITIAL_NO_INVERSION,
+        morpheme_rules: tuple[MorphemeRule, ...] = (),
+    ) -> None:
+        _set(self, "name", name)
+        _set(self, "word_order", word_order)
+        _set(self, "verb_placement", verb_placement)
+        _set(self, "branch_rules", branch_rules)
+        _set(self, "wh_rule", wh_rule)
+        _set(self, "morpheme_rules", morpheme_rules)
         placement = dict.fromkeys(_CATEGORIES.values(), _DEFAULT_PLACEMENT)
-        for rule in reversed(self.branch_rules):
+        for rule in reversed(branch_rules):
             placement[rule.category] = (rule.side, rule.post_order)
-        object.__setattr__(self, "placement", placement)
-        object.__setattr__(self, "passes", _compile_passes(self.morpheme_rules))
+        _set(self, "placement", placement)
+        _set(self, "passes", _compile_passes(morpheme_rules))
 
 
 def _compile_passes(rules: tuple[MorphemeRule, ...]) -> tuple[MorphemeRule | InsertEdits, ...]:

@@ -40,18 +40,34 @@ class Lexicon:
         self._tokens: dict[_Pair, Token] = {}
         for (source, category), target in entries.items():
             try:
-                if not _is_surface(source):
-                    raise ValueError(source)
-                self._tokens[source, category] = Token(target, category)
+                self._tokens[source, category] = _target_token(source, category, target)
             except ValueError:
                 message = "source and target must be single tokens without whitespace"
                 raise SynapperError(f"lexicon entry {source!r}/{category.value} -> {target!r}: {message}") from None
+
+    @classmethod
+    def _of_tokens(cls, tokens: dict[_Pair, Token]) -> Lexicon:
+        """A lexicon over target tokens that _target_token built already, as parse_lexicon does line by line."""
+        lex = cls.__new__(cls)
+        lex._tokens = tokens
+        return lex
 
     def lookup(self, surface: str, category: Category) -> str | None:
         return getattr(self._tokens.get((surface, category)), "surface", None)
 
     def __len__(self) -> int:
         return len(self._tokens)
+
+
+def _target_token(source: str, category: Category, target: str) -> Token:
+    """One lexicon entry's target Token; ValueError unless source and target are each one surface.
+
+    The surface rule runs once per field: here for the source, in Token for
+    the target.
+    """
+    if not _is_surface(source):
+        raise ValueError(source)
+    return Token(target, category)
 
 
 def identity_lexicon(s: Synapper) -> Lexicon:

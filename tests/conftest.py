@@ -1,8 +1,10 @@
-"""Shared helpers: corpus loaders, a CLI runner, and a random structure generator."""
+"""Shared helpers: corpus loaders, a CLI runner, a random structure generator and value-class checks."""
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import sys
 from collections import Counter
@@ -164,3 +166,37 @@ def frames_while(call, *args):
         sys.setprofile(None)
         gc.enable()
     return result, frames
+
+
+def replaced(obj, **changes):
+    """A copy of a value object with some fields changed.
+
+    The copy is built by the class's own constructor, so its construction
+    checks run on the new fields.
+    """
+    cls = type(obj)
+    return cls(**({name: getattr(obj, name) for name in cls.__match_args__} | changes))
+
+
+def check_value_semantics(obj, twin, unequal, text, derived=()):
+    """obj is an immutable value with twin's fields, unequal to each of unequal.
+
+    Equal objects hash alike; obj differs from a tuple of its own field
+    values and from any object of another type; its repr is text; setting or
+    deleting any field, derived ones among them, raises AttributeError; copy,
+    deepcopy and pickle give equal objects.
+    """
+    assert obj is not twin and obj == twin and not obj != twin
+    assert hash(obj) == hash(twin)
+    fields = type(obj).__match_args__
+    for other in (*unequal, tuple(getattr(obj, name) for name in fields), object(), None):
+        assert obj != other and not obj == other
+    assert repr(obj) == text
+    for name in (*fields, *derived, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert obj == twin
+    for copied in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert copied == obj and type(copied) is type(obj)

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from synapper import NTooSmallError, SynapperError, chance_probability
+from synapper import ChanceProbability, NTooSmallError, SynapperError, chance_probability
 from synapper.chance import MAX_MEMBERS
+from conftest import check_value_semantics, replaced
 
 
 def test_ten_member_loop_value():
@@ -62,3 +63,13 @@ def test_probability_matches_fraction_and_decreases(n):
     assert 0.0 <= result.probability <= 0.5
     if n > 2:
         assert result.as_fraction() < chance_probability(n - 1).as_fraction()
+
+
+def test_result_is_an_immutable_value():
+    result = chance_probability(3)
+    check_value_semantics(
+        result,
+        ChanceProbability(n=3, probability=1 / 6, denominator=6),
+        [replaced(result, n=4), replaced(result, probability=0.5), replaced(result, denominator=7)],
+        "ChanceProbability(n=3, probability=0.16666666666666666, denominator=6)",
+    )

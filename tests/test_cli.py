@@ -269,12 +269,10 @@ class TestQuestionAndBack:
 class TestCompareCanonDot:
     def test_same_modulo_rotation_and_label(self, run_cli, tmp_path):
         from synapper import parse_structure, serialize_structure
-        import dataclasses
-
-        from conftest import rotate_main
+        from conftest import replaced, rotate_main
 
         s = parse_structure(open(fixture_path("tim")).read())
-        rotated = dataclasses.replace(rotate_main(s, 2), label="other-name")
+        rotated = replaced(rotate_main(s, 2), label="other-name")
         other = tmp_path / "rotated.json"
         other.write_text(serialize_structure(rotated))
         code, out, _ = run_cli("compare", fixture_path("tim"), str(other))
@@ -411,6 +409,15 @@ def test_importing_the_cli_loads_no_number_tower():
     added = set(proc.stdout.split())
     assert "synapper.cli" in added
     assert not added & {"decimal", "_decimal", "_pydecimal", "fractions", "numbers"}
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_source_tools():
+    """Without site, nothing but the package can load dataclasses and the source tools it imports."""
+    proc = _run_python("-S", "-c", "import synapper.cli; import sys; print(' '.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "synapper.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_console_script_usage_error_exits_2():

@@ -1,6 +1,5 @@
 """Serialization round-trips, strict parse errors, lexicon TSV, DOT export."""
 
-import dataclasses
 import enum
 import json
 import random
@@ -34,7 +33,17 @@ from synapper import (
     to_dot,
 )
 from synapper import io_formats
-from conftest import FIXTURES, LEXICONS, PROFILES, frames_while, load_profile, load_structure, random_structure
+from synapper.model import _is_surface
+from conftest import (
+    FIXTURES,
+    LEXICONS,
+    PROFILES,
+    frames_while,
+    load_profile,
+    load_structure,
+    random_structure,
+    replaced,
+)
 
 ALL_FIXTURES = ["horse", "tim", "colette", "cena_a", "cena_b", "space_news", "mary", "go"]
 ALL_PROFILES = ["en", "fr", "ja-gloss", "cy-gloss", "uz", "uz-gloss", "vso", "en-articles"]
@@ -184,8 +193,8 @@ class TestDirectSerializer:
         s = random_structure(random.Random(seed))
         pairs = dict.fromkeys((t.surface, t.category) for t in iter_tokens(s))
         s = substitute_lexemes(s, Lexicon({pair: words[i % len(words)] for i, pair in enumerate(pairs)}))
-        main = dataclasses.replace(s.main, members=s.main.members + tuple(extra))
-        s = dataclasses.replace(s, label=label, surface_subject_final=flag, main=main)
+        main = replaced(s.main, members=s.main.members + tuple(extra))
+        s = replaced(s, label=label, surface_subject_final=flag, main=main)
         assert serialize_structure(s) == reference_serialize(s)
 
     def test_one_frame_per_loop_and_per_token_run(self):
@@ -345,6 +354,18 @@ class TestLexiconParsing:
         with pytest.raises(MalformedSyntaxError) as e:
             parse_lexicon(f"# x\n{line}\n")
         assert e.value.line == 2
+        assert str(e.value) == "line 2: source and target must be single tokens without whitespace"
+
+    def test_unknown_category_is_reported_before_a_spaced_field(self):
+        with pytest.raises(MalformedSyntaxError) as e:
+            parse_lexicon("Jane\tN\tJane\nMa ry\tNOUN\tMary\n")
+        assert str(e.value) == "line 2: unknown category 'NOUN'"
+
+    def test_surface_rule_runs_once_per_field(self):
+        text = (LEXICONS / "en-uz.tsv").read_text(encoding="utf-8")
+        lex, frames = frames_while(parse_lexicon, text)
+        assert len(lex) == 7
+        assert frames[_is_surface.__code__] == 2 * 7
 
 
 _PROFILE_HEAD = '"name": "x", "word_order": "svo", "wh_rule": "initial_plain"'

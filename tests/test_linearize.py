@@ -14,8 +14,11 @@ from synapper import (
     DegenerateStructureError,
     Direction,
     LanguageProfile,
+    LinearSentence,
     Loop,
     LoopKind,
+    MorphemeKind,
+    MorphemeRule,
     PlacedToken,
     PostOrder,
     Role,
@@ -29,7 +32,7 @@ from synapper import (
     linearize,
     wh_token,
 )
-from conftest import load_profile, load_structure, random_structure, rotate_main
+from conftest import check_value_semantics, load_profile, load_structure, random_structure, replaced, rotate_main
 
 
 @pytest.mark.parametrize(
@@ -482,3 +485,74 @@ class TestReferenceOracle:
         )
         assert linearize(s, p).render() == "S v x j p a2 a1"
         _assert_matches_reference(s, p)
+
+
+class TestProfileAndSentenceValues:
+    """BranchPlacementRule, LanguageProfile and LinearSentence are immutable values."""
+
+    def test_branch_placement_rule(self):
+        rule = BranchPlacementRule(Category.DET, BranchSide.POST)
+        check_value_semantics(
+            rule,
+            BranchPlacementRule(category=Category.DET, side=BranchSide.POST, post_order=PostOrder.SOURCE),
+            [
+                replaced(rule, category=Category.ADJ),
+                replaced(rule, side=BranchSide.PRE),
+                replaced(rule, post_order=PostOrder.REVERSED),
+            ],
+            "BranchPlacementRule(category=<Category.DET: 'DET'>, side=<BranchSide.POST: 'post'>,"
+            " post_order=<PostOrder.SOURCE: 'source'>)",
+        )
+
+    def test_language_profile(self):
+        rule = MorphemeRule(MorphemeKind.INSERT_BEFORE, "x", "a b", 2)
+        p = LanguageProfile("en", WordOrder.SVO, morpheme_rules=(rule,))
+        twin = LanguageProfile(
+            name="en",
+            word_order=WordOrder.SVO,
+            verb_placement=VerbPlacement.DEFAULT,
+            branch_rules=(),
+            wh_rule=WhRule.INITIAL_NO_INVERSION,
+            morpheme_rules=(replaced(rule),),
+        )
+        # placement and passes are derived, so they stay out of == and repr.
+        object.__setattr__(twin, "placement", {})
+        object.__setattr__(twin, "passes", ())
+        check_value_semantics(
+            p,
+            twin,
+            [
+                replaced(p, name="uz"),
+                replaced(p, word_order=WordOrder.SOV),
+                replaced(p, verb_placement=VerbPlacement.V2),
+                replaced(p, branch_rules=(BranchPlacementRule(Category.DET, BranchSide.POST),)),
+                replaced(p, wh_rule=WhRule.PRE_SUBJECT),
+                replaced(p, morpheme_rules=()),
+            ],
+            "LanguageProfile(name='en', word_order=<WordOrder.SVO: 'svo'>,"
+            " verb_placement=<VerbPlacement.DEFAULT: 'default'>, branch_rules=(),"
+            " wh_rule=<WhRule.INITIAL_NO_INVERSION: 'initial_plain'>,"
+            " morpheme_rules=(MorphemeRule(kind=<MorphemeKind.INSERT_BEFORE: 'insert_before'>, selector='x',"
+            " payload='a b', ordinal=2),))",
+            derived=("placement", "passes"),
+        )
+
+    def test_language_profile_derives_placement_and_passes_when_built(self):
+        rule = BranchPlacementRule(Category.DET, BranchSide.POST, PostOrder.REVERSED)
+        p = LanguageProfile("x", WordOrder.SVO, branch_rules=(rule,))
+        assert p.placement[Category.DET] == (BranchSide.POST, PostOrder.REVERSED)
+        assert p.placement[Category.ADJ] == (BranchSide.PRE, PostOrder.SOURCE)
+        assert p.passes == ()
+        assert replaced(p, branch_rules=()).placement[Category.DET] == (BranchSide.PRE, PostOrder.SOURCE)
+
+    def test_linear_sentence(self):
+        placed = (PlacedToken("a", Category.N, Role.SUBJECT, 0, False),)
+        sent = LinearSentence(placed)
+        check_value_semantics(
+            sent,
+            LinearSentence(placed=(PlacedToken("a", Category.N, Role.SUBJECT, 0, False),)),
+            [replaced(sent, placed=()), replaced(sent, placed=placed * 2), placed[0]],
+            "LinearSentence(placed=(PlacedToken(surface='a', category=<Category.N: 'N'>,"
+            " role=<Role.SUBJECT: 'subject'>, block=0, unit=False),))",
+        )
+        assert (sent.surfaces(), sent.render()) == (("a",), "A")

@@ -28,7 +28,7 @@ from synapper import (
     translate,
 )
 from synapper.model import _is_surface
-from conftest import LEXICONS, frames_while, load_profile, load_structure
+from conftest import LEXICONS, check_value_semantics, frames_while, load_profile, load_structure, replaced
 
 from synapper import parse_lexicon
 
@@ -88,7 +88,6 @@ def test_substitution_reruns_no_surface_rule():
     assert out == s
     assert frames[_is_surface.__code__] == 0
     assert frames[Token.__init__.__code__] == 0
-    assert frames[Token.__post_init__.__code__] == 0
 
 
 def test_substitution_puts_the_lexicons_own_tokens_in_place():
@@ -205,25 +204,45 @@ class TestMorphemeRules:
         assert len(full.placed) == 62
 
     @pytest.mark.parametrize(
-        "kind, selector, payload, field",
+        "kind, selector, payload, field, message",
         [
-            (MorphemeKind.DROP_CATEGORY, "NOUNS", "", "selector"),
-            (MorphemeKind.DROP_CATEGORY, "DET", "x", "payload"),
-            (MorphemeKind.SUFFIX_ON_ROLE, "topic", "da", "selector"),
-            (MorphemeKind.SUFFIX_ON_ROLE, "subject", "", "payload"),
-            (MorphemeKind.INSERT_AFTER, "a", " ", "payload"),
-            (MorphemeKind.INSERT_BEFORE, "", "x", "selector"),
-            (MorphemeKind.DROP_CATEGORY, "", "", "selector"),
-            (MorphemeKind.SUFFIX_ON_ROLE, "subject", " s", "payload"),
-            (MorphemeKind.SUFFIX_ON_ROLE, "subject", " ", "payload"),
-            (MorphemeKind.INSERT_BEFORE, "a b", "x", "selector"),
-            (MorphemeKind.INSERT_AFTER, "a\t", "x", "selector"),
+            (MorphemeKind.DROP_CATEGORY, "NOUNS", "", "selector", "drop selector must be a category tag, got 'NOUNS'"),
+            (MorphemeKind.DROP_CATEGORY, "DET", "x", "payload", "drop rules take no payload"),
+            (MorphemeKind.SUFFIX_ON_ROLE, "topic", "da", "selector", "suffix selector must be a role, got 'topic'"),
+            (MorphemeKind.SUFFIX_ON_ROLE, "subject", "", "payload", "suffix must be one token, got ''"),
+            (MorphemeKind.INSERT_AFTER, "a", " ", "payload", "insert rules need a payload"),
+            (MorphemeKind.INSERT_BEFORE, "", "x", "selector", "selector must be non-empty"),
+            (MorphemeKind.DROP_CATEGORY, "", "", "selector", "selector must be non-empty"),
+            (MorphemeKind.SUFFIX_ON_ROLE, "subject", " s", "payload", "suffix must be one token, got ' s'"),
+            (MorphemeKind.SUFFIX_ON_ROLE, "subject", " ", "payload", "suffix must be one token, got ' '"),
+            (MorphemeKind.INSERT_BEFORE, "a b", "x", "selector", "insert anchor must be one token, got 'a b'"),
+            (MorphemeKind.INSERT_AFTER, "a\t", "x", "selector", "insert anchor must be one token, got 'a\\t'"),
         ],
     )
-    def test_shape_is_checked_when_built(self, kind, selector, payload, field):
+    def test_shape_is_checked_when_built(self, kind, selector, payload, field, message):
         with pytest.raises(MalformedDocumentError) as e:
             MorphemeRule(kind, selector, payload)
-        assert e.value.path == field
+        assert (e.value.path, e.value.message) == (field, message)
+
+    def test_rule_is_an_immutable_value(self):
+        rule = MorphemeRule(MorphemeKind.INSERT_BEFORE, "x", "a b", 2)
+        twin = MorphemeRule(kind=MorphemeKind.INSERT_BEFORE, selector="x", payload="a b", ordinal=2)
+        # operand is derived, so it stays out of == and repr.
+        object.__setattr__(twin, "operand", ())
+        check_value_semantics(
+            rule,
+            twin,
+            [
+                replaced(rule, kind=MorphemeKind.INSERT_AFTER),
+                replaced(rule, selector="y"),
+                replaced(rule, payload="a"),
+                replaced(rule, ordinal=0),
+            ],
+            "MorphemeRule(kind=<MorphemeKind.INSERT_BEFORE: 'insert_before'>, selector='x', payload='a b', ordinal=2)",
+            derived=("operand",),
+        )
+        drop = MorphemeRule(MorphemeKind.DROP_CATEGORY, "DET")
+        assert (drop.payload, drop.ordinal) == ("", 0)
 
     def test_operand_is_parsed_once(self):
         assert MorphemeRule(MorphemeKind.DROP_CATEGORY, "DET").operand is Category.DET
