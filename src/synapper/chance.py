@@ -7,10 +7,10 @@ of hitting any single one by coincidence is 1/n!.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .model import SynapperError, _Value, _set
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 

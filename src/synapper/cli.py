@@ -39,7 +39,7 @@ from .translate import MissingLexemeError, apply_morpheme_rules, translate
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = args.op(args)
+        text = _writable(args.op(args))
     except SynapperError as e:
         sys.stderr.write(json.dumps(_error_report(e), indent=2, ensure_ascii=False) + "\n")
         return 1
@@ -49,6 +49,15 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+def _writable(text: str) -> str:
+    """text, once stdout's encoding is known to take all of it, so that a failed write leaves stdout empty."""
+    try:
+        text.encode(sys.stdout.encoding or "utf-8", sys.stdout.errors or "strict")
+    except UnicodeEncodeError as e:
+        raise SynapperError(f"cannot write output: {e}") from None
+    return text
 
 
 def _error_report(e: SynapperError) -> dict:

@@ -14,7 +14,10 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from json.encoder import encode_basestring
-from typing import Any
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 from .model import (
     Category,
@@ -240,13 +243,16 @@ def _parse_morpheme_rules(raw: object) -> tuple[MorphemeRule, ...]:
 def parse_lexicon(text: str) -> Lexicon:
     """Parse tab-separated ``source<TAB>category<TAB>target`` lines.
 
-    Blank lines and lines starting with ``#`` are skipped; every malformed
-    line (wrong field count, an empty field, unknown category, a source or
-    target that is not one token, duplicate pair) is reported with its
-    1-based line number, the first of these that applies.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as a file read in text mode
+    gives them, and one leading byte order mark is dropped. Blank lines and
+    lines starting with ``#`` are skipped; every malformed line (wrong field
+    count, an empty field, unknown category, a source or target that is not
+    one token, duplicate pair) is reported with its 1-based line number, the
+    first of these that applies.
     """
     tokens: dict[tuple[str, Category], Token] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

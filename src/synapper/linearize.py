@@ -1,12 +1,15 @@
 """Turn one structure into a token sequence for a given language profile.
 
-The word order alone fixes the traversal direction: SVO, VOS and OSV read
-the ring clockwise, SOV, OVS and VSO counterclockwise. The starting member
-of a clausal loop is the subject for S-initial orders, the verb for
-V-initial orders, and the first object clockwise from the subject for
-O-initial orders; nested clausal loops follow the same rule. Phrasal loops
-emit their members from the head onward when clockwise and as the exact
-reverse of that list when counterclockwise (the head comes out last).
+Each word order is one reading of the ring, one row of _READING: a
+direction and the role of the member the reading starts from. SVO, VOS
+and OSV read clockwise, SOV, OVS and VSO counterclockwise; SVO and SOV
+start from the subject, VSO and VOS from the verb, OSV and OVS from an
+object. A clausal loop starts at its first member with that role (for an
+object, the first one clockwise from the subject); without one, at the
+subject, then at the verb, then at member 0. Nested clausal loops follow
+the same rule. Phrasal loops emit their members from the head onward when
+clockwise and as the exact reverse of that list when counterclockwise
+(the head comes out last).
 
 The main loop's member order is decided first, on ring indices: the walk
 above, then V1 or V2 moves the verb's index to first or second place
@@ -18,13 +21,11 @@ here; language-dependent rewrites live in the translation pipeline.
 
 from __future__ import annotations
 
-import enum
+from collections import namedtuple
 from functools import partial
-from typing import NamedTuple
 
 from .model import (
     Branch,
-    Category,
     Constituent,
     Loop,
     LoopKind,
@@ -39,38 +40,31 @@ from .model import (
 from .profile import BranchSide, LanguageProfile, PostOrder, VerbPlacement
 
 
-class Direction(enum.Enum):
-    CLOCKWISE = "clockwise"
-    COUNTERCLOCKWISE = "counterclockwise"
-
-
-_CLOCKWISE_ORDERS = {WordOrder.SVO, WordOrder.VOS, WordOrder.OSV}
-_SUBJECT_INITIAL = {WordOrder.SVO, WordOrder.SOV}
-_VERB_INITIAL = {WordOrder.VSO, WordOrder.VOS}
+# Each word order: (reads clockwise, role of its first member).
+_READING = {
+    WordOrder.SVO: (True, Role.SUBJECT),
+    WordOrder.SOV: (False, Role.SUBJECT),
+    WordOrder.VSO: (False, Role.VERB),
+    WordOrder.VOS: (True, Role.VERB),
+    WordOrder.OSV: (True, Role.OBJECT),
+    WordOrder.OVS: (False, Role.OBJECT),
+}
 
 
 class DegenerateStructureError(SynapperError):
     """The structure produced no tokens at all."""
 
 
-def direction_of(order: WordOrder) -> Direction:
-    return Direction.CLOCKWISE if order in _CLOCKWISE_ORDERS else Direction.COUNTERCLOCKWISE
+PlacedToken = namedtuple("PlacedToken", ("surface", "category", "role", "block", "unit"))
+PlacedToken.__doc__ = """A linearized token plus where it came from.
 
-
-class PlacedToken(NamedTuple):
-    """A linearized token plus where it came from.
-
-    role and block identify the top-level constituent (block is its ring
-    index, -1 for tokens added after linearization); unit marks tokens that
-    belong to a multiword node, which morpheme drops treat as untouchable.
-    An immutable named tuple: ``_replace`` makes a changed copy.
+    surface is a str, category a Category, role a Role or None, block an int
+    and unit a bool. role and block identify the top-level constituent
+    (block is its ring index, -1 for tokens added after linearization); unit
+    marks tokens that belong to a multiword node, which morpheme drops treat
+    as untouchable. An immutable named tuple: ``_replace`` makes a changed
+    copy.
     """
-
-    surface: str
-    category: Category
-    role: Role | None
-    block: int
-    unit: bool
 
 
 # PlacedToken(...) runs the named tuple's generated __new__ as a Python
@@ -104,48 +98,46 @@ def linearize(s: Synapper, p: LanguageProfile) -> LinearSentence:
 
 def _sentence_order(s: Synapper, p: LanguageProfile) -> list[int]:
     """The main loop's ring indices in sentence order: the ring walk, then V1/V2."""
-    order = _member_order(s.main, p.word_order, direction_of(p.word_order))
+    order = _member_order(s.main, p.word_order)
     return _place_verb(order, s.main, p.verb_placement)
 
 
 def _emit_members(s: Synapper, p: LanguageProfile, order: list[int]) -> tuple[PlacedToken, ...]:
     """Every token of the main loop's members in this order; block is the ring index."""
-    direction = direction_of(p.word_order)
     out: list[PlacedToken] = []
     for index in order:
         member = s.main.members[index]
-        _emit(member, member.role, index, p, direction, out)
+        _emit(member, member.role, index, p, out)
     if not out:
         raise DegenerateStructureError("structure produced no tokens")
     return tuple(out)
 
 
-def _member_order(loop: Loop, order: WordOrder, direction: Direction) -> list[int]:
+def _member_order(loop: Loop, order: WordOrder) -> list[int]:
     n = len(loop.members)
     if n == 0:
         return []
+    clockwise, first = _READING[order]
     phrasal = loop.kind is LoopKind.PHRASAL
-    start = loop.head_index % n if phrasal else _start_index(loop, order)
+    start = loop.head_index % n if phrasal else _start_index(loop, first)
     seq = [*range(start, n), *range(start)]
-    if direction is Direction.CLOCKWISE:
+    if clockwise:
         return seq
     # Counterclockwise a phrasal head comes last; a clausal start stays first.
     return seq[::-1] if phrasal else seq[:1] + seq[:0:-1]
 
 
-def _start_index(loop: Loop, order: WordOrder) -> int:
-    subject = _role_index(loop, Role.SUBJECT)
-    verb = _role_index(loop, Role.VERB)
-    if order in _SUBJECT_INITIAL:
-        candidates = [subject, verb]
-    elif order in _VERB_INITIAL:
-        candidates = [verb, subject]
+def _start_index(loop: Loop, first: Role) -> int:
+    """The first member with this role, else the subject, else the verb, else member 0."""
+    if first is Role.OBJECT:
+        start = _first_object_index(loop, _role_index(loop, Role.SUBJECT))
     else:
-        candidates = [_first_object_index(loop, subject), subject, verb]
-    for candidate in candidates:
-        if candidate is not None:
-            return candidate
-    return 0
+        start = _role_index(loop, first)
+    if start is None and first is not Role.SUBJECT:
+        start = _role_index(loop, Role.SUBJECT)
+    if start is None:
+        start = _role_index(loop, Role.VERB)
+    return 0 if start is None else start
 
 
 def _first_object_index(loop: Loop, subject: int | None) -> int | None:
@@ -168,9 +160,7 @@ def _place_verb(order: list[int], loop: Loop, placement: VerbPlacement) -> list[
     return order
 
 
-def _emit(
-    c: Constituent, role: Role | None, block: int, p: LanguageProfile, direction: Direction, out: list[PlacedToken]
-) -> None:
+def _emit(c: Constituent, role: Role | None, block: int, p: LanguageProfile, out: list[PlacedToken]) -> None:
     """Append c's tokens, with nested loops and branches, to out; all carry role and block."""
     # Post branches keep stored order, except that each Reversed slot (None
     # here) takes the last Reversed branch not yet written: that subset flips.
@@ -193,8 +183,8 @@ def _emit(
             out.append(_placed((t.surface, t.category, role, block, unit)))
     else:
         assert c.loop is not None
-        for index in _member_order(c.loop, p.word_order, direction):
-            _emit(c.loop.members[index], role, block, p, direction, out)
+        for index in _member_order(c.loop, p.word_order):
+            _emit(c.loop.members[index], role, block, p, out)
     for branch in post:
         for t in (branch or flipped.pop()).tokens:
             out.append(_placed((t.surface, t.category, role, block, False)))

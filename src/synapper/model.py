@@ -19,7 +19,10 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Callable, Iterator, KeysView, Mapping, Set as AbstractSet
-from typing import Any
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 
 class WordOrder(enum.Enum):

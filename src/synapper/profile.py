@@ -9,7 +9,7 @@ sequences. Profiles never change the structure itself.
 from __future__ import annotations
 
 import enum
-from typing import Mapping
+from collections.abc import Mapping
 
 from .model import Category, MalformedDocumentError, Role, WordOrder, _CATEGORIES, _ROLES, _Value, _is_surface, _set
 

@@ -10,7 +10,7 @@ reach inside them.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .linearize import LinearSentence, PlacedToken, _placed, linearize
 from .model import (
@@ -47,7 +47,7 @@ class Lexicon:
 
     @classmethod
     def _of_tokens(cls, tokens: dict[_Pair, Token]) -> Lexicon:
-        """A lexicon over target tokens that _target_token built already, as parse_lexicon does line by line."""
+        """A lexicon over valid target tokens: _target_token's, as parse_lexicon builds them, or a structure's own."""
         lex = cls.__new__(cls)
         lex._tokens = tokens
         return lex
@@ -71,7 +71,8 @@ def _target_token(source: str, category: Category, target: str) -> Token:
 
 
 def identity_lexicon(s: Synapper) -> Lexicon:
-    return Lexicon({(t.surface, t.category): t.surface for t in iter_tokens(s)})
+    """Every token of s mapped to itself; the tokens are s's own, valid already."""
+    return Lexicon._of_tokens({(t.surface, t.category): t for t in iter_tokens(s)})
 
 
 class MissingLexemeError(SynapperError):

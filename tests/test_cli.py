@@ -398,6 +398,22 @@ def test_console_script_runs():
     assert proc.stdout == "2.755732e-7 (1/3628800)\n"
 
 
+@pytest.mark.parametrize("command", [["linearize", "--profile", profile_path("en")], ["orders"], ["dot"]])
+def test_unencodable_output_is_one_report_and_no_output(command, tmp_path):
+    # The in-process runner writes to a StringIO, which never encodes, so
+    # only a real process shows a lone surrogate failing at the write.
+    doc = json.loads((FIXTURES / "horse.json").read_text(encoding="utf-8"))
+    doc["loop"]["members"][0]["node"][0]["surface"] = "\ud800x"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run_synapper_process("validate", str(path)).stdout == "OK\n"
+    proc = _run_synapper_process(command[0], str(path), *command[1:])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    report = json.loads(proc.stderr)
+    assert report["error"] == "SynapperError"
+    assert report["message"].startswith("cannot write output: ")
+
+
 def test_importing_the_cli_loads_no_number_tower():
     """decimal and fractions (and numbers, which both import) load only when prob or as_fraction runs."""
     proc = _run_python(
@@ -412,12 +428,12 @@ def test_importing_the_cli_loads_no_number_tower():
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_source_tools():
-    """Without site, nothing but the package can load dataclasses and the source tools it imports."""
+    """Without site, nothing but the package can load typing, dataclasses and the source tools it imports."""
     proc = _run_python("-S", "-c", "import synapper.cli; import sys; print(' '.join(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "synapper.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
 
 def test_console_script_usage_error_exits_2():

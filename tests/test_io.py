@@ -361,6 +361,23 @@ class TestLexiconParsing:
             parse_lexicon("Jane\tN\tJane\nMa ry\tNOUN\tMary\n")
         assert str(e.value) == "line 2: unknown category 'NOUN'"
 
+    @pytest.mark.parametrize("mark", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_only_newlines_end_a_line(self, mark):
+        lex = parse_lexicon(f"# note{mark} more\na\tN\tb\n")
+        assert lex.lookup("a", Category.N) == "b"
+
+    def test_a_field_holding_a_separator_is_not_one_token_on_its_own_line(self):
+        with pytest.raises(MalformedSyntaxError) as e:
+            parse_lexicon("# x\r\nJane\tN\tJane\rMa\x1cry\tN\tMary\n")
+        assert str(e.value) == "line 3: source and target must be single tokens without whitespace"
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        plain = (LEXICONS / "en-uz.tsv").read_text(encoding="utf-8")
+        bom = tmp_path / "en-uz.tsv"
+        bom.write_text(plain, encoding="utf-8-sig")
+        assert parse_lexicon(bom.read_text(encoding="utf-8"))._tokens == parse_lexicon(plain)._tokens
+        assert parse_lexicon("\ufeffJane\tN\tJane\n").lookup("Jane", Category.N) == "Jane"
+
     def test_surface_rule_runs_once_per_field(self):
         text = (LEXICONS / "en-uz.tsv").read_text(encoding="utf-8")
         lex, frames = frames_while(parse_lexicon, text)

@@ -1,5 +1,6 @@
 """Linearization: directions, starting members, branch placement, V1/V2."""
 
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from synapper import (
     Category,
     Constituent,
     DegenerateStructureError,
-    Direction,
     LanguageProfile,
     LinearSentence,
     Loop,
@@ -27,27 +27,11 @@ from synapper import (
     VerbPlacement,
     WhRule,
     WordOrder,
-    direction_of,
     interrogativize,
     linearize,
     wh_token,
 )
 from conftest import check_value_semantics, load_profile, load_structure, random_structure, replaced, rotate_main
-
-
-@pytest.mark.parametrize(
-    "order, direction",
-    [
-        (WordOrder.SVO, Direction.CLOCKWISE),
-        (WordOrder.VOS, Direction.CLOCKWISE),
-        (WordOrder.OSV, Direction.CLOCKWISE),
-        (WordOrder.SOV, Direction.COUNTERCLOCKWISE),
-        (WordOrder.OVS, Direction.COUNTERCLOCKWISE),
-        (WordOrder.VSO, Direction.COUNTERCLOCKWISE),
-    ],
-)
-def test_direction_is_derived_from_word_order(order, direction):
-    assert direction_of(order) is direction
 
 
 def _bare(order: WordOrder) -> LanguageProfile:
@@ -244,18 +228,22 @@ def test_o_initial_orders_start_at_first_object_clockwise_from_subject():
 # PlacedToken blocks, V1/V2 move the verb block, and a question is built by
 # cutting the flat sequence back into runs by block and swapping the subject
 # run with the verb run. The ring walk is the reference's own too: each index
-# is computed modulo the ring size, one member at a time.
+# is computed modulo the ring size, one member at a time, and the orders that
+# read clockwise are listed here, apart from linearize's table.
+
+_REFERENCE_CLOCKWISE = {WordOrder.SVO, WordOrder.VOS, WordOrder.OSV}
 
 
-def _reference_member_order(loop: Loop, order: WordOrder, direction: Direction) -> list[int]:
+def _reference_member_order(loop: Loop, order: WordOrder) -> list[int]:
     n = len(loop.members)
     if n == 0:
         return []
+    clockwise = order in _REFERENCE_CLOCKWISE
     if loop.kind is LoopKind.PHRASAL:
         seq = [(loop.head_index + i) % n for i in range(n)]
-        return seq if direction is Direction.CLOCKWISE else seq[::-1]
+        return seq if clockwise else seq[::-1]
     start = _reference_start_index(loop, order)
-    if direction is Direction.CLOCKWISE:
+    if clockwise:
         return [(start + i) % n for i in range(n)]
     return [start] + [(start - i) % n for i in range(1, n)]
 
@@ -287,13 +275,12 @@ def _reference_first_object_index(loop: Loop, subject: int | None) -> int | None
 
 
 def reference_linearize(s: Synapper, p: LanguageProfile) -> tuple[PlacedToken, ...]:
-    direction = direction_of(p.word_order)
     blocks = []
-    for index in _reference_member_order(s.main, p.word_order, direction):
+    for index in _reference_member_order(s.main, p.word_order):
         member = s.main.members[index]
         placed = [
             PlacedToken(t.surface, t.category, member.role, index, unit)
-            for t, unit in _reference_constituent(member, p, direction)
+            for t, unit in _reference_constituent(member, p)
         ]
         blocks.append((member.role, placed))
     if p.verb_placement is not VerbPlacement.DEFAULT and len(blocks) >= 2:
@@ -308,7 +295,7 @@ def reference_linearize(s: Synapper, p: LanguageProfile) -> tuple[PlacedToken, .
     return flat
 
 
-def _reference_constituent(c: Constituent, p: LanguageProfile, direction: Direction) -> list:
+def _reference_constituent(c: Constituent, p: LanguageProfile) -> list:
     pre, post, reversed_slots = [], [], []
     for branch in c.branches:
         side, post_order = p.placement[branch.category]
@@ -326,8 +313,8 @@ def _reference_constituent(c: Constituent, p: LanguageProfile, direction: Direct
     if c.node is not None:
         out.extend((t, len(c.node) > 1) for t in c.node)
     else:
-        for index in _reference_member_order(c.loop, p.word_order, direction):
-            out.extend(_reference_constituent(c.loop.members[index], p, direction))
+        for index in _reference_member_order(c.loop, p.word_order):
+            out.extend(_reference_constituent(c.loop.members[index], p))
     for branch in post:
         out.extend((t, False) for t in branch.tokens)
     return out
@@ -385,6 +372,19 @@ class TestReferenceOracle:
             name="x", word_order=order, verb_placement=placement, branch_rules=tuple(branch_rules), wh_rule=rule
         )
         _assert_matches_reference(s, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([Role.SUBJECT, Role.VERB, Role.OBJECT, None]), min_size=1, max_size=6))
+    def test_any_role_pattern_on_a_flat_ring(self, roles):
+        # random_structure gives every clausal ring one subject and one verb;
+        # here roles may repeat or be missing, so each start fallback is met.
+        members = tuple(
+            Constituent(role=role, node=(Token(f"w{i}", Category.N),)) for i, role in enumerate(roles)
+        )
+        s = Synapper("", WordOrder.SVO, False, Loop(kind=LoopKind.CLAUSAL, members=members))
+        for order, placement, rule in itertools.product(WordOrder, VerbPlacement, WhRule):
+            p = LanguageProfile(name="x", word_order=order, verb_placement=placement, wh_rule=rule)
+            _assert_matches_reference(s, p)
 
     @pytest.mark.parametrize("order", list(WordOrder))
     def test_v2_on_a_two_member_ring(self, order):

@@ -28,6 +28,7 @@ from synapper import (
     translate,
 )
 from synapper.model import _is_surface
+from synapper.translate import _target_token
 from conftest import LEXICONS, check_value_semantics, frames_while, load_profile, load_structure, replaced
 
 from synapper import parse_lexicon
@@ -110,6 +111,16 @@ def test_substitution_preserves_structure_shape():
     assert not structural_equal(s, out)  # surfaces changed
     assert [t.category for t in iter_tokens(out)] == [t.category for t in iter_tokens(s)]
     assert [t.surface for t in iter_tokens(out)] == ["Jane", "bor", "ot", "bir", "juda", "tez", "jigarrang"]
+
+
+def test_identity_lexicon_shares_the_structures_own_tokens():
+    s = load_structure("space_news")
+    lex, frames = frames_while(identity_lexicon, s)
+    assert len(lex) == 41
+    assert frames[_is_surface.__code__] == frames[_target_token.__code__] == frames[Token.__init__.__code__] == 0
+    own = {id(t) for t in iter_tokens(s)}
+    for source, target in zip(iter_tokens(s), iter_tokens(substitute_lexemes(s, lex)), strict=True):
+        assert target == source and id(target) in own
 
 
 def test_identity_lexicon_makes_translate_equal_linearize():
