@@ -59,8 +59,9 @@ class MalformedSyntaxError(SynapperError):
 
 
 def _loads(text: str) -> Any:
+    """The JSON value of text, which may start with one byte order mark."""
     try:
-        return json.loads(text)
+        return json.loads(text.removeprefix("\ufeff"))
     except json.JSONDecodeError as e:
         raise MalformedSyntaxError(f"invalid JSON: {e.msg}", e.lineno) from None
     except (RecursionError, ValueError) as e:

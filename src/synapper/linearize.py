@@ -15,14 +15,21 @@ The main loop's member order is decided first, on ring indices: the walk
 above, then V1 or V2 moves the verb's index to first or second place
 (question inversion in transform is one more such move). Each member is
 then written once, in that order, with branches around their node
-according to the profile's placement rules. Morpheme rules are NOT applied
-here; language-dependent rewrites live in the translation pipeline.
+according to the profile's placement rules. What is written is one run
+per node and per branch: its tokens plus the role, block and unit flag
+they share. The sentence's PlacedTokens are built from the runs only when
+``placed`` is first read; rendering reads the runs' surfaces directly.
+Morpheme rules are NOT applied here; language-dependent rewrites live in
+the translation pipeline.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import partial
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 from .model import (
     Branch,
@@ -32,6 +39,7 @@ from .model import (
     Role,
     Synapper,
     SynapperError,
+    Token,
     WordOrder,
     _Value,
     _role_index,
@@ -70,30 +78,71 @@ PlacedToken.__doc__ = """A linearized token plus where it came from.
 # PlacedToken(...) runs the named tuple's generated __new__ as a Python
 # frame; building the same tuple directly takes one C call per token.
 _placed = partial(tuple.__new__, PlacedToken)
+_surface = attrgetter("surface")
+_tokens = itemgetter(0)
+
+# One run per node or branch that linearize writes: (tokens, role, block,
+# unit), where tokens is the node's or branch's own tuple of Tokens.
+_Run = tuple[tuple[Token, ...], Role | None, int, bool]
 
 
 class LinearSentence(_Value):
-    __slots__ = __match_args__ = ("placed",)
-    placed: tuple[PlacedToken, ...]
+    """A linearized sentence: its PlacedTokens, in order, as ``placed``.
+
+    linearize stores its runs and builds ``placed`` from them when it is
+    first read, then keeps it; ``render`` and ``surfaces`` read the runs'
+    surfaces directly, so a sentence that is only rendered never builds a
+    PlacedToken. Equality, hash, repr and pickling go through ``placed``.
+    """
+
+    __slots__ = ("_runs", "_placed")
+    __match_args__ = ("placed",)
 
     def __init__(self, placed: tuple[PlacedToken, ...]) -> None:
-        _set(self, "placed", placed)
+        _set(self, "_runs", None)
+        _set(self, "_placed", placed)
+
+    @classmethod
+    def _of_runs(cls, runs: list[_Run]) -> LinearSentence:
+        sentence = cls.__new__(cls)
+        _set(sentence, "_runs", runs)
+        _set(sentence, "_placed", None)
+        return sentence
+
+    @property
+    def placed(self) -> tuple[PlacedToken, ...]:
+        placed = self._placed
+        if placed is None:
+            placed = _expand(self._runs)
+            _set(self, "_placed", placed)
+        return placed
+
+    def _written(self) -> Iterable[Token | PlacedToken]:
+        """Every token in order, each with a surface: the runs' Tokens or the PlacedTokens."""
+        runs = self._runs
+        return self._placed if runs is None else chain.from_iterable(map(_tokens, runs))
 
     def surfaces(self) -> tuple[str, ...]:
-        return tuple(p.surface for p in self.placed)
+        return tuple(map(_surface, self._written()))
 
     def render(self) -> str:
         """Space-joined surfaces with the first character uppercased.
 
         Stored tokens stay in their lexical case; sentence-initial
-        capitalization is purely a rendering concern.
+        capitalization is purely a rendering concern. Reads the surfaces
+        without building ``placed``.
         """
-        text = " ".join(p.surface for p in self.placed)
+        text = " ".join(map(_surface, self._written()))
         return text[:1].upper() + text[1:]
 
 
 def linearize(s: Synapper, p: LanguageProfile) -> LinearSentence:
-    return LinearSentence(_emit_members(s, p, _sentence_order(s, p)))
+    return LinearSentence._of_runs(_emit_members(s, p, _sentence_order(s, p)))
+
+
+def _expand(runs: list[_Run]) -> tuple[PlacedToken, ...]:
+    """One PlacedToken per token of the runs, in order."""
+    return tuple([_placed((t.surface, t.category, role, block, unit)) for tokens, role, block, unit in runs for t in tokens])
 
 
 def _sentence_order(s: Synapper, p: LanguageProfile) -> list[int]:
@@ -102,15 +151,15 @@ def _sentence_order(s: Synapper, p: LanguageProfile) -> list[int]:
     return _place_verb(order, s.main, p.verb_placement)
 
 
-def _emit_members(s: Synapper, p: LanguageProfile, order: list[int]) -> tuple[PlacedToken, ...]:
-    """Every token of the main loop's members in this order; block is the ring index."""
-    out: list[PlacedToken] = []
+def _emit_members(s: Synapper, p: LanguageProfile, order: list[int]) -> list[_Run]:
+    """The runs of the main loop's members in this order; block is the ring index."""
+    out: list[_Run] = []
     for index in order:
         member = s.main.members[index]
         _emit(member, member.role, index, p, out)
-    if not out:
+    if not any(map(_tokens, out)):
         raise DegenerateStructureError("structure produced no tokens")
-    return tuple(out)
+    return out
 
 
 def _member_order(loop: Loop, order: WordOrder) -> list[int]:
@@ -160,8 +209,17 @@ def _place_verb(order: list[int], loop: Loop, placement: VerbPlacement) -> list[
     return order
 
 
-def _emit(c: Constituent, role: Role | None, block: int, p: LanguageProfile, out: list[PlacedToken]) -> None:
-    """Append c's tokens, with nested loops and branches, to out; all carry role and block."""
+def _emit(c: Constituent, role: Role | None, block: int, p: LanguageProfile, out: list[_Run]) -> None:
+    """Append c's runs, with nested loops and branches, to out; all carry role and block."""
+    node = c.node
+    if node is None:
+        assert c.loop is not None
+        for index in _member_order(c.loop, p.word_order):
+            _emit(c.loop.members[index], role, block, p, out)
+        return
+    if not c.branches:
+        out.append((node, role, block, len(node) > 1))
+        return
     # Post branches keep stored order, except that each Reversed slot (None
     # here) takes the last Reversed branch not yet written: that subset flips.
     post: list[Branch | None] = []
@@ -169,22 +227,12 @@ def _emit(c: Constituent, role: Role | None, block: int, p: LanguageProfile, out
     for branch in c.branches:
         side, post_order = p.placement[branch.category]
         if side is BranchSide.PRE:
-            for t in branch.tokens:
-                out.append(_placed((t.surface, t.category, role, block, False)))
+            out.append((branch.tokens, role, block, False))
         elif post_order is PostOrder.REVERSED:
             flipped.append(branch)
             post.append(None)
         else:
             post.append(branch)
-
-    if c.node is not None:
-        unit = len(c.node) > 1
-        for t in c.node:
-            out.append(_placed((t.surface, t.category, role, block, unit)))
-    else:
-        assert c.loop is not None
-        for index in _member_order(c.loop, p.word_order):
-            _emit(c.loop.members[index], role, block, p, out)
+    out.append((node, role, block, len(node) > 1))
     for branch in post:
-        for t in (branch or flipped.pop()).tokens:
-            out.append(_placed((t.surface, t.category, role, block, False)))
+        out.append(((branch or flipped.pop()).tokens, role, block, False))

@@ -13,9 +13,16 @@ with the one given.
 
 from __future__ import annotations
 
-from .linearize import LinearSentence, PlacedToken, _emit_members, _placed, _sentence_order
+from operator import itemgetter
+
+from .linearize import LinearSentence, PlacedToken, _emit_members, _expand, _placed, _sentence_order
 from .model import Category, Role, Synapper, SynapperError, Token, _is_surface
 from .profile import LanguageProfile, WhRule
+
+
+_surface_category = itemgetter(0, 1)
+_category = itemgetter(1)
+_role = itemgetter(2)
 
 
 def wh_token(surface: str) -> Token:
@@ -54,7 +61,7 @@ def declarativize(q: LinearSentence, s_hint: Synapper, p: LanguageProfile) -> Sy
     if not _is_surface(wh.surface):
         raise InversionMismatchError(f"WH surface {wh.surface!r} is not a single token")
     expected = _with_wh(*_question(s_hint, p), wh.surface)
-    if [(pt.surface, pt.category) for pt in q.placed] != [(pt.surface, pt.category) for pt in expected]:
+    if [*map(_surface_category, q.placed)] != [*map(_surface_category, expected)]:
         raise InversionMismatchError("question does not match the skeleton's interrogative form")
     return s_hint
 
@@ -81,11 +88,12 @@ def _question(s: Synapper, p: LanguageProfile) -> tuple[tuple[PlacedToken, ...],
     order = _sentence_order(s, p)
     if p.wh_rule is WhRule.INITIAL_WITH_INVERSION:
         _swap_subject_verb(order, s)
-    placed = _emit_members(s, p, order)
-    if any(pt.category is Category.WH for pt in placed):
+    placed = _expand(_emit_members(s, p, order))
+    if Category.WH in map(_category, placed):
         raise WhAlreadyPresentError("structure already contains a WH token")
     if p.wh_rule is WhRule.PRE_SUBJECT:
-        return placed, next((i for i, pt in enumerate(placed) if pt.role is Role.SUBJECT), 0)
+        roles = [*map(_role, placed)]
+        return placed, roles.index(Role.SUBJECT) if Role.SUBJECT in roles else 0
     return placed, 0
 
 

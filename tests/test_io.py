@@ -236,6 +236,37 @@ class TestStructureErrors:
         assert [i.code for i in e.value.issues] == ["multiple-subjects"]
 
 
+def _bom_copy(path: Path, tmp_path: Path) -> Path:
+    copy = tmp_path / path.name
+    copy.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    return copy
+
+
+class TestByteOrderMark:
+    """A structure or profile file saved with a UTF-8 byte order mark reads like the plain file."""
+
+    def test_parsers_drop_one_mark(self, tmp_path):
+        for parse, path in ((parse_structure, FIXTURES / "horse.json"), (parse_profile, PROFILES / "en.json")):
+            text = _bom_copy(path, tmp_path).read_text(encoding="utf-8")
+            assert text.startswith("\ufeff")
+            assert parse(text) == parse(path.read_text(encoding="utf-8"))
+
+    def test_cli_output_matches_the_plain_files(self, tmp_path, run_cli):
+        horse, en = FIXTURES / "horse.json", PROFILES / "en.json"
+        bom_horse, bom_en = _bom_copy(horse, tmp_path), _bom_copy(en, tmp_path)
+        plain = run_cli("validate", str(horse))
+        assert plain[0] == 0
+        assert run_cli("validate", str(bom_horse)) == plain
+        plain = run_cli("linearize", str(horse), "--profile", str(en))
+        assert plain[0] == 0
+        assert run_cli("linearize", str(bom_horse), "--profile", str(bom_en)) == plain
+
+    def test_a_second_mark_is_invalid_json(self):
+        with pytest.raises(MalformedSyntaxError) as e:
+            parse_structure("\ufeff\ufeff{}")
+        assert e.value.line == 1
+
+
 class TestProfileParsing:
     @pytest.mark.parametrize("name", ALL_PROFILES)
     def test_bundled_profiles_parse(self, name):

@@ -1,6 +1,8 @@
 """Linearization: directions, starting members, branch placement, V1/V2."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -31,7 +33,8 @@ from synapper import (
     linearize,
     wh_token,
 )
-from conftest import check_value_semantics, load_profile, load_structure, random_structure, replaced, rotate_main
+from synapper.linearize import _expand
+from conftest import check_value_semantics, frames_while, load_profile, load_structure, random_structure, replaced, rotate_main
 
 
 def _bare(order: WordOrder) -> LanguageProfile:
@@ -205,6 +208,28 @@ def test_degenerate_structure_raises():
         linearize(s, _bare(WordOrder.SVO))
 
 
+def test_a_ring_of_empty_nodes_is_degenerate():
+    # Built in code, past the reader's checks: every member writes a run,
+    # but no run holds a token.
+    empty = Constituent(node=(), branches=(Branch((), Category.DET),))
+    members = (
+        Constituent(role=Role.SUBJECT, node=()),
+        Constituent(role=Role.VERB, node=(), branches=(Branch((), Category.ADV),)),
+        Constituent(role=Role.OBJECT, loop=Loop(kind=LoopKind.PHRASAL, members=(empty, empty))),
+    )
+    s = Synapper(
+        label="",
+        word_order=WordOrder.SVO,
+        surface_subject_final=False,
+        main=Loop(kind=LoopKind.CLAUSAL, members=members),
+    )
+    for order in WordOrder:
+        with pytest.raises(DegenerateStructureError):
+            linearize(s, _bare(order))
+    with pytest.raises(DegenerateStructureError):
+        interrogativize(s, wh_token("why"), load_profile("en"))
+
+
 def test_o_initial_orders_start_at_first_object_clockwise_from_subject():
     members = (
         Constituent(role=Role.OBJECT, node=(Token("late", Category.ADV),)),
@@ -353,7 +378,12 @@ _BRANCH_RULES = st.lists(
 
 
 def _assert_matches_reference(s: Synapper, p: LanguageProfile) -> None:
-    assert linearize(s, p).placed == reference_linearize(s, p)
+    # render and surfaces read linearize's runs, and a constructed
+    # sentence's PlacedTokens: both must give the reference's text.
+    sentence, reference = linearize(s, p), LinearSentence(reference_linearize(s, p))
+    assert sentence.render() == reference.render()
+    assert sentence.surfaces() == reference.surfaces()
+    assert sentence.placed == reference.placed
     assert interrogativize(s, wh_token("why"), p).placed == reference_interrogativize(s, wh_token("why"), p)
 
 
@@ -544,6 +574,46 @@ class TestProfileAndSentenceValues:
         assert p.placement[Category.ADJ] == (BranchSide.PRE, PostOrder.SOURCE)
         assert p.passes == ()
         assert replaced(p, branch_rules=()).placement[Category.DET] == (BranchSide.PRE, PostOrder.SOURCE)
+
+    def test_rendering_builds_no_placed_token(self):
+        s, p = load_structure("space_news"), load_profile("en-articles")
+        sentence = linearize(s, p)
+        text, frames = frames_while(sentence.render)
+        assert text == LinearSentence(reference_linearize(s, p)).render()
+        assert frames[_expand.__code__] == 0
+        _, frames = frames_while(lambda: linearize(s, p).render())
+        assert frames[_expand.__code__] == 0
+        _, frames = frames_while(sentence.surfaces)
+        assert frames[_expand.__code__] == 0
+        placed, frames = frames_while(lambda: sentence.placed)
+        assert frames[_expand.__code__] == 1
+        assert placed == reference_linearize(s, p)
+
+    def test_placed_is_built_once(self):
+        sentence = linearize(load_structure("space_news"), load_profile("en"))
+        first, frames = frames_while(lambda: (sentence.placed, sentence.placed))
+        assert first[0] is first[1]
+        assert frames[_expand.__code__] == 1
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_linearized_sentence_is_a_value(self, read_first):
+        s, p = load_structure("space_news"), load_profile("en-articles")
+        placed = linearize(s, p).placed
+        built = LinearSentence(placed)
+        unequal = [linearize(s, _bare(WordOrder.VSO)), LinearSentence(placed[1:])]
+        text = repr(built)
+        # Each operation on a sentence whose placed was never read.
+        assert linearize(s, p) == built and built == linearize(s, p)
+        assert hash(linearize(s, p)) == hash(built)
+        assert repr(linearize(s, p)) == text
+        for copied in (copy.copy(linearize(s, p)), copy.deepcopy(linearize(s, p))):
+            assert copied == built
+        assert pickle.loads(pickle.dumps(linearize(s, p))) == built
+        sentence = linearize(s, p)
+        if read_first:
+            sentence.placed
+        check_value_semantics(sentence, built, unequal, text, derived=("_runs", "_placed"))
+        check_value_semantics(built, linearize(s, p), unequal, text, derived=("_runs", "_placed"))
 
     def test_linear_sentence(self):
         placed = (PlacedToken("a", Category.N, Role.SUBJECT, 0, False),)

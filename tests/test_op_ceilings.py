@@ -1,0 +1,167 @@
+"""Op-count ceilings: each layer's exact interpreter-op count on fixed calls stays at or below its ceiling.
+
+Op counts are exact and repeat from run to run, so a ceiling holds a layer
+to the cost it has reached. The ceilings live in ``op_ceilings.json``, one
+row per implementation and minor version (e.g. ``cpython-3.11``); a version
+without a row is skipped. Running this file as a script measures every
+call and lowers each ceiling the counts now beat; it never raises one::
+
+    PYTHONPATH=src python tests/test_op_ceilings.py
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import subprocess
+import sys
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from synapper import (
+    LanguageProfile,
+    WordOrder,
+    apply_morpheme_rules,
+    canonical_form,
+    declarativize,
+    interrogativize,
+    linearize,
+    parse_lexicon,
+    parse_structure,
+    serialize_structure,
+    to_dot,
+    translate,
+    wh_token,
+)
+from conftest import FIXTURES, LEXICONS, ROOT, load_profile, load_structure
+from op_counter import OpCounter
+
+CEILINGS = Path(__file__).resolve().parent / "op_ceilings.json"
+VERSION = f"{sys.implementation.name}-{sys.version_info.major}.{sys.version_info.minor}"
+
+# Imports synapper.cli under the counter in a fresh interpreter. -I and -S
+# keep environment variables and site-packages out; -B with an empty
+# pycache prefix compiles every module from source and writes nothing, so
+# the count does not depend on which .pyc files exist.
+_IMPORT_CHILD = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from op_counter import OpCounter
+with OpCounter() as counter:
+    import synapper.cli
+print(counter.n)
+"""
+
+
+LAYERS = (
+    "parse_orders",
+    "linearize_with_rules",
+    "translate",
+    "interrogativize",
+    "declarativize",
+    "serialize_structure",
+    "canonical_form",
+    "to_dot",
+)
+
+
+@cache
+def _calls() -> dict:
+    """Each counted layer's call, with its inputs read beforehand."""
+    news_text = (FIXTURES / "space_news.json").read_text(encoding="utf-8")
+    news, tim, horse = load_structure("space_news"), load_structure("tim"), load_structure("horse")
+    bare = [LanguageProfile(name=order.value, word_order=order) for order in WordOrder]
+    articles, en, uz = load_profile("en-articles"), load_profile("en"), load_profile("uz")
+    en_uz = parse_lexicon((LEXICONS / "en-uz.tsv").read_text(encoding="utf-8"))
+    why = wh_token("why")
+    question = interrogativize(tim, why, en)
+
+    def parse_orders():
+        s = parse_structure(news_text)
+        for p in bare:
+            linearize(s, p).render()
+
+    return {
+        "parse_orders": parse_orders,
+        "linearize_with_rules": lambda: apply_morpheme_rules(linearize(news, articles), articles),
+        "translate": lambda: translate(horse, en_uz, uz),
+        "interrogativize": lambda: interrogativize(tim, why, en),
+        "declarativize": lambda: declarativize(question, tim, en),
+        "serialize_structure": lambda: serialize_structure(news),
+        "canonical_form": lambda: canonical_form(news),
+        "to_dot": lambda: to_dot(news),
+    }
+
+
+def count_ops(call) -> int:
+    """call()'s op count after one uncounted warm-up call, with the collector off."""
+    call()
+    gc.disable()
+    try:
+        with OpCounter() as counter:
+            call()
+    finally:
+        gc.enable()
+    return counter.n
+
+
+def count_import(pycache: Path) -> int:
+    child = [sys.executable, "-I", "-S", "-B", "-X", f"pycache_prefix={pycache}", "-c", _IMPORT_CHILD]
+    child += [str(ROOT / "tests"), str(ROOT / "src")]
+    out = subprocess.run(child, capture_output=True, text=True, check=True)
+    return int(out.stdout)
+
+
+def _ceilings() -> dict[str, int]:
+    rows = json.loads(CEILINGS.read_text(encoding="utf-8"))
+    if VERSION not in rows:
+        pytest.skip(f"no op ceilings recorded for {VERSION}")
+    return rows[VERSION]
+
+
+def _check(layer: str, count: int) -> None:
+    ceiling = _ceilings()[layer]
+    assert count <= ceiling, f"{layer}: {count} ops, above its ceiling of {ceiling}"
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_stays_under_its_ceiling(layer):
+    _check(layer, count_ops(_calls()[layer]))
+
+
+def test_importing_the_cli_stays_under_its_ceiling(tmp_path):
+    _check("import_cli", count_import(tmp_path / "pycache"))
+
+
+def test_every_layer_has_a_ceiling():
+    assert set(_calls()) == set(LAYERS)
+    assert set(_ceilings()) == {*LAYERS, "import_cli"}
+
+
+def lower_ceilings(pycache: Path) -> dict[str, tuple[int | None, int]]:
+    """Measure every layer and write each count that beats its ceiling; returns {layer: (old, new)}."""
+    counts = {layer: count_ops(call) for layer, call in _calls().items()}
+    counts["import_cli"] = count_import(pycache)
+    rows = json.loads(CEILINGS.read_text(encoding="utf-8")) if CEILINGS.exists() else {}
+    row = rows.setdefault(VERSION, {})
+    changes = {}
+    for layer, count in counts.items():
+        old = row.get(layer)
+        if old is None or count < old:
+            row[layer] = count
+            changes[layer] = (old, count)
+    CEILINGS.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return changes
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        changed = lower_ceilings(Path(scratch) / "pycache")
+    for layer, (old, new) in sorted(changed.items()):
+        print(f"{VERSION} {layer}: {old} -> {new}")
+    if not changed:
+        print(f"{VERSION}: no ceiling lowered")
