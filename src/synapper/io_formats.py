@@ -86,8 +86,6 @@ def serialize_structure(s: Synapper) -> str:
     if s.label:
         out += ['  "label": ', encode_basestring(s.label), ",\n"]
     out += ['  "word_order": "', _TEXT[s.word_order], '",\n']
-    if s.surface_subject_final:
-        out.append('  "surface_subject_final": true,\n')
     out.append('  "loop": ')
     _emit_loop(s.main, "\n  ", out)
     out.append("\n}\n")

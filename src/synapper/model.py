@@ -246,16 +246,14 @@ class Loop(_Value):
 
 
 class Synapper(_Value):
-    __slots__ = __match_args__ = ("label", "word_order", "surface_subject_final", "main")
+    __slots__ = __match_args__ = ("label", "word_order", "main")
     label: str
     word_order: WordOrder
-    surface_subject_final: bool
     main: Loop
 
-    def __init__(self, label: str, word_order: WordOrder, surface_subject_final: bool, main: Loop) -> None:
+    def __init__(self, label: str, word_order: WordOrder, main: Loop) -> None:
         _set(self, "label", label)
         _set(self, "word_order", word_order)
-        _set(self, "surface_subject_final", surface_subject_final)
         _set(self, "main", main)
 
 
@@ -271,7 +269,7 @@ def _schema_keys(*keys: str) -> KeysView[str]:
 # Each object's required keys, in schema order so that the first one missing
 # is the one reported whatever the hash seed, and every key it may hold.
 _TOP_REQUIRED = _schema_keys("word_order", "loop")
-_TOP_KEYS = frozenset({*_TOP_REQUIRED, "label", "surface_subject_final"})
+_TOP_KEYS = frozenset({*_TOP_REQUIRED, "label"})
 _LOOP_REQUIRED = _schema_keys("kind", "members")
 _LOOP_KEYS = frozenset({*_LOOP_REQUIRED, "head_index"})
 _MEMBER_REQUIRED = _schema_keys()
@@ -323,13 +321,10 @@ def build_synapper(doc: StructureDocument) -> Synapper:
     _check_keys(doc, _TOP_REQUIRED, _TOP_KEYS, str)
     label = _expect_str(doc.get("label", ""), "label")
     word_order = _word_order(doc["word_order"])
-    subject_final = doc.get("surface_subject_final", False)
-    if not isinstance(subject_final, bool):
-        raise MalformedDocumentError("surface_subject_final", "expected a boolean")
 
     issues: list[ValidationIssue] = []
     main = _convert_loop(doc["loop"], (), issues)
-    s = Synapper(label=label, word_order=word_order, surface_subject_final=subject_final, main=main)
+    s = Synapper(label=label, word_order=word_order, main=main)
     issues += structure_issues(s)
     if issues:
         raise StructureValidationError(issues)
@@ -579,7 +574,7 @@ def _rotated_members(loop: Loop) -> tuple[Constituent, ...]:
 
 
 def structural_equal(a: Synapper, b: Synapper) -> bool:
-    """Isomorphism of structures; labels and surface flags are ignored.
+    """Isomorphism of structures; labels are ignored.
 
     Rings are cycles, so member lists are compared after rotating each loop
     to its anchor: the subject for clausal loops, the head for phrasal ones.
@@ -607,8 +602,8 @@ def canonical_form(s: Synapper) -> str:
     ``{"kind", "members"}`` with its members rotated to the anchor; each
     member is ``{"branches"?, "loop" | "node", "role"?}``, each branch
     ``{"category", "tokens"}`` and each token ``[surface, category]``.
-    Surfaces are escaped to ASCII, as ``json.dumps`` does by default. Label,
-    surface flag and ``head_index`` are left out.
+    Surfaces are escaped to ASCII, as ``json.dumps`` does by default. Label
+    and ``head_index`` are left out.
     """
     out = ['{"loop":']
     _canon_loop(s.main, out)

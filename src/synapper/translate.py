@@ -90,7 +90,7 @@ def substitute_lexemes(s: Synapper, lex: Lexicon) -> Synapper:
     main = _substitute_loop(s.main, lex._tokens, missing)
     if missing:
         raise MissingLexemeError(missing)
-    return Synapper(s.label, s.word_order, s.surface_subject_final, main)
+    return Synapper(s.label, s.word_order, main)
 
 
 def _substitute_loop(loop: Loop, targets: dict[_Pair, Token], missing: list[_Pair]) -> Loop:
@@ -119,6 +119,9 @@ def _substitute_tokens(tokens: tuple[Token, ...], targets: dict[_Pair, Token], m
 
 
 def apply_morpheme_rules(sentence: LinearSentence, p: LanguageProfile) -> LinearSentence:
+    """The sentence after each of p's passes; a profile without rules returns it as it is."""
+    if not p.passes:
+        return sentence
     placed = sentence.placed
     for step in p.passes:
         placed = _apply_rule(placed, step)
@@ -134,9 +137,9 @@ def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertEdit
             if edit is None:
                 out.append(pt)
             else:
-                out.extend(_inserted(edit[0]))
+                out += _inserted(edit[0])
                 out.append(pt)
-                out.extend(_inserted(edit[1]))
+                out += _inserted(edit[1])
         return tuple(out)
     if step.kind is MorphemeKind.DROP_CATEGORY:
         category = step.operand
@@ -159,5 +162,5 @@ def _inserted(words: tuple[str, ...]) -> list[PlacedToken]:
 
 
 def translate(s: Synapper, lex: Lexicon, p: LanguageProfile) -> LinearSentence:
-    """Substitute lexemes, linearize, rewrite; linearize never reads surface_subject_final."""
+    """Substitute lexemes, linearize with p, then apply p's morpheme rules."""
     return apply_morpheme_rules(linearize(substitute_lexemes(s, lex), p), p)

@@ -92,7 +92,7 @@ def random_structure(rng: random.Random, max_ring: int = 6, max_depth: int = 3) 
     """A valid-by-construction structure: one subject, one verb per clausal ring."""
     order = rng.choice(list(WordOrder))
     main = _random_clausal(rng, max_ring, max_depth)
-    return Synapper(label="generated", word_order=order, surface_subject_final=False, main=main)
+    return Synapper(label="generated", word_order=order, main=main)
 
 
 def _random_clausal(rng: random.Random, max_ring: int, depth: int) -> Loop:
@@ -138,12 +138,7 @@ def rotate_main(s: Synapper, k: int) -> Synapper:
     if s.main.kind is LoopKind.PHRASAL:
         head = (head - k) % n
     main = Loop(kind=s.main.kind, members=rotated, head_index=head)
-    return Synapper(
-        label=s.label,
-        word_order=s.word_order,
-        surface_subject_final=s.surface_subject_final,
-        main=main,
-    )
+    return Synapper(label=s.label, word_order=s.word_order, main=main)
 
 
 def frames_while(call, *args):

@@ -68,6 +68,18 @@ class TestValidate:
             "path": role_path,
         }
 
+    def test_a_subject_final_flag_is_an_unknown_key(self, run_cli, tmp_path):
+        doc = {"surface_subject_final": True, **json.loads((FIXTURES / "mary.json").read_text(encoding="utf-8"))}
+        path = tmp_path / "flagged.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "UnknownKeyError",
+            "message": "surface_subject_final: unknown key 'surface_subject_final'",
+            "path": "surface_subject_final",
+        }
+
     def test_missing_file(self, run_cli):
         code, _, err = run_cli("validate", "no_such_file.json")
         assert code == 1

@@ -55,8 +55,6 @@ def reference_serialize(s: Synapper) -> str:
     if s.label:
         doc["label"] = s.label
     doc["word_order"] = s.word_order.value
-    if s.surface_subject_final:
-        doc["surface_subject_final"] = True
     doc["loop"] = _loop_doc(s.main)
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
@@ -135,7 +133,7 @@ class TestStructureRoundTrip:
     def test_key_order_is_fixed(self):
         text = serialize_structure(load_structure("mary"))
         doc = json.loads(text)
-        assert list(doc) == ["label", "word_order", "surface_subject_final", "loop"]
+        assert list(doc) == ["label", "word_order", "loop"]
         assert list(doc["loop"]) == ["kind", "members"]
 
     def test_flag_and_label_omitted_when_unset(self):
@@ -150,7 +148,6 @@ class TestStructureRoundTrip:
         s = Synapper(
             label="",
             word_order=WordOrder.SVO,
-            surface_subject_final=False,
             main=Loop(
                 LoopKind.CLAUSAL,
                 (
@@ -178,7 +175,7 @@ class TestDirectSerializer:
     )
     def test_code_built_edge_cases(self, members):
         main = Loop(LoopKind.CLAUSAL, members)
-        s = Synapper(label="edge", word_order=WordOrder.VSO, surface_subject_final=True, main=main)
+        s = Synapper(label="edge", word_order=WordOrder.VSO, main=main)
         assert serialize_structure(s) == reference_serialize(s)
 
     @settings(max_examples=150)
@@ -186,15 +183,14 @@ class TestDirectSerializer:
         seed=st.integers(min_value=0, max_value=10**9),
         words=st.lists(surfaces, min_size=1, max_size=8),
         label=labels,
-        flag=st.booleans(),
         extra=st.lists(st.sampled_from(list(EDGE_MEMBERS.values())), max_size=2),
     )
-    def test_matches_reference_on_escaped_text(self, seed, words, label, flag, extra):
+    def test_matches_reference_on_escaped_text(self, seed, words, label, extra):
         s = random_structure(random.Random(seed))
         pairs = dict.fromkeys((t.surface, t.category) for t in iter_tokens(s))
         s = substitute_lexemes(s, Lexicon({pair: words[i % len(words)] for i, pair in enumerate(pairs)}))
         main = replaced(s.main, members=s.main.members + tuple(extra))
-        s = replaced(s, label=label, surface_subject_final=flag, main=main)
+        s = replaced(s, label=label, main=main)
         assert serialize_structure(s) == reference_serialize(s)
 
     def test_one_frame_per_loop_and_per_token_run(self):
@@ -234,6 +230,15 @@ class TestStructureErrors:
         with pytest.raises(StructureValidationError) as e:
             parse_structure(bad)
         assert [i.code for i in e.value.issues] == ["multiple-subjects"]
+
+    @pytest.mark.parametrize("value", ["true", "false", '"yes"'])
+    def test_surface_subject_final_is_an_unknown_key(self, value):
+        """Where the subject surfaces is the profile's choice; a structure has no key for it."""
+        text = (FIXTURES / "mary.json").read_text(encoding="utf-8")
+        text = text.replace('"loop":', f'"surface_subject_final": {value},\n  "loop":')
+        with pytest.raises(UnknownKeyError) as e:
+            parse_structure(text)
+        assert (e.value.path, e.value.message) == ("surface_subject_final", "unknown key 'surface_subject_final'")
 
 
 def _bom_copy(path: Path, tmp_path: Path) -> Path:

@@ -201,7 +201,6 @@ def test_degenerate_structure_raises():
     s = Synapper(
         label="",
         word_order=WordOrder.SVO,
-        surface_subject_final=False,
         main=Loop(kind=LoopKind.CLAUSAL, members=()),
     )
     with pytest.raises(DegenerateStructureError):
@@ -220,7 +219,6 @@ def test_a_ring_of_empty_nodes_is_degenerate():
     s = Synapper(
         label="",
         word_order=WordOrder.SVO,
-        surface_subject_final=False,
         main=Loop(kind=LoopKind.CLAUSAL, members=members),
     )
     for order in WordOrder:
@@ -240,7 +238,6 @@ def test_o_initial_orders_start_at_first_object_clockwise_from_subject():
     s = Synapper(
         label="",
         word_order=WordOrder.OSV,
-        surface_subject_final=False,
         main=Loop(kind=LoopKind.CLAUSAL, members=members),
     )
     # Clockwise from Ann the first object is "home", not "late".
@@ -411,7 +408,7 @@ class TestReferenceOracle:
         members = tuple(
             Constituent(role=role, node=(Token(f"w{i}", Category.N),)) for i, role in enumerate(roles)
         )
-        s = Synapper("", WordOrder.SVO, False, Loop(kind=LoopKind.CLAUSAL, members=members))
+        s = Synapper("", WordOrder.SVO, Loop(kind=LoopKind.CLAUSAL, members=members))
         for order, placement, rule in itertools.product(WordOrder, VerbPlacement, WhRule):
             p = LanguageProfile(name="x", word_order=order, verb_placement=placement, wh_rule=rule)
             _assert_matches_reference(s, p)
@@ -422,7 +419,7 @@ class TestReferenceOracle:
             Constituent(role=Role.SUBJECT, node=(Token("Ann", Category.N),)),
             Constituent(role=Role.VERB, node=(Token("runs", Category.V),)),
         )
-        s = Synapper("", order, False, Loop(kind=LoopKind.CLAUSAL, members=members))
+        s = Synapper("", order, Loop(kind=LoopKind.CLAUSAL, members=members))
         for rule in WhRule:
             p = LanguageProfile(name="x", word_order=order, verb_placement=VerbPlacement.V2, wh_rule=rule)
             assert linearize(s, p).surfaces() == ("Ann", "runs")
@@ -458,7 +455,7 @@ class TestReferenceOracle:
             Constituent(role=Role.VERB, node=(Token("has", Category.V),)),
             Constituent(role=Role.OBJECT, loop=phrase),
         )
-        s = Synapper("", WordOrder.SOV, False, Loop(kind=LoopKind.CLAUSAL, members=members))
+        s = Synapper("", WordOrder.SOV, Loop(kind=LoopKind.CLAUSAL, members=members))
         p = LanguageProfile(
             name="x",
             word_order=WordOrder.SOV,
@@ -503,7 +500,7 @@ class TestReferenceOracle:
             Constituent(role=Role.VERB, node=(Token("v", Category.V),)),
             obj,
         )
-        s = Synapper("", WordOrder.SVO, False, Loop(kind=LoopKind.CLAUSAL, members=members))
+        s = Synapper("", WordOrder.SVO, Loop(kind=LoopKind.CLAUSAL, members=members))
         p = LanguageProfile(
             name="x",
             word_order=WordOrder.SVO,

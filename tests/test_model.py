@@ -339,17 +339,16 @@ class TestValueSemantics:
 
     def test_synapper(self):
         main = Loop(LoopKind.CLAUSAL, (Constituent(Role.VERB, (_GO,)),))
-        s = Synapper("go", WordOrder.SVO, False, main)
+        s = Synapper("go", WordOrder.SVO, main)
         check_value_semantics(
             s,
-            Synapper(label="go", word_order=WordOrder.SVO, surface_subject_final=False, main=replaced(main)),
+            Synapper(label="go", word_order=WordOrder.SVO, main=replaced(main)),
             [
                 replaced(s, label="other"),
                 replaced(s, word_order=WordOrder.SOV),
-                replaced(s, surface_subject_final=True),
                 replaced(s, main=Loop(LoopKind.CLAUSAL, (Constituent(Role.VERB, (Token("went", Category.V),)),))),
             ],
-            "Synapper(label='go', word_order=<WordOrder.SVO: 'svo'>, surface_subject_final=False,"
+            "Synapper(label='go', word_order=<WordOrder.SVO: 'svo'>,"
             " main=Loop(kind=<LoopKind.CLAUSAL: 'clausal'>, members=(Constituent(role=<Role.VERB: 'verb'>,"
             " node=(Token(surface='go', category=<Category.V: 'V'>),), loop=None, branches=()),), head_index=0))",
         )
@@ -370,9 +369,9 @@ class TestStructuralEqual:
         for k in range(1, 5):
             assert structural_equal(s, rotate_main(s, k))
 
-    def test_label_and_surface_flag_ignored(self):
+    def test_label_ignored(self):
         s = load_structure("mary")
-        relabeled = replaced(s, label="other", surface_subject_final=False)
+        relabeled = replaced(s, label="other")
         assert structural_equal(s, relabeled)
 
     def test_word_order_matters(self):
@@ -627,7 +626,7 @@ class TestStructureIssues:
 
     def _with_member(self, member):
         verb = Constituent(role=Role.VERB, node=(Token("ran", Category.V),))
-        return Synapper("x", WordOrder.SVO, False, Loop(LoopKind.CLAUSAL, (member, verb)))
+        return Synapper("x", WordOrder.SVO, Loop(LoopKind.CLAUSAL, (member, verb)))
 
     def test_empty_node_reported(self):
         s = self._with_member(Constituent(role=Role.SUBJECT, node=()))
@@ -648,7 +647,7 @@ class TestStructureIssues:
             build_synapper(doc)
         verb = Constituent(role=Role.VERB, node=())
         subject = Constituent(role=Role.SUBJECT, node=(Token("Mary", Category.N),))
-        s = Synapper("", WordOrder.SVO, False, Loop(LoopKind.CLAUSAL, (subject, verb)))
+        s = Synapper("", WordOrder.SVO, Loop(LoopKind.CLAUSAL, (subject, verb)))
         assert structure_issues(s) == list(e.value.issues)
 
     @pytest.mark.parametrize("law", _LAW_ISSUES)
@@ -690,11 +689,11 @@ def _breaking(law):
         "clausal member without a role": (subject, verb, Constituent(node=(Token("far", Category.ADV),))),
     }
     if law == "phrasal main loop":
-        return Synapper("x", WordOrder.SVO, False, _phrase())
+        return Synapper("x", WordOrder.SVO, _phrase())
     if law == "loops past the depth bound":
         deepest = Constituent(role=Role.SUBJECT, loop=build_synapper(_nested_doc(MAX_DEPTH)).main)
-        return Synapper("x", WordOrder.SVO, False, Loop(LoopKind.CLAUSAL, (deepest, verb)))
-    return Synapper("x", WordOrder.SVO, False, Loop(LoopKind.CLAUSAL, members[law]))
+        return Synapper("x", WordOrder.SVO, Loop(LoopKind.CLAUSAL, (deepest, verb)))
+    return Synapper("x", WordOrder.SVO, Loop(LoopKind.CLAUSAL, members[law]))
 
 
 def _loops(loop):
@@ -815,23 +814,20 @@ def test_missing_key_reported_in_schema_order_whatever_the_hash_seed():
 
 
 def reference_build_synapper(doc):
-    _ref_check_keys(doc, "", ("word_order", "loop"), {"label", "surface_subject_final"})
+    _ref_check_keys(doc, "", ("word_order", "loop"), {"label"})
     label = _ref_expect_str(doc.get("label", ""), "label")
     text = _ref_expect_str(doc["word_order"], "word_order")
     try:
         word_order = WordOrder(text)
     except ValueError:
         raise UnknownWordOrderError("word_order", f"unknown word order {text!r}") from None
-    subject_final = doc.get("surface_subject_final", False)
-    if not isinstance(subject_final, bool):
-        raise MalformedDocumentError("surface_subject_final", "expected a boolean")
 
     issues = []
     main = _ref_convert_loop(doc["loop"], "loop", 1, issues)
     issues.extend(_ref_loop_issues(main, "loop"))
     if issues:
         raise StructureValidationError(issues)
-    return Synapper(label=label, word_order=word_order, surface_subject_final=subject_final, main=main)
+    return Synapper(label=label, word_order=word_order, main=main)
 
 
 def _ref_check_keys(obj, path, required, optional):

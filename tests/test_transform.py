@@ -71,7 +71,7 @@ class TestInterrogativize:
             Constituent(role=Role.VERB, node=(Token("ran", Category.V),)),
             Constituent(role=Role.OBJECT, node=(Token("late", Category.ADV),)),
         )
-        s = Synapper("", WordOrder.SVO, False, Loop(kind=LoopKind.CLAUSAL, members=members))
+        s = Synapper("", WordOrder.SVO, Loop(kind=LoopKind.CLAUSAL, members=members))
         p = LanguageProfile(name="x", word_order=WordOrder.SVO, wh_rule=WhRule.INITIAL_WITH_INVERSION)
         assert linearize(s, p).render() == "Home ran late"
         assert interrogativize(s, WHY, p).render() == "Why ran home late"

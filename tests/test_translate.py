@@ -27,6 +27,7 @@ from synapper import (
     substitute_lexemes,
     translate,
 )
+from synapper.linearize import _expand
 from synapper.model import _is_surface
 from synapper.translate import _target_token
 from conftest import LEXICONS, check_value_semantics, frames_while, load_profile, load_structure, replaced
@@ -214,6 +215,17 @@ class TestMorphemeRules:
         assert len(base.placed) == 43
         assert len(full.placed) == 62
 
+    def test_a_profile_without_rules_returns_the_sentence_unexpanded(self):
+        p = load_profile("vso")
+        assert p.passes == ()
+        sentence = linearize(load_structure("space_news"), p)
+        out, frames = frames_while(apply_morpheme_rules, sentence, p)
+        assert out is sentence
+        assert frames[_expand.__code__] == 0
+        text, frames = frames_while(out.render)
+        assert text == linearize(load_structure("space_news"), p).render()
+        assert frames[_expand.__code__] == 0
+
     @pytest.mark.parametrize(
         "kind, selector, payload, field, message",
         [
@@ -270,8 +282,8 @@ class TestMorphemeRules:
             apply_morpheme_rules(linearize(load_structure("mary"), p), p)
 
 
-def test_translate_normalizes_the_subject_flag():
-    s = load_structure("mary")  # stored with surface_subject_final = true
+def test_translate_places_the_subject_by_the_profile():
+    s = load_structure("mary")
     p = LanguageProfile(name="bare", word_order=WordOrder.SVO)
     assert translate(s, identity_lexicon(s), p).render() == "Mary loves chocolate"
 
