@@ -25,9 +25,7 @@ the translation pipeline.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable
-from functools import partial
 from itertools import chain
 from operator import attrgetter, itemgetter
 
@@ -36,12 +34,14 @@ from .model import (
     Constituent,
     Loop,
     LoopKind,
+    PlacedToken,
     Role,
     Synapper,
     SynapperError,
     Token,
     WordOrder,
     _Value,
+    _placed,
     _role_index,
     _set,
 )
@@ -63,21 +63,6 @@ class DegenerateStructureError(SynapperError):
     """The structure produced no tokens at all."""
 
 
-PlacedToken = namedtuple("PlacedToken", ("surface", "category", "role", "block", "unit"))
-PlacedToken.__doc__ = """A linearized token plus where it came from.
-
-    surface is a str, category a Category, role a Role or None, block an int
-    and unit a bool. role and block identify the top-level constituent
-    (block is its ring index, -1 for tokens added after linearization); unit
-    marks tokens that belong to a multiword node, which morpheme drops treat
-    as untouchable. An immutable named tuple: ``_replace`` makes a changed
-    copy.
-    """
-
-
-# PlacedToken(...) runs the named tuple's generated __new__ as a Python
-# frame; building the same tuple directly takes one C call per token.
-_placed = partial(tuple.__new__, PlacedToken)
 _surface = attrgetter("surface")
 _tokens = itemgetter(0)
 
@@ -89,10 +74,11 @@ _Run = tuple[tuple[Token, ...], Role | None, int, bool]
 class LinearSentence(_Value):
     """A linearized sentence: its PlacedTokens, in order, as ``placed``.
 
-    linearize stores its runs and builds ``placed`` from them when it is
-    first read, then keeps it; ``render`` and ``surfaces`` read the runs'
-    surfaces directly, so a sentence that is only rendered never builds a
-    PlacedToken. Equality, hash, repr and pickling go through ``placed``.
+    linearize and interrogativize store their runs and build ``placed``
+    from them when it is first read, then keep it; ``render`` and
+    ``surfaces`` read the runs' surfaces directly, so a sentence that is
+    only rendered never builds a PlacedToken. Equality, hash, repr and
+    pickling go through ``placed``.
     """
 
     __slots__ = ("_runs", "_placed")

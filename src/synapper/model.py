@@ -12,13 +12,19 @@ time, never stored here.
 ``build_synapper`` turns a plain-dict document (the parsed JSON form) into
 a validated immutable ``Synapper``; ``structure_issues`` alone checks its
 laws, reporting the complete list of violations, not only the first.
+
+``PlacedToken``, a linearized token with its provenance, is defined here as
+well, below the layers that build it: linearize writes sentences of them,
+and a profile builds the words its insert rules add once, when it is built.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections import namedtuple
 from collections.abc import Callable, Iterator, KeysView, Mapping, Set as AbstractSet
+from functools import partial
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -181,6 +187,22 @@ class Token(_Value):
 
     def __hash__(self) -> int:
         return hash((self.surface, self.category))
+
+
+PlacedToken = namedtuple("PlacedToken", ("surface", "category", "role", "block", "unit"))
+PlacedToken.__doc__ = """A linearized token plus where it came from.
+
+    surface is a str, category a Category, role a Role or None, block an int
+    and unit a bool. role and block identify the top-level constituent
+    (block is its ring index, -1 for tokens added after linearization); unit
+    marks tokens that belong to a multiword node, which morpheme drops treat
+    as untouchable. An immutable named tuple: ``_replace`` makes a changed
+    copy.
+    """
+
+# PlacedToken(...) runs the named tuple's generated __new__ as a Python
+# frame; building the same tuple directly takes one C call per token.
+_placed = partial(tuple.__new__, PlacedToken)
 
 
 class Branch(_Value):

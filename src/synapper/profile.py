@@ -11,7 +11,19 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 
-from .model import Category, MalformedDocumentError, Role, WordOrder, _CATEGORIES, _ROLES, _Value, _is_surface, _set
+from .model import (
+    Category,
+    MalformedDocumentError,
+    PlacedToken,
+    Role,
+    WordOrder,
+    _CATEGORIES,
+    _ROLES,
+    _Value,
+    _is_surface,
+    _placed,
+    _set,
+)
 
 
 class VerbPlacement(enum.Enum):
@@ -111,9 +123,11 @@ _DEFAULT_PLACEMENT = (BranchSide.PRE, PostOrder.SOURCE)
 
 # A run of consecutive insert rules fused into one scan of the sequence: an
 # anchor surface -> (words inserted before it, words inserted after it), so
-# each token costs one lookup. Anchors match only tokens already in the
-# sequence, never the words the same pass inserts.
-InsertEdits = dict[str, tuple[tuple[str, ...], tuple[str, ...]]]
+# each token costs one lookup. The words are ready PlacedTokens of category
+# OTHER with no role, block -1 and no unit flag, built once when the profile
+# is built and shared by every sentence the pass edits. Anchors match only
+# tokens already in the sequence, never the words the same pass inserts.
+InsertEdits = dict[str, tuple[tuple[PlacedToken, ...], tuple[PlacedToken, ...]]]
 
 
 class LanguageProfile(_Value):
@@ -121,7 +135,9 @@ class LanguageProfile(_Value):
 
     placement maps every Category to its branch (side, post_order); the
     first branch rule for a category wins. passes holds the morpheme rules
-    as the engine runs them: one step per pass over the token sequence.
+    as the engine runs them: one step per pass over the token sequence, a
+    drop or suffix MorphemeRule or an InsertEdits whose inserted words are
+    already PlacedTokens.
     Both are derived from the other fields, so they stay out of equality
     and repr.
     """
@@ -166,7 +182,7 @@ def _compile_passes(rules: tuple[MorphemeRule, ...]) -> tuple[MorphemeRule | Ins
     when both go before it and ``A W2 W1`` when both go after it; the fused
     edit keeps that order. A later insert sees an earlier one's words only
     when its anchor is one of them, so a new pass starts there. A drop or a
-    suffix ends the run.
+    suffix ends the run. Each rule's words become PlacedTokens here, once.
     """
     passes: list[MorphemeRule | InsertEdits] = []
     edits: InsertEdits | None = None
@@ -180,10 +196,11 @@ def _compile_passes(rules: tuple[MorphemeRule, ...]) -> tuple[MorphemeRule | Ins
             edits, inserted = {}, set()
             passes.append(edits)
         before, after = edits.get(rule.selector, ((), ()))
+        words = tuple([_placed((w, Category.OTHER, None, -1, False)) for w in rule.operand])
         if rule.kind is MorphemeKind.INSERT_BEFORE:
-            before += rule.operand
+            before += words
         else:
-            after = rule.operand + after
+            after = words + after
         edits[rule.selector] = (before, after)
         inserted.update(rule.operand)
     return tuple(passes)

@@ -3,21 +3,24 @@
 The structure never changes during translation. Lexical substitution maps
 each (surface, category) pair to a target surface; linearization under the
 target profile produces the new order; morpheme rules then add, change or
-remove language-dependent tokens on the flat sequence. Tokens that belong
-to a multiword node are treated as one fused unit, so category drops never
-reach inside them.
+remove language-dependent tokens on the flat sequence of PlacedTokens, one
+pass per step of the profile's ``passes``. The words an insert adds come
+ready-built from the profile, so a pass only splices them in. Tokens that
+belong to a multiword node are treated as one fused unit, so category drops
+never reach inside them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .linearize import LinearSentence, PlacedToken, _placed, linearize
+from .linearize import LinearSentence, linearize
 from .model import (
     Branch,
     Category,
     Constituent,
     Loop,
+    PlacedToken,
     Synapper,
     SynapperError,
     Token,
@@ -129,7 +132,11 @@ def apply_morpheme_rules(sentence: LinearSentence, p: LanguageProfile) -> Linear
 
 
 def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertEdits) -> tuple[PlacedToken, ...]:
-    """One pass over the whole sequence: a drop, a suffix, or a fused run of inserts."""
+    """One pass over the whole sequence: a drop, a suffix, or a fused run of inserts.
+
+    An insert pass splices in the PlacedTokens its InsertEdits already holds,
+    so a hit builds nothing.
+    """
     if isinstance(step, dict):
         out: list[PlacedToken] = []
         for pt in placed:
@@ -137,9 +144,10 @@ def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertEdit
             if edit is None:
                 out.append(pt)
             else:
-                out += _inserted(edit[0])
+                before, after = edit
+                out += before
                 out.append(pt)
-                out += _inserted(edit[1])
+                out += after
         return tuple(out)
     if step.kind is MorphemeKind.DROP_CATEGORY:
         category = step.operand
@@ -155,10 +163,6 @@ def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertEdit
     target = placed[last]
     patched = target._replace(surface=target.surface + step.payload)
     return placed[:last] + (patched,) + placed[last + 1 :]
-
-
-def _inserted(words: tuple[str, ...]) -> list[PlacedToken]:
-    return [_placed((w, Category.OTHER, None, -1, False)) for w in words]
 
 
 def translate(s: Synapper, lex: Lexicon, p: LanguageProfile) -> LinearSentence:

@@ -82,7 +82,7 @@ _GEN_CATEGORIES = (
     Category.OTHER,
 )
 
-_GEN_WORDS = (
+GEN_WORDS = (
     "kite", "river", "stone", "lamp", "book", "cloud", "wolf", "engine",
     "salt", "pepper", "tower", "marsh", "violin", "copper", "badge", "ferry",
 )
@@ -115,12 +115,12 @@ def _random_member(rng: random.Random, role: Role | None, depth: int) -> Constit
             return Constituent(role=role, loop=_random_clausal(rng, 4, depth - 1))
         return Constituent(role=role, loop=_random_phrasal(rng, depth - 1))
     node = tuple(
-        Token(rng.choice(_GEN_WORDS), rng.choice(_GEN_CATEGORIES))
+        Token(rng.choice(GEN_WORDS), rng.choice(_GEN_CATEGORIES))
         for _ in range(rng.randint(1, 3))
     )
     branches = tuple(
         Branch(
-            tokens=(Token(rng.choice(_GEN_WORDS), rng.choice(_GEN_CATEGORIES)),),
+            tokens=(Token(rng.choice(GEN_WORDS), rng.choice(_GEN_CATEGORIES)),),
             category=rng.choice(_GEN_CATEGORIES),
         )
         for _ in range(rng.randint(0, 2))

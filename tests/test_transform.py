@@ -11,6 +11,7 @@ from synapper import (
     Constituent,
     InversionMismatchError,
     LanguageProfile,
+    LinearSentence,
     Loop,
     LoopKind,
     NoWhFoundError,
@@ -28,8 +29,9 @@ from synapper import (
     structural_equal,
     wh_token,
 )
-from synapper.linearize import _emit_members
-from conftest import frames_while, load_profile, load_structure, random_structure, replaced
+from synapper.linearize import _emit_members, _expand
+from conftest import PROFILES, frames_while, load_profile, load_structure, random_structure, replaced
+from test_cli import VALID_FIXTURES
 
 WHY = wh_token("why")
 
@@ -75,6 +77,19 @@ class TestInterrogativize:
         p = LanguageProfile(name="x", word_order=WordOrder.SVO, wh_rule=WhRule.INITIAL_WITH_INVERSION)
         assert linearize(s, p).render() == "Home ran late"
         assert interrogativize(s, WHY, p).render() == "Why ran home late"
+
+    def test_pre_subject_slot_is_the_subjects_first_token_not_an_empty_run(self):
+        # A code-built empty subject node writes an empty run and no token,
+        # so the WH word goes where it would with no subject at all: first.
+        members = (
+            Constituent(role=Role.SUBJECT, node=()),
+            Constituent(role=Role.OBJECT, node=(Token("home", Category.N),)),
+            Constituent(role=Role.VERB, node=(Token("ran", Category.V),)),
+        )
+        s = Synapper("", WordOrder.SVO, Loop(kind=LoopKind.CLAUSAL, members=members))
+        p = LanguageProfile(name="x", word_order=WordOrder.VOS, wh_rule=WhRule.PRE_SUBJECT)
+        assert linearize(s, p).render() == "Ran home"
+        assert interrogativize(s, WHY, p).render() == "Why ran home"
 
     def test_rejects_non_wh_token(self):
         with pytest.raises(ValueError):
@@ -239,6 +254,37 @@ class TestParseQuestion:
             for pt, word in zip(q.placed, q.render().split())
         ]
         assert declarativize(parsed, s, p) is s
+
+
+class TestQuestionsAsRuns:
+    @pytest.mark.parametrize("rule", list(WhRule))
+    @pytest.mark.parametrize("profile", sorted(path.stem for path in PROFILES.glob("*.json")))
+    @pytest.mark.parametrize("structure", VALID_FIXTURES)
+    def test_every_bundled_question_reads_back(self, structure, profile, rule):
+        s = load_structure(structure)
+        p = replaced(load_profile(profile), wh_rule=rule)
+        # parse_question reads the WH word as written, and a rendering
+        # capitalizes a sentence-initial one, so this one is capital already.
+        q = interrogativize(s, wh_token("Why"), p)
+        assert parse_question(q.render(), s, p) == q
+        # The same question built from its PlacedTokens rather than runs.
+        assert declarativize(LinearSentence(q.placed), s, p) is s
+
+    def test_a_question_is_rendered_and_declarativized_without_placed_tokens(self):
+        s, p = load_structure("tim"), load_profile("en")
+        text, frames = frames_while(lambda: interrogativize(s, WHY, p).render())
+        assert text == "Why is Tim going to the hospital"
+        assert frames[_expand.__code__] == 0
+        back, frames = frames_while(declarativize, interrogativize(s, WHY, p), s, p)
+        assert back is s
+        assert frames[_expand.__code__] == 0
+
+    def test_the_question_holds_the_callers_wh_token(self):
+        s, p = load_structure("mary"), LanguageProfile(name="x", word_order=WordOrder.OVS, wh_rule=WhRule.PRE_SUBJECT)
+        q = interrogativize(s, WHY, p)
+        assert q.render() == "Chocolate loves why Mary"
+        assert q._runs[2] == ((WHY,), None, -1, False) and q._runs[2][0][0] is WHY
+        assert q.placed[2] == (WHY.surface, Category.WH, None, -1, False)
 
 
 def _mary_asking_what():

@@ -1,5 +1,6 @@
 """Lexeme substitution, morpheme rewriting, and the full translation pipeline."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -18,6 +19,7 @@ from synapper import (
     Role,
     SynapperError,
     Token,
+    VerbPlacement,
     WordOrder,
     apply_morpheme_rules,
     identity_lexicon,
@@ -29,8 +31,18 @@ from synapper import (
 )
 from synapper.linearize import _expand
 from synapper.model import _is_surface
-from synapper.translate import _target_token
-from conftest import LEXICONS, check_value_semantics, frames_while, load_profile, load_structure, replaced
+from synapper.translate import _apply_rule, _target_token
+from conftest import (
+    GEN_WORDS,
+    LEXICONS,
+    check_value_semantics,
+    frames_while,
+    load_profile,
+    load_structure,
+    random_structure,
+    replaced,
+)
+from test_linearize import reference_linearize
 
 from synapper import parse_lexicon
 
@@ -360,6 +372,26 @@ class TestFusedInserts:
         assert len(p.morpheme_rules) == 14
         assert len(p.passes) == 1
 
+    def test_inserted_words_are_built_with_the_profile(self):
+        (edits,) = load_profile("en-articles").passes
+        before, after = edits["British"]
+        assert before == (
+            PlacedToken("from", Category.OTHER, None, -1, False),
+            PlacedToken("a", Category.OTHER, None, -1, False),
+        )
+        assert after == ()
+        assert all(type(pt) is PlacedToken for edit in edits.values() for side in edit for pt in side)
+
+    def test_an_insert_pass_runs_no_frame_per_anchor_hit(self):
+        p = load_profile("en-articles")
+        placed = linearize(load_structure("space_news"), p).placed
+        (edits,) = p.passes
+        out, frames = frames_while(_apply_rule, placed, edits)
+        assert len(out) == 62
+        # _apply_rule's own frame only: the 19 inserted words are spliced in,
+        # not built.
+        assert sum(frames.values()) == 1
+
 
 # Small vocabularies, so that anchors repeat, inserted words equal later
 # anchors, and suffixed surfaces ("a" + "b") equal anchors too.
@@ -390,3 +422,33 @@ def test_fused_engine_equals_one_pass_per_rule(placed, rules):
     p = LanguageProfile(name="x", word_order=WordOrder.SVO, morpheme_rules=tuple(rules))
     out = apply_morpheme_rules(LinearSentence(placed), p).placed
     assert out == sequential_rules(placed, rules)
+
+
+# Rules over generated structures: anchors and inserted words from the
+# generator's own vocabulary, so inserts fire and chain; drops over every
+# category; suffixes on every role.
+_STRUCTURE_RULES = st.one_of(
+    st.builds(MorphemeRule, st.just(MorphemeKind.DROP_CATEGORY), st.sampled_from([c.value for c in Category]),
+              st.just(""), _ORDINALS),
+    st.builds(MorphemeRule, st.just(MorphemeKind.SUFFIX_ON_ROLE), st.sampled_from([r.value for r in Role]),
+              st.sampled_from(["da", "ni"]), _ORDINALS),
+    st.builds(MorphemeRule, st.sampled_from([MorphemeKind.INSERT_BEFORE, MorphemeKind.INSERT_AFTER]),
+              st.sampled_from(GEN_WORDS), st.lists(st.sampled_from(GEN_WORDS), min_size=1, max_size=3).map(" ".join),
+              _ORDINALS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(WordOrder)),
+    st.sampled_from(list(VerbPlacement)),
+    st.lists(_STRUCTURE_RULES, max_size=8),
+)
+def test_rules_on_linearized_runs_equal_one_pass_per_rule_on_the_reference(seed, order, placement, rules):
+    s = random_structure(random.Random(seed))
+    p = LanguageProfile(name="x", word_order=order, verb_placement=placement, morpheme_rules=tuple(rules))
+    out = apply_morpheme_rules(linearize(s, p), p)
+    expected = LinearSentence(sequential_rules(reference_linearize(s, p), rules))
+    assert out.placed == expected.placed
+    assert out.render() == expected.render()
