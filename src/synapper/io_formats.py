@@ -4,30 +4,34 @@ Structures and language profiles are JSON documents with a fixed, strictly
 checked vocabulary of keys; lexicons are three-column TSV. Serialization is
 byte-deterministic: the same structure always produces the same text, with
 keys in a fixed order and members and branches in stored order, which
-re-parsing keeps. ``to_dot`` renders a structure as a Graphviz
-digraph: one box per node, branch edges pointing into their node, ring
-edges following the stored clockwise order, and nested loops as clusters.
+re-parsing keeps. The structure writer takes every indent, separator and
+key it writes from one module-level table with an entry per loop depth,
+filled the first time that depth is written; only the label, the surfaces
+and enum text are read from the structure. ``to_dot`` renders a structure
+as a Graphviz digraph: one box per node, branch edges pointing into their
+node, ring edges following the stored clockwise order, and nested loops as
+clusters.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from json.encoder import encode_basestring
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Mapping
     from typing import Any
 
+    from .model import Category, Loop, Synapper, Token
+
 from .model import (
-    Category,
-    Loop,
     LoopKind,
+    MAX_DEPTH,
     MalformedDocumentError,
-    Synapper,
     SynapperError,
-    Token,
     _CATEGORIES,
+    _ROLES,
     _TEXT,
     _by_text,
     _check_keys,
@@ -92,62 +96,92 @@ def serialize_structure(s: Synapper) -> str:
     return "".join(out)
 
 
-# Each emitter writes one JSON value, bracket to bracket, with its separators
-# worked out once per level; ``nl`` is a newline plus the value's first indent.
+# Every separator and indent the emitters write depends only on the depth of
+# the loop being written, so each is worked out once per process: nl (a
+# newline plus the loop's first indent) -> that depth's layout. _emit_loop
+# fills an entry the first time it writes a depth. Entries hold whitespace and
+# fixed key text only, never a label or a surface, and there is one per depth
+# up to MAX_DEPTH; a deeper code-built loop is laid out on each call instead.
+_LAYOUTS = {}
 
 
 def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
-    inner = nl + "  "
-    out += ["{", inner, '"kind": "', _TEXT[loop.kind], '",']
+    layout = _LAYOUTS.get(nl)
+    if layout is None:
+        inner = nl + "  "
+        item = inner + "  "
+        field = item + "  "
+        branch = field + "  "
+        heads = {None: item + "{" + field}
+        for text, role in _ROLES.items():
+            heads[role] = f'{item}{{{field}"role": "{text}",{field}'
+        # The members' node arrays and the branches' token arrays, each
+        # written after its key at its own indent (see _emit_tokens).
+        arrays = []
+        for key, at in ('"node": ', field), ('"tokens": ', branch + "  "):
+            opening = f'{at}  {{{at}    "surface": '
+            closing = f'"{at}  }}'
+            middle = f',{at}    "category": "'
+            arrays.append((key + "[]", f"{key}[{opening}", f"{closing},{opening}", middle, closing + at + "]"))
+        layout = (
+            f'{{{inner}"kind": "clausal",{inner}"members": ',
+            f'{{{inner}"kind": "phrasal",{inner}"head_index": ',
+            f',{inner}"members": ',
+            heads,
+            field,
+            f"{item}}},",
+            f',{field}"branches": [{branch}{{{branch}  "category": "',
+            f'{branch}}},{branch}{{{branch}  "category": "',
+            f'",{branch}  ',
+            f"{branch}}}{field}]",
+            *arrays,
+            f"{item}}}{inner}]{nl}}}",
+            f"[]{nl}}}",
+        )
+        if len(_LAYOUTS) < MAX_DEPTH:
+            _LAYOUTS[nl] = layout
+    (
+        clausal, phrasal, members, heads, field, next_member, first_branch, next_branch,
+        category_end, branches_end, node_array, branch_array, end, empty_end,
+    ) = layout
     if loop.kind is LoopKind.PHRASAL:
-        out += [inner, '"head_index": ', str(loop.head_index), ","]
-    out += [inner, '"members": ']
-    item = inner + "  "
-    field = item + "  "
-    branch = field + "  "
-    branch_field = branch + "  "
-    opening = branch + "{" + branch_field + '"category": "'
-    first_branch = "," + field + '"branches": [' + opening
-    next_branch = branch + "}," + opening
-    sep = "[" + item + "{"
-    following = item + "}," + item + "{"
+        out.append(f"{phrasal}{loop.head_index}{members}")
+    else:
+        out.append(clausal)
+    sep = "["
     for c in loop.members:
-        out.append(sep)
-        if c.role is not None:
-            out += [field, '"role": "', _TEXT[c.role], '",']
+        out += [sep, heads[c.role]]
         if c.node is not None:
-            out += [field, '"node": ']
-            _emit_tokens(c.node, field, out)
+            _emit_tokens(c.node, node_array, out)
         else:
-            out += [field, '"loop": ']
+            out.append('"loop": ')
             _emit_loop(c.loop, field, out)  # type: ignore[arg-type]
         if c.branches:
             branch_sep = first_branch
             for b in c.branches:
-                out += [branch_sep, _TEXT[b.category], '",', branch_field, '"tokens": ']
-                _emit_tokens(b.tokens, branch_field, out)
+                out += [branch_sep, _TEXT[b.category], category_end]
+                _emit_tokens(b.tokens, branch_array, out)
                 branch_sep = next_branch
-            out += [branch, "}", field, "]"]
-        sep = following
-    out += [item, "}", inner, "]", nl, "}"] if loop.members else ["[]", nl, "}"]
+            out.append(branches_end)
+        sep = next_member
+    out.append(end if loop.members else empty_end)
 
 
-def _emit_tokens(tokens: tuple[Token, ...], nl: str, out: list[str]) -> None:
-    """A token array, with one ``out +=`` per token and its separators worked out once."""
+def _emit_tokens(tokens: tuple[Token, ...], layout: tuple[str, ...], out: list[str]) -> None:
+    """A token array, written from one of a _LAYOUTS entry's ready array layouts.
+
+    layout holds the whole empty array, the opening of the first token and of
+    every next one (each ending at the surface), the text between surface and
+    category, and the array's closing; so each token takes one ``out +=``.
+    """
     if not tokens:
-        out.append("[]")
+        out.append(layout[0])
         return
-    item = nl + "  "
-    field = item + "  "
-    opening = "{" + field + '"surface": '
-    middle = "," + field + '"category": "'
-    closing = '"' + item + "}"
-    sep = "[" + item + opening
-    following = "," + item + opening
+    _, sep, following, middle, end = layout
     for t in tokens:
-        out += [sep, encode_basestring(t.surface), middle, _TEXT[t.category], closing]
+        out += [sep, encode_basestring(t.surface), middle, _TEXT[t.category]]
         sep = following
-    out += [nl, "]"]
+    out.append(end)
 
 
 _PROFILE_REQUIRED = _schema_keys("name", "word_order", "wh_rule")

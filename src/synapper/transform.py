@@ -26,6 +26,7 @@ from .profile import LanguageProfile, WhRule
 
 
 _category = attrgetter("category")
+_role = attrgetter("role")
 _surface_category = attrgetter("surface", "category")
 
 
@@ -113,8 +114,7 @@ def _with_wh(runs: list[_Run], at: int, wh: Token) -> list[_Run]:
 
 
 def _swap_subject_verb(order: list[int], s: Synapper) -> None:
-    members = s.main.members
-    subject_at = next((i for i, index in enumerate(order) if members[index].role is Role.SUBJECT), None)
-    verb_at = next((i for i, index in enumerate(order) if members[index].role is Role.VERB), None)
-    if subject_at is not None and verb_at is not None:
+    roles = [*map(_role, map(s.main.members.__getitem__, order))]
+    if Role.SUBJECT in roles and Role.VERB in roles:
+        subject_at, verb_at = roles.index(Role.SUBJECT), roles.index(Role.VERB)
         order[subject_at], order[verb_at] = order[verb_at], order[subject_at]

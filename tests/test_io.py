@@ -33,7 +33,7 @@ from synapper import (
     to_dot,
 )
 from synapper import io_formats
-from synapper.model import _is_surface
+from synapper.model import MAX_DEPTH, _is_surface
 from conftest import (
     FIXTURES,
     LEXICONS,
@@ -208,6 +208,57 @@ class TestDirectSerializer:
                 runs += (m.node is not None) + len(m.branches)
         written = {code.co_name: n for code, n in frames.items() if code.co_filename == io_formats.__file__}
         assert written == {"serialize_structure": 1, "_emit_loop": loops, "_emit_tokens": runs}
+
+    def test_layout_table_serves_depths_in_any_order(self, monkeypatch):
+        """Down to MAX_DEPTH, then shallow, then deep again: each depth's stored layout writes json.dumps's text."""
+        monkeypatch.setattr(io_formats, "_LAYOUTS", {})
+        deep = _both_kinds_chain(MAX_DEPTH)
+        for s in (deep, _both_kinds_chain(2), load_structure("tim"), deep):
+            text = serialize_structure(s)
+            assert text == reference_serialize(s)
+            assert parse_structure(text) == s
+        assert len(io_formats._LAYOUTS) == MAX_DEPTH
+
+    def test_layout_table_holds_no_structure_text(self, monkeypatch):
+        """The table keeps whitespace and key text only, one entry per depth written."""
+        monkeypatch.setattr(io_formats, "_LAYOUTS", {})
+        s = _both_kinds_chain(3)
+        pairs = dict.fromkeys((t.surface, t.category) for t in iter_tokens(s))
+        words = {pair: f"Qz{i}surface" for i, pair in enumerate(pairs)}
+        s = replaced(substitute_lexemes(s, Lexicon(words)), label="Qzlabel")
+        serialize_structure(s)
+        assert len(io_formats._LAYOUTS) == 3
+        pending, strings = list(io_formats._LAYOUTS.items()), []
+        while pending:
+            value = pending.pop()
+            if isinstance(value, str):
+                strings.append(value)
+            else:
+                pending += value.values() if isinstance(value, dict) else value
+        assert strings and not [text for text in strings if "Qz" in text]
+
+    def test_loops_past_the_bound_are_written_without_growing_the_table(self, monkeypatch):
+        monkeypatch.setattr(io_formats, "_LAYOUTS", {})
+        s = _both_kinds_chain(MAX_DEPTH + 2)
+        assert serialize_structure(s) == reference_serialize(s)
+        assert serialize_structure(s) == reference_serialize(s)
+        assert len(io_formats._LAYOUTS) == MAX_DEPTH
+
+
+def _both_kinds_chain(depth: int) -> Synapper:
+    """A structure whose clausal loops nest depth deep, with a phrasal loop next to each nested clausal one.
+
+    So every depth below the main loop writes a loop of each kind, and with
+    it a head_index line; valid up to MAX_DEPTH.
+    """
+    adj = (Branch((Token("big", Category.ADJ),), Category.ADJ),)
+    verb = Constituent(role=Role.VERB, node=(Token("ran", Category.V),), branches=adj)
+    loop = Loop(LoopKind.CLAUSAL, (Constituent(role=Role.SUBJECT, node=(Token("Tim", Category.N),)), verb))
+    phrase_members = (Constituent(node=(_word("very"),)), Constituent(node=(_word("far"),), branches=adj))
+    phrase = Constituent(role=Role.OBJECT, loop=Loop(LoopKind.PHRASAL, phrase_members, 1))
+    for _ in range(depth - 1):
+        loop = Loop(LoopKind.CLAUSAL, (Constituent(role=Role.SUBJECT, loop=loop), verb, phrase))
+    return Synapper("chain", WordOrder.SVO, loop)
 
 
 class TestStructureErrors:
