@@ -45,7 +45,7 @@ from .model import (
     _role_index,
     _set,
 )
-from .profile import BranchSide, LanguageProfile, PostOrder, VerbPlacement
+from .profile import LanguageProfile, PostOrder, VerbPlacement
 
 
 # Each word order: (reads clockwise, role of its first member).
@@ -133,39 +133,63 @@ def _expand(runs: list[_Run]) -> tuple[PlacedToken, ...]:
 
 def _sentence_order(s: Synapper, p: LanguageProfile) -> list[int]:
     """The main loop's ring indices in sentence order: the ring walk, then V1/V2."""
-    order = _member_order(s.main, p.word_order)
+    order = _reading_order(s.main, [*range(len(s.main.members))], p.word_order)
     return _place_verb(order, s.main, p.verb_placement)
 
 
 def _emit_members(s: Synapper, p: LanguageProfile, order: list[int]) -> list[_Run]:
-    """The runs of the main loop's members in this order; block is the ring index."""
+    """The runs of the main loop's members in this order; block is the ring index.
+
+    A leaf, a node without branches, is written here; only a nested loop or
+    a node with branches takes an _emit frame.
+    """
     out: list[_Run] = []
+    members = s.main.members
     for index in order:
-        member = s.main.members[index]
-        _emit(member, member.role, index, p, out)
+        c = members[index]
+        node = c.node
+        if node is None or c.branches:
+            _emit(c, c.role, index, p, out)
+        else:
+            out.append((node, c.role, index, len(node) > 1))
     if not any(map(_tokens, out)):
         raise DegenerateStructureError("structure produced no tokens")
     return out
 
 
-def _member_order(loop: Loop, order: WordOrder) -> list[int]:
-    n = len(loop.members)
-    if n == 0:
-        return []
+def _reading_order(
+    loop: Loop, items: list[int] | tuple[Constituent, ...], order: WordOrder
+) -> list[int] | tuple[Constituent, ...]:
+    """items, one per member of loop in ring order, in order's reading order.
+
+    The main loop reads its ring indices through this, a nested loop its
+    members.
+    """
+    if not items:
+        return items
     clockwise, first = _READING[order]
-    phrasal = loop.kind is LoopKind.PHRASAL
-    start = loop.head_index % n if phrasal else _start_index(loop, first)
-    seq = [*range(start, n), *range(start)]
-    if clockwise:
-        return seq
-    # Counterclockwise a phrasal head comes last; a clausal start stays first.
-    return seq[::-1] if phrasal else seq[:1] + seq[:0:-1]
+    if loop.kind is LoopKind.PHRASAL:
+        start = loop.head_index % len(items)
+        seq = items[start:] + items[:start]
+        # Counterclockwise the head comes last.
+        return seq if clockwise else seq[::-1]
+    start = _start_index(loop, first)
+    seq = items[start:] + items[:start]
+    # Counterclockwise a clausal start stays first.
+    return seq if clockwise else seq[:1] + seq[:0:-1]
 
 
 def _start_index(loop: Loop, first: Role) -> int:
     """The first member with this role, else the subject, else the verb, else member 0."""
     if first is Role.OBJECT:
-        start = _first_object_index(loop, _role_index(loop, Role.SUBJECT))
+        # The first object clockwise after the subject, or after member 0.
+        n = len(loop.members)
+        after = (_role_index(loop, Role.SUBJECT) or 0) + 1
+        start = None
+        for idx in (*range(after, n), *range(after)):
+            if loop.members[idx].role is Role.OBJECT:
+                start = idx
+                break
     else:
         start = _role_index(loop, first)
     if start is None and first is not Role.SUBJECT:
@@ -173,15 +197,6 @@ def _start_index(loop: Loop, first: Role) -> int:
     if start is None:
         start = _role_index(loop, Role.VERB)
     return 0 if start is None else start
-
-
-def _first_object_index(loop: Loop, subject: int | None) -> int | None:
-    n = len(loop.members)
-    after = (subject if subject is not None else 0) + 1
-    for idx in (*range(after, n), *range(after)):
-        if loop.members[idx].role is Role.OBJECT:
-            return idx
-    return None
 
 
 def _place_verb(order: list[int], loop: Loop, placement: VerbPlacement) -> list[int]:
@@ -196,29 +211,35 @@ def _place_verb(order: list[int], loop: Loop, placement: VerbPlacement) -> list[
 
 
 def _emit(c: Constituent, role: Role | None, block: int, p: LanguageProfile, out: list[_Run]) -> None:
-    """Append c's runs, with nested loops and branches, to out; all carry role and block."""
-    node = c.node
-    if node is None:
-        assert c.loop is not None
-        for index in _member_order(c.loop, p.word_order):
-            _emit(c.loop.members[index], role, block, p, out)
-        return
-    if not c.branches:
-        out.append((node, role, block, len(node) > 1))
+    """Append the runs of c, a nested loop or a node with branches, to out; all carry role and block.
+
+    A nested loop's members are read in reading order off the loop's member
+    tuple, and its leaves are written in this frame.
+    """
+    loop = c.loop
+    if loop is not None:
+        for m in _reading_order(loop, loop.members, p.word_order):
+            node = m.node
+            if node is None or m.branches:
+                _emit(m, role, block, p, out)
+            else:
+                out.append((node, role, block, len(node) > 1))
         return
     # Post branches keep stored order, except that each Reversed slot (None
     # here) takes the last Reversed branch not yet written: that subset flips.
+    pre = p.pre_categories
     post: list[Branch | None] = []
     flipped: list[Branch] = []
     for branch in c.branches:
-        side, post_order = p.placement[branch.category]
-        if side is BranchSide.PRE:
+        category = branch.category
+        if category in pre:
             out.append((branch.tokens, role, block, False))
-        elif post_order is PostOrder.REVERSED:
+        elif p.placement[category][1] is PostOrder.REVERSED:
             flipped.append(branch)
             post.append(None)
         else:
             post.append(branch)
-    out.append((node, role, block, len(node) > 1))
+    node = c.node
+    out.append((node, role, block, len(node) > 1))  # type: ignore[arg-type]
     for branch in post:
         out.append(((branch or flipped.pop()).tokens, role, block, False))

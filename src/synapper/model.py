@@ -262,6 +262,10 @@ class Loop(_Value):
     head_index: int
 
     def __init__(self, kind: LoopKind, members: tuple[Constituent, ...], head_index: int = 0) -> None:
+        # Exactly an int: a bool or a float head would be written out as
+        # text that the reader rejects.
+        if head_index.__class__ is not int:
+            raise ValueError(f"head_index must be an int: {head_index!r}")
         _set(self, "kind", kind)
         _set(self, "members", members)
         _set(self, "head_index", head_index)

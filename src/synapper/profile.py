@@ -134,16 +134,17 @@ class LanguageProfile(_Value):
     """A target language, compiled once when built.
 
     placement maps every Category to its branch (side, post_order); the
-    first branch rule for a category wins. passes holds the morpheme rules
-    as the engine runs them: one step per pass over the token sequence, a
-    drop or suffix MorphemeRule or an InsertEdits whose inserted words are
-    already PlacedTokens.
-    Both are derived from the other fields, so they stay out of equality
-    and repr.
+    first branch rule for a category wins. pre_categories holds the
+    categories whose branches placement puts before the node. passes holds
+    the morpheme rules as the engine runs them: one step per pass over the
+    token sequence, a drop or suffix MorphemeRule or an InsertEdits whose
+    inserted words are already PlacedTokens.
+    All three are derived from the other fields, so they stay out of
+    equality and repr.
     """
 
     __match_args__ = ("name", "word_order", "verb_placement", "branch_rules", "wh_rule", "morpheme_rules")
-    __slots__ = (*__match_args__, "placement", "passes")
+    __slots__ = (*__match_args__, "placement", "pre_categories", "passes")
     name: str
     word_order: WordOrder
     verb_placement: VerbPlacement
@@ -151,6 +152,7 @@ class LanguageProfile(_Value):
     wh_rule: WhRule
     morpheme_rules: tuple[MorphemeRule, ...]
     placement: Mapping[Category, tuple[BranchSide, PostOrder]]
+    pre_categories: frozenset[Category]
     passes: tuple[MorphemeRule | InsertEdits, ...]
 
     def __init__(
@@ -172,6 +174,7 @@ class LanguageProfile(_Value):
         for rule in reversed(branch_rules):
             placement[rule.category] = (rule.side, rule.post_order)
         _set(self, "placement", placement)
+        _set(self, "pre_categories", frozenset([c for c, (side, _) in placement.items() if side is BranchSide.PRE]))
         _set(self, "passes", _compile_passes(morpheme_rules))
 
 

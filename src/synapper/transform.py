@@ -10,9 +10,9 @@ as a run of its own, so a question is runs too and builds no PlacedToken
 until its ``placed`` is read. The inverse direction needs the structural
 skeleton back, because a raw token sequence underdetermines the ring;
 declarativize and parse_question read the skeleton's question from
-_question and compare it with the one given: declarativize by the
-(surface, category) pairs of the tokens q was written with, parse_question
-by the rendering.
+_question and compare it with the one given: declarativize by its runs
+when they are equal, else by the (surface, category) pairs of the tokens q
+was written with, parse_question by the rendering.
 """
 
 from __future__ import annotations
@@ -60,6 +60,12 @@ def declarativize(q: LinearSentence, s_hint: Synapper, p: LanguageProfile) -> Sy
     token; anything else is an InversionMismatch. A q without any WH token
     raises NoWhFound. q's tokens are read as written, runs or PlacedTokens,
     and nothing is built for them: no Token and no PlacedToken.
+
+    Runs are compared first: when q holds runs equal to the expected
+    question's, its tokens are equal too, and a q written from s_hint holds
+    s_hint's own token tuples, so that comparison is mostly identity hits.
+    Any other q (runs that differ, say in a ring index, or a q built from
+    PlacedTokens) is compared by the (surface, category) pair of each token.
     """
     wh = next((t for t in q._written() if t.category is Category.WH), None)
     if wh is None:
@@ -67,7 +73,9 @@ def declarativize(q: LinearSentence, s_hint: Synapper, p: LanguageProfile) -> Sy
     if not _is_surface(wh.surface):
         raise InversionMismatchError(f"WH surface {wh.surface!r} is not a single token")
     expected = _with_wh(*_question(s_hint, p), wh)
-    if [*map(_surface_category, q._written())] != [*map(_surface_category, chain.from_iterable(map(_tokens, expected)))]:
+    if q._runs != expected and [*map(_surface_category, q._written())] != [
+        *map(_surface_category, chain.from_iterable(map(_tokens, expected)))
+    ]:
         raise InversionMismatchError("question does not match the skeleton's interrogative form")
     return s_hint
 

@@ -25,6 +25,7 @@ from .model import (
     SynapperError,
     Token,
     _is_surface,
+    _placed,
     iter_tokens,
 )
 from .profile import InsertEdits, LanguageProfile, MorphemeKind, MorphemeRule
@@ -97,28 +98,37 @@ def substitute_lexemes(s: Synapper, lex: Lexicon) -> Synapper:
 
 
 def _substitute_loop(loop: Loop, targets: dict[_Pair, Token], missing: list[_Pair]) -> Loop:
+    """loop with every token swapped for its target; uncovered pairs go to missing.
+
+    One frame per loop: the token arrays of each node and its branches are
+    substituted here, and the members, branches and loop are built by their
+    constructors, whose checks run.
+    """
+    get = targets.get
     members = []
     for c in loop.members:
         if c.loop is not None:
-            members.append(Constituent(role=c.role, loop=_substitute_loop(c.loop, targets, missing)))
+            members.append(Constituent(c.role, None, _substitute_loop(c.loop, targets, missing)))
             continue
-        node = _substitute_tokens(c.node, targets, missing)  # type: ignore[arg-type]
+        node = []
+        for t in c.node:  # type: ignore[union-attr]
+            target = get((t.surface, t.category))
+            if target is None:
+                missing.append((t.surface, t.category))
+            else:
+                node.append(target)
         branches = []
         for b in c.branches:
-            branches.append(Branch(_substitute_tokens(b.tokens, targets, missing), b.category))
-        members.append(Constituent(role=c.role, node=node, branches=tuple(branches)))
+            tokens = []
+            for t in b.tokens:
+                target = get((t.surface, t.category))
+                if target is None:
+                    missing.append((t.surface, t.category))
+                else:
+                    tokens.append(target)
+            branches.append(Branch(tuple(tokens), b.category))
+        members.append(Constituent(c.role, tuple(node), None, tuple(branches)))
     return Loop(loop.kind, tuple(members), loop.head_index)
-
-
-def _substitute_tokens(tokens: tuple[Token, ...], targets: dict[_Pair, Token], missing: list[_Pair]) -> tuple[Token, ...]:
-    out = []
-    for t in tokens:
-        target = targets.get((t.surface, t.category))
-        if target is None:
-            missing.append((t.surface, t.category))
-        else:
-            out.append(target)
-    return tuple(out)
 
 
 def apply_morpheme_rules(sentence: LinearSentence, p: LanguageProfile) -> LinearSentence:
@@ -151,18 +161,17 @@ def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertEdit
         return tuple(out)
     if step.kind is MorphemeKind.DROP_CATEGORY:
         category = step.operand
-        return tuple(pt for pt in placed if pt.unit or pt.category is not category)
+        return tuple([pt for pt in placed if pt.unit or pt.category is not category])
     assert step.kind is MorphemeKind.SUFFIX_ON_ROLE
+    # The last token with the role: scan from the end, stop at the first hit.
     role = step.operand
-    last = None
-    for i, pt in enumerate(placed):
-        if pt.role is role:
-            last = i
-    if last is None:
-        return placed
-    target = placed[last]
-    patched = target._replace(surface=target.surface + step.payload)
-    return placed[:last] + (patched,) + placed[last + 1 :]
+    last = len(placed)
+    for target in reversed(placed):
+        last -= 1
+        if target.role is role:
+            patched = _placed((target.surface + step.payload, *target[1:]))
+            return placed[:last] + (patched,) + placed[last + 1 :]
+    return placed
 
 
 def translate(s: Synapper, lex: Lexicon, p: LanguageProfile) -> LinearSentence:

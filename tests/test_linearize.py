@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +34,18 @@ from synapper import (
     linearize,
     wh_token,
 )
-from synapper.linearize import _expand
-from conftest import check_value_semantics, frames_while, load_profile, load_structure, random_structure, replaced, rotate_main
+from synapper.linearize import _emit, _expand, _reading_order
+from conftest import (
+    FIXTURES,
+    PROFILES,
+    check_value_semantics,
+    frames_while,
+    load_profile,
+    load_structure,
+    random_structure,
+    replaced,
+    rotate_main,
+)
 
 
 def _bare(order: WordOrder) -> LanguageProfile:
@@ -542,8 +553,9 @@ class TestProfileAndSentenceValues:
             wh_rule=WhRule.INITIAL_NO_INVERSION,
             morpheme_rules=(replaced(rule),),
         )
-        # placement and passes are derived, so they stay out of == and repr.
+        # placement, pre_categories and passes are derived, so they stay out of == and repr.
         object.__setattr__(twin, "placement", {})
+        object.__setattr__(twin, "pre_categories", frozenset())
         object.__setattr__(twin, "passes", ())
         check_value_semantics(
             p,
@@ -561,7 +573,7 @@ class TestProfileAndSentenceValues:
             " wh_rule=<WhRule.INITIAL_NO_INVERSION: 'initial_plain'>,"
             " morpheme_rules=(MorphemeRule(kind=<MorphemeKind.INSERT_BEFORE: 'insert_before'>, selector='x',"
             " payload='a b', ordinal=2),))",
-            derived=("placement", "passes"),
+            derived=("placement", "pre_categories", "passes"),
         )
 
     def test_language_profile_derives_placement_and_passes_when_built(self):
@@ -571,6 +583,13 @@ class TestProfileAndSentenceValues:
         assert p.placement[Category.ADJ] == (BranchSide.PRE, PostOrder.SOURCE)
         assert p.passes == ()
         assert replaced(p, branch_rules=()).placement[Category.DET] == (BranchSide.PRE, PostOrder.SOURCE)
+        assert p.pre_categories == frozenset(Category) - {Category.DET}
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in PROFILES.glob("*.json")))
+    def test_pre_categories_are_the_categories_placement_puts_before_the_node(self, name):
+        p = load_profile(name)
+        assert isinstance(p.pre_categories, frozenset)
+        assert p.pre_categories == {c for c, (side, _) in p.placement.items() if side is BranchSide.PRE}
 
     def test_rendering_builds_no_placed_token(self):
         s, p = load_structure("space_news"), load_profile("en-articles")
@@ -585,6 +604,25 @@ class TestProfileAndSentenceValues:
         placed, frames = frames_while(lambda: sentence.placed)
         assert frames[_expand.__code__] == 1
         assert placed == reference_linearize(s, p)
+
+    def test_the_walk_runs_one_frame_per_nested_loop_and_per_node_with_branches(self):
+        """Leaves are written in their loop's frame; each loop is put in reading order once."""
+        rng = random.Random(20)
+        names = sorted(path.stem for path in FIXTURES.glob("*.json") if path.stem != "bad_two_subjects")
+        structures = [*map(load_structure, names), *(random_structure(rng) for _ in range(30))]
+        profiles = [*map(load_profile, ("en-articles", "fr", "ja-gloss", "vso"))]
+        here = _emit.__code__.co_filename
+        for s in structures:
+            nested, branched = _loop_shape(s.main)
+            for p in profiles:
+                sentence, frames = frames_while(linearize, s, p)
+                assert sentence.placed == reference_linearize(s, p)
+                walk = Counter({code.co_name: n for code, n in frames.items() if code.co_filename == here})
+                assert walk.pop("_emit", 0) == nested + branched
+                assert walk.pop("_reading_order") == 1 + nested
+                assert walk.pop("_start_index") <= 1 + nested
+                once = ("linearize", "_of_runs", "_sentence_order", "_place_verb", "_emit_members")
+                assert walk == Counter(dict.fromkeys(once, 1))
 
     def test_placed_is_built_once(self):
         sentence = linearize(load_structure("space_news"), load_profile("en"))
@@ -623,3 +661,16 @@ class TestProfileAndSentenceValues:
             " role=<Role.SUBJECT: 'subject'>, block=0, unit=False),))",
         )
         assert (sent.surfaces(), sent.render()) == (("a",), "A")
+
+
+def _loop_shape(loop: Loop) -> tuple[int, int]:
+    """(loops nested in loop, nodes with branches in it), at every depth."""
+    nested = branched = 0
+    for c in loop.members:
+        if c.loop is not None:
+            inner, inner_branched = _loop_shape(c.loop)
+            nested += 1 + inner
+            branched += inner_branched
+        elif c.branches:
+            branched += 1
+    return nested, branched

@@ -275,6 +275,21 @@ class TestImmutability:
             Constituent(Role.OBJECT, None, loop, (branch,))
         assert Constituent(Role.OBJECT, None, loop, ()).branches == ()
 
+    @pytest.mark.parametrize("head", [True, False, 1.0, "1", None])
+    def test_loop_head_must_be_exactly_an_int(self, head):
+        members = (Constituent(node=(Token("x", Category.N),)), Constituent(node=(Token("y", Category.N),)))
+        with pytest.raises(ValueError, match=r"^head_index must be an int: "):
+            Loop(LoopKind.PHRASAL, members, head)
+
+    def test_loop_with_an_int_head_round_trips(self):
+        members = (Constituent(node=(Token("x", Category.N),)), Constituent(node=(Token("y", Category.N),)))
+        phrase = Loop(LoopKind.PHRASAL, members, 1)
+        assert phrase.head_index == 1
+        main = Loop(LoopKind.CLAUSAL, (Constituent(Role.SUBJECT, loop=phrase), Constituent(Role.VERB, (_GO,))))
+        s = Synapper("x", WordOrder.SVO, main)
+        assert structure_issues(s) == []
+        assert parse_structure(serialize_structure(s)) == s
+
 
 _A = Token("a", Category.N)
 _GO = Token("go", Category.V)

@@ -24,16 +24,19 @@ import pytest
 
 from synapper import (
     LanguageProfile,
+    LinearSentence,
     WordOrder,
     apply_morpheme_rules,
     canonical_form,
     declarativize,
+    identity_lexicon,
     interrogativize,
     linearize,
     parse_lexicon,
     parse_structure,
     serialize_structure,
     structural_equal,
+    substitute_lexemes,
     to_dot,
     translate,
     wh_token,
@@ -62,8 +65,10 @@ LAYERS = (
     "parse_orders",
     "linearize_with_rules",
     "translate",
+    "substitute_lexemes",
     "interrogativize",
     "declarativize",
+    "declarativize_placed",
     "serialize_structure",
     "canonical_form",
     "structural_equal",
@@ -81,6 +86,9 @@ def _calls() -> dict:
     en_uz = parse_lexicon((LEXICONS / "en-uz.tsv").read_text(encoding="utf-8"))
     why = wh_token("why")
     question = interrogativize(tim, why, en)
+    # The same question as PlacedTokens: declarativize compares it token by token.
+    placed_question = LinearSentence(question.placed)
+    news_lexicon = identity_lexicon(news)
     rotated = rotate_main(news, 1)
 
     def parse_orders():
@@ -92,8 +100,10 @@ def _calls() -> dict:
         "parse_orders": parse_orders,
         "linearize_with_rules": lambda: apply_morpheme_rules(linearize(news, articles), articles),
         "translate": lambda: translate(horse, en_uz, uz),
+        "substitute_lexemes": lambda: substitute_lexemes(news, news_lexicon),
         "interrogativize": lambda: interrogativize(tim, why, en),
         "declarativize": lambda: declarativize(question, tim, en),
+        "declarativize_placed": lambda: declarativize(placed_question, tim, en),
         "serialize_structure": lambda: serialize_structure(news),
         "canonical_form": lambda: canonical_form(news),
         "structural_equal": lambda: structural_equal(news, rotated),

@@ -30,7 +30,7 @@ from synapper import (
     wh_token,
 )
 from synapper.linearize import _emit_members, _expand
-from conftest import PROFILES, frames_while, load_profile, load_structure, random_structure, replaced
+from conftest import PROFILES, frames_while, load_profile, load_structure, random_structure, replaced, rotate_main
 from test_cli import VALID_FIXTURES
 
 WHY = wh_token("why")
@@ -184,6 +184,39 @@ class TestDeclarativize:
         assert back is s
         assert frames[Token.__init__.__code__] == 0
         assert frames[_emit_members.__code__] == 1
+
+    def test_accepts_runs_that_differ_when_the_tokens_match(self):
+        s, p = load_structure("tim"), load_profile("en")
+        # The rotated ring gives the same tokens under other ring indices.
+        q = interrogativize(rotate_main(s, 1), WHY, p)
+        assert q._runs != interrogativize(s, WHY, p)._runs
+        assert q.placed != interrogativize(s, WHY, p).placed
+        assert declarativize(q, s, p) is s
+        assert declarativize(LinearSentence(q.placed), s, p) is s
+
+    @pytest.mark.parametrize("profile", ["en", "ja-gloss", "vso"])
+    @pytest.mark.parametrize("field", ["surface", "category"])
+    def test_rejects_a_question_with_one_token_changed(self, field, profile):
+        s, p = load_structure("tim"), load_profile(profile)
+        q = interrogativize(s, WHY, p)
+        runs = q._runs
+        changed = 0
+        for i, (tokens, role, block, unit) in enumerate(runs):
+            for j, token in enumerate(tokens):
+                if token.category is Category.WH:
+                    continue
+                if field == "surface":
+                    other = Token(token.surface + "s", token.category)
+                else:
+                    other = Token(token.surface, Category.OTHER if token.category is not Category.OTHER else Category.N)
+                edited = (tokens[:j] + (other,) + tokens[j + 1 :], role, block, unit)
+                as_runs = LinearSentence._of_runs(runs[:i] + [edited] + runs[i + 1 :])
+                for wrong in (as_runs, LinearSentence(as_runs.placed)):
+                    with pytest.raises(InversionMismatchError):
+                        declarativize(wrong, s, p)
+                changed += 1
+        assert changed == len(q.placed) - 1
+        assert declarativize(q, s, p) is s
 
     def test_rejects_wh_not_initial(self):
         s = load_structure("mary")

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synapper import (
+    Branch,
     Category,
+    Constituent,
     LanguageProfile,
     Lexicon,
     LinearSentence,
+    Loop,
     MalformedDocumentError,
     MissingLexemeError,
     MorphemeKind,
@@ -31,7 +34,7 @@ from synapper import (
 )
 from synapper.linearize import _expand
 from synapper.model import _is_surface
-from synapper.translate import _apply_rule, _target_token
+from synapper.translate import _apply_rule, _substitute_loop, _target_token
 from conftest import (
     GEN_WORDS,
     LEXICONS,
@@ -102,6 +105,31 @@ def test_substitution_reruns_no_surface_rule():
     assert out == s
     assert frames[_is_surface.__code__] == 0
     assert frames[Token.__init__.__code__] == 0
+
+
+def test_substitution_runs_one_frame_per_loop():
+    """Token arrays are substituted in their loop's frame; only constructors run per member."""
+    rng = random.Random(31)
+    here = _substitute_loop.__code__.co_filename
+    for s in [load_structure("space_news"), load_structure("horse"), *(random_structure(rng) for _ in range(20))]:
+        out, frames = frames_while(substitute_lexemes, s, identity_lexicon(s))
+        assert out == s
+        walk = {code.co_name: n for code, n in frames.items() if code.co_filename == here}
+        assert walk == {"substitute_lexemes": 1, "_substitute_loop": _loop_count(s.main)}
+        assert frames[Branch.__init__.__code__] == sum(len(c.branches) for c in _members(s.main))
+
+
+def _loop_count(loop: Loop) -> int:
+    return 1 + sum(_loop_count(c.loop) for c in loop.members if c.loop is not None)
+
+
+def _members(loop: Loop) -> list[Constituent]:
+    """Every member of loop, at every depth."""
+    out = list(loop.members)
+    for c in loop.members:
+        if c.loop is not None:
+            out += _members(c.loop)
+    return out
 
 
 def test_substitution_puts_the_lexicons_own_tokens_in_place():
