@@ -17,15 +17,16 @@ above, then V1 or V2 moves the verb's index to first or second place
 then written once, in that order, with branches around their node
 according to the profile's placement rules. What is written is one run
 per node and per branch: its tokens plus the role, block and unit flag
-they share. The sentence's PlacedTokens are built from the runs only when
-``placed`` is first read; rendering reads the runs' surfaces directly.
-Morpheme rules are NOT applied here; language-dependent rewrites live in
-the translation pipeline.
+they share. A LinearSentence is its runs, and only its ``placed`` builds
+PlacedTokens from them. Morpheme rules are NOT applied here; they rewrite
+runs in the translation pipeline.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import namedtuple
+from collections.abc import Iterator
+from functools import partial
 from itertools import chain
 from operator import attrgetter, itemgetter
 
@@ -34,14 +35,12 @@ from .model import (
     Constituent,
     Loop,
     LoopKind,
-    PlacedToken,
     Role,
     Synapper,
     SynapperError,
     Token,
     WordOrder,
     _Value,
-    _placed,
     _role_index,
     _set,
 )
@@ -63,29 +62,45 @@ class DegenerateStructureError(SynapperError):
     """The structure produced no tokens at all."""
 
 
+PlacedToken = namedtuple("PlacedToken", ("surface", "category", "role", "block", "unit"))
+PlacedToken.__doc__ = """A linearized token plus where it came from.
+
+    surface is a str, category a Category, role a Role or None, block an int
+    and unit a bool. role and block identify the top-level constituent
+    (block is its ring index, -1 for tokens added after linearization); unit
+    marks tokens that belong to a multiword node, which morpheme drops treat
+    as untouchable. An immutable named tuple: ``_replace`` makes a changed
+    copy.
+    """
+
+# PlacedToken(...) runs the named tuple's generated __new__ as a Python
+# frame; building the same tuple directly takes one C call per token.
+_placed = partial(tuple.__new__, PlacedToken)
+
 _surface = attrgetter("surface")
+_category = attrgetter("category")
 _tokens = itemgetter(0)
 
-# One run per node or branch that linearize writes: (tokens, role, block,
-# unit), where tokens is the node's or branch's own tuple of Tokens.
+# (tokens, role, block, unit): a node's or branch's own Tokens as linearize
+# writes them, or one PlacedToken each in a LinearSentence(placed).
 _Run = tuple[tuple[Token, ...], Role | None, int, bool]
 
 
 class LinearSentence(_Value):
-    """A linearized sentence: its PlacedTokens, in order, as ``placed``.
+    """A linearized sentence, stored as its runs; ``placed`` is its PlacedTokens, in order.
 
-    linearize and interrogativize store their runs and build ``placed``
-    from them when it is first read, then keep it; ``render`` and
-    ``surfaces`` read the runs' surfaces directly, so a sentence that is
-    only rendered never builds a PlacedToken. Equality, hash, repr and
-    pickling go through ``placed``.
+    ``placed`` gives each token its run's role, block and unit flag; it is
+    built when first read (or given, to ``LinearSentence(placed)``) and
+    kept. ``len``, iteration, ``render`` and ``surfaces`` read the runs'
+    tokens, so a sentence that is only rendered builds no PlacedToken.
+    Equality, hash, repr and pickling go through ``placed``.
     """
 
     __slots__ = ("_runs", "_placed")
     __match_args__ = ("placed",)
 
     def __init__(self, placed: tuple[PlacedToken, ...]) -> None:
-        _set(self, "_runs", None)
+        _set(self, "_runs", [((pt,), pt.role, pt.block, pt.unit) for pt in placed])
         _set(self, "_placed", placed)
 
     @classmethod
@@ -103,13 +118,15 @@ class LinearSentence(_Value):
             _set(self, "_placed", placed)
         return placed
 
-    def _written(self) -> Iterable[Token | PlacedToken]:
-        """Every token in order, each with a surface: the runs' Tokens or the PlacedTokens."""
-        runs = self._runs
-        return self._placed if runs is None else chain.from_iterable(map(_tokens, runs))
+    def __len__(self) -> int:
+        return sum(map(len, map(_tokens, self._runs)))
+
+    def __iter__(self) -> Iterator[Token | PlacedToken]:
+        """Every token of the runs in order, each with a surface and a category."""
+        return chain.from_iterable(map(_tokens, self._runs))
 
     def surfaces(self) -> tuple[str, ...]:
-        return tuple(map(_surface, self._written()))
+        return tuple(map(_surface, self))
 
     def render(self) -> str:
         """Space-joined surfaces with the first character uppercased.
@@ -118,7 +135,7 @@ class LinearSentence(_Value):
         capitalization is purely a rendering concern. Reads the surfaces
         without building ``placed``.
         """
-        text = " ".join(map(_surface, self._written()))
+        text = " ".join(map(_surface, self))
         return text[:1].upper() + text[1:]
 
 

@@ -12,19 +12,13 @@ time, never stored here.
 ``build_synapper`` turns a plain-dict document (the parsed JSON form) into
 a validated immutable ``Synapper``; ``structure_issues`` alone checks its
 laws, reporting the complete list of violations, not only the first.
-
-``PlacedToken``, a linearized token with its provenance, is defined here as
-well, below the layers that build it: linearize writes sentences of them,
-and a profile builds the words its insert rules add once, when it is built.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from collections import namedtuple
 from collections.abc import Callable, Iterator, KeysView, Mapping, Set as AbstractSet
-from functools import partial
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -187,22 +181,6 @@ class Token(_Value):
 
     def __hash__(self) -> int:
         return hash((self.surface, self.category))
-
-
-PlacedToken = namedtuple("PlacedToken", ("surface", "category", "role", "block", "unit"))
-PlacedToken.__doc__ = """A linearized token plus where it came from.
-
-    surface is a str, category a Category, role a Role or None, block an int
-    and unit a bool. role and block identify the top-level constituent
-    (block is its ring index, -1 for tokens added after linearization); unit
-    marks tokens that belong to a multiword node, which morpheme drops treat
-    as untouchable. An immutable named tuple: ``_replace`` makes a changed
-    copy.
-    """
-
-# PlacedToken(...) runs the named tuple's generated __new__ as a Python
-# frame; building the same tuple directly takes one C call per token.
-_placed = partial(tuple.__new__, PlacedToken)
 
 
 class Branch(_Value):
@@ -572,18 +550,17 @@ def structure_issues(s: Synapper) -> list[ValidationIssue]:
 
 def iter_tokens(s: Synapper) -> Iterator[Token]:
     """All tokens in stored order: node tokens first, then branch tokens per member."""
-    yield from _iter_loop_tokens(s.main)
-
-
-def _iter_loop_tokens(loop: Loop) -> Iterator[Token]:
-    for member in loop.members:
-        if member.node is not None:
-            yield from member.node
+    stack = [iter(s.main.members)]  # one member iterator per open loop, so cost is linear in depth
+    while stack:
+        for member in stack[-1]:
+            if member.loop is not None:
+                stack.append(iter(member.loop.members))
+                break
+            yield from member.node  # type: ignore[misc]
+            for branch in member.branches:
+                yield from branch.tokens
         else:
-            assert member.loop is not None
-            yield from _iter_loop_tokens(member.loop)
-        for branch in member.branches:
-            yield from branch.tokens
+            stack.pop()
 
 
 def _role_index(loop: Loop, role: Role) -> int | None:

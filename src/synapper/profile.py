@@ -2,8 +2,8 @@
 
 A profile fixes the word order (hence the reading direction), optional V1/V2
 verb placement, per-category branch placement, the interrogative strategy,
-and an ordered list of morpheme rewrites applied to linearized token
-sequences. Profiles never change the structure itself.
+and ordered morpheme rewrites of linearized sentences, compiled once into
+passes. Profiles never change the structure itself.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from collections.abc import Mapping
 from .model import (
     Category,
     MalformedDocumentError,
-    PlacedToken,
     Role,
+    Token,
     WordOrder,
     _CATEGORIES,
     _ROLES,
     _Value,
     _is_surface,
-    _placed,
     _set,
 )
 
@@ -123,11 +122,10 @@ _DEFAULT_PLACEMENT = (BranchSide.PRE, PostOrder.SOURCE)
 
 # A run of consecutive insert rules fused into one scan of the sequence: an
 # anchor surface -> (words inserted before it, words inserted after it), so
-# each token costs one lookup. The words are ready PlacedTokens of category
-# OTHER with no role, block -1 and no unit flag, built once when the profile
-# is built and shared by every sentence the pass edits. Anchors match only
-# tokens already in the sequence, never the words the same pass inserts.
-InsertEdits = dict[str, tuple[tuple[PlacedToken, ...], tuple[PlacedToken, ...]]]
+# each token costs one lookup. The words are Tokens of category OTHER, built
+# with the profile and shared by every sentence the pass edits. Anchors match
+# only tokens already in the sequence, never the words the same pass inserts.
+InsertEdits = dict[str, tuple[tuple[Token, ...], tuple[Token, ...]]]
 
 
 class LanguageProfile(_Value):
@@ -138,7 +136,7 @@ class LanguageProfile(_Value):
     categories whose branches placement puts before the node. passes holds
     the morpheme rules as the engine runs them: one step per pass over the
     token sequence, a drop or suffix MorphemeRule or an InsertEdits whose
-    inserted words are already PlacedTokens.
+    inserted words are already Tokens.
     All three are derived from the other fields, so they stay out of
     equality and repr.
     """
@@ -185,7 +183,7 @@ def _compile_passes(rules: tuple[MorphemeRule, ...]) -> tuple[MorphemeRule | Ins
     when both go before it and ``A W2 W1`` when both go after it; the fused
     edit keeps that order. A later insert sees an earlier one's words only
     when its anchor is one of them, so a new pass starts there. A drop or a
-    suffix ends the run. Each rule's words become PlacedTokens here, once.
+    suffix ends the run. Each rule's words become Tokens here, once.
     """
     passes: list[MorphemeRule | InsertEdits] = []
     edits: InsertEdits | None = None
@@ -199,7 +197,7 @@ def _compile_passes(rules: tuple[MorphemeRule, ...]) -> tuple[MorphemeRule | Ins
             edits, inserted = {}, set()
             passes.append(edits)
         before, after = edits.get(rule.selector, ((), ()))
-        words = tuple([_placed((w, Category.OTHER, None, -1, False)) for w in rule.operand])
+        words = tuple([Token(w, Category.OTHER) for w in rule.operand])
         if rule.kind is MorphemeKind.INSERT_BEFORE:
             before += words
         else:

@@ -11,8 +11,8 @@ until its ``placed`` is read. The inverse direction needs the structural
 skeleton back, because a raw token sequence underdetermines the ring;
 declarativize and parse_question read the skeleton's question from
 _question and compare it with the one given: declarativize by its runs
-when they are equal, else by the (surface, category) pairs of the tokens q
-was written with, parse_question by the rendering.
+when they are equal, else by the (surface, category) pairs of q's tokens,
+parse_question by the rendering.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from __future__ import annotations
 from itertools import chain
 from operator import attrgetter
 
-from .linearize import LinearSentence, _emit_members, _Run, _sentence_order, _tokens
+from .linearize import LinearSentence, _category, _emit_members, _Run, _sentence_order, _tokens
 from .model import Category, Role, Synapper, SynapperError, Token, _is_surface
 from .profile import LanguageProfile, WhRule
 
 
-_category = attrgetter("category")
 _role = attrgetter("role")
 _surface_category = attrgetter("surface", "category")
 
@@ -58,8 +57,8 @@ def declarativize(q: LinearSentence, s_hint: Synapper, p: LanguageProfile) -> Sy
 
     q must equal interrogativize(s_hint, its first WH token, p) token for
     token; anything else is an InversionMismatch. A q without any WH token
-    raises NoWhFound. q's tokens are read as written, runs or PlacedTokens,
-    and nothing is built for them: no Token and no PlacedToken.
+    raises NoWhFound. q's tokens are read off its runs, and nothing is built
+    for them: no Token and no PlacedToken.
 
     Runs are compared first: when q holds runs equal to the expected
     question's, its tokens are equal too, and a q written from s_hint holds
@@ -67,13 +66,13 @@ def declarativize(q: LinearSentence, s_hint: Synapper, p: LanguageProfile) -> Sy
     Any other q (runs that differ, say in a ring index, or a q built from
     PlacedTokens) is compared by the (surface, category) pair of each token.
     """
-    wh = next((t for t in q._written() if t.category is Category.WH), None)
+    wh = next((t for t in q if t.category is Category.WH), None)
     if wh is None:
         raise NoWhFoundError("sentence has no WH token")
     if not _is_surface(wh.surface):
         raise InversionMismatchError(f"WH surface {wh.surface!r} is not a single token")
     expected = _with_wh(*_question(s_hint, p), wh)
-    if q._runs != expected and [*map(_surface_category, q._written())] != [
+    if q._runs != expected and [*map(_surface_category, q)] != [
         *map(_surface_category, chain.from_iterable(map(_tokens, expected)))
     ]:
         raise InversionMismatchError("question does not match the skeleton's interrogative form")

@@ -3,29 +3,27 @@
 The structure never changes during translation. Lexical substitution maps
 each (surface, category) pair to a target surface; linearization under the
 target profile produces the new order; morpheme rules then add, change or
-remove language-dependent tokens on the flat sequence of PlacedTokens, one
-pass per step of the profile's ``passes``. The words an insert adds come
-ready-built from the profile, so a pass only splices them in. Tokens that
-belong to a multiword node are treated as one fused unit, so category drops
-never reach inside them.
+remove language-dependent tokens on the sentence's runs, one pass per step
+of the profile's ``passes``. The words an insert adds come ready-built from
+the profile, so a pass only splices them in as runs of their own. Tokens
+that belong to a multiword node are treated as one fused unit, so category
+drops never reach inside them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .linearize import LinearSentence, linearize
+from .linearize import LinearSentence, _category, _placed, linearize
 from .model import (
     Branch,
     Category,
     Constituent,
     Loop,
-    PlacedToken,
     Synapper,
     SynapperError,
     Token,
     _is_surface,
-    _placed,
     iter_tokens,
 )
 from .profile import InsertEdits, LanguageProfile, MorphemeKind, MorphemeRule
@@ -132,46 +130,57 @@ def _substitute_loop(loop: Loop, targets: dict[_Pair, Token], missing: list[_Pai
 
 
 def apply_morpheme_rules(sentence: LinearSentence, p: LanguageProfile) -> LinearSentence:
-    """The sentence after each of p's passes; a profile without rules returns it as it is."""
-    if not p.passes:
-        return sentence
-    placed = sentence.placed
+    """The sentence after each of p's passes, in order."""
     for step in p.passes:
-        placed = _apply_rule(placed, step)
-    return LinearSentence(placed)
+        sentence = _apply_rule(sentence, step)
+    return sentence
 
 
-def _apply_rule(placed: tuple[PlacedToken, ...], step: MorphemeRule | InsertEdits) -> tuple[PlacedToken, ...]:
-    """One pass over the whole sequence: a drop, a suffix, or a fused run of inserts.
+def _apply_rule(sentence: LinearSentence, step: MorphemeRule | InsertEdits) -> LinearSentence:
+    """One pass over the runs: a fused run of inserts, a drop or a suffix.
 
-    An insert pass splices in the PlacedTokens its InsertEdits already holds,
-    so a hit builds nothing.
+    A run the pass leaves alone is kept, the same tuple. An insert splits a
+    run only at the anchors that fire, and each group of words its
+    InsertEdits holds goes in as a run (words, None, -1, False).
     """
+    runs, out = sentence._runs, []
     if isinstance(step, dict):
-        out: list[PlacedToken] = []
-        for pt in placed:
-            edit = step.get(pt.surface)
-            if edit is None:
-                out.append(pt)
-            else:
-                before, after = edit
-                out += before
-                out.append(pt)
-                out += after
-        return tuple(out)
-    if step.kind is MorphemeKind.DROP_CATEGORY:
+        for run in runs:
+            tokens, role, block, unit = run
+            cut = 0  # tokens[:cut] are in out already
+            for i, t in enumerate(tokens):
+                if t.surface in step:
+                    before, after = step[t.surface]
+                    if before:
+                        if i > cut:
+                            out.append((tokens[cut:i], role, block, unit))
+                        out.append((before, None, -1, False))
+                        cut = i
+                    if after:
+                        out += (tokens[cut : i + 1], role, block, unit), (after, None, -1, False)
+                        cut = i + 1
+            if not cut:
+                out.append(run)
+            elif cut < len(tokens):
+                out.append((tokens[cut:], role, block, unit))
+    elif step.kind is MorphemeKind.DROP_CATEGORY:
         category = step.operand
-        return tuple([pt for pt in placed if pt.unit or pt.category is not category])
-    assert step.kind is MorphemeKind.SUFFIX_ON_ROLE
-    # The last token with the role: scan from the end, stop at the first hit.
-    role = step.operand
-    last = len(placed)
-    for target in reversed(placed):
-        last -= 1
-        if target.role is role:
-            patched = _placed((target.surface + step.payload, *target[1:]))
-            return placed[:last] + (patched,) + placed[last + 1 :]
-    return placed
+        for run in runs:
+            if not run[3] and category in map(_category, run[0]):
+                run = (tuple([t for t in run[0] if t.category is not category]), *run[1:])
+            out.append(run)
+    else:
+        # A suffix on the last token with the role, which ends the last
+        # non-empty run with it; a run may hold the PlacedToken it becomes.
+        role = step.operand
+        for at in range(len(runs) - 1, -1, -1):
+            tokens, run_role, block, unit = runs[at]
+            if run_role is role and tokens:
+                t = tokens[-1]
+                patched = tokens[:-1] + (_placed((t.surface + step.payload, t.category, role, block, unit)),)
+                return LinearSentence._of_runs([*runs[:at], (patched, role, block, unit), *runs[at + 1 :]])
+        return sentence
+    return LinearSentence._of_runs(out)
 
 
 def translate(s: Synapper, lex: Lexicon, p: LanguageProfile) -> LinearSentence:

@@ -30,6 +30,7 @@ from synapper import (
     VerbPlacement,
     WhRule,
     WordOrder,
+    apply_morpheme_rules,
     interrogativize,
     linearize,
     wh_token,
@@ -661,6 +662,23 @@ class TestProfileAndSentenceValues:
             " role=<Role.SUBJECT: 'subject'>, block=0, unit=False),))",
         )
         assert (sent.surfaces(), sent.render()) == (("a",), "A")
+        assert len(sent) == 1 and [*sent] == [placed[0]]
+        assert len(LinearSentence(())) == 0 and not LinearSentence(())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(list(WordOrder)), st.sampled_from(list(VerbPlacement)))
+    def test_len_and_iteration_read_the_tokens_of_placed(self, seed, order, placement):
+        s = random_structure(random.Random(seed))
+        p = replaced(load_profile("en-articles"), word_order=order, verb_placement=placement)
+        sentence = linearize(s, p)
+        for each in (
+            sentence,
+            interrogativize(s, wh_token("why"), p),
+            apply_morpheme_rules(sentence, p),
+            LinearSentence(sentence.placed),
+        ):
+            assert len(each) == len(each.placed)
+            assert [t.surface for t in each] == [pt.surface for pt in each.placed]
 
 
 def _loop_shape(loop: Loop) -> tuple[int, int]:

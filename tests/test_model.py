@@ -2,6 +2,7 @@
 
 import copy
 import enum
+import gc
 import itertools
 import json
 import os
@@ -47,6 +48,7 @@ from synapper import (
 )
 from synapper import model
 from synapper.model import MAX_DEPTH, _is_surface
+from op_counter import OpCounter
 from conftest import (
     FIXTURES,
     check_value_semantics,
@@ -593,6 +595,54 @@ def test_iter_tokens_stored_order():
 
 def test_space_news_holds_43_tokens():
     assert sum(1 for _ in iter_tokens(load_structure("space_news"))) == 43
+
+
+def _reference_tokens(loop: Loop):
+    """Stored token order, one recursive generator per loop."""
+    for member in loop.members:
+        yield from member.node if member.loop is None else _reference_tokens(member.loop)
+        for branch in member.branches:
+            yield from branch.tokens
+
+
+def _token_chain(depth: int) -> Synapper:
+    """Clausal loops nested depth levels deep, four tokens on each level around the next."""
+    inner = Constituent(Role.OBJECT, (Token("z", Category.N),))
+    for _ in range(depth):
+        adverb = Branch((Token("d", Category.ADV),), Category.ADV)
+        members = (
+            Constituent(Role.SUBJECT, (Token("a", Category.N), Token("b", Category.N))),
+            Constituent(Role.VERB, (Token("c", Category.V),), None, (adverb,)),
+            inner,
+        )
+        inner = Constituent(Role.OBJECT, None, Loop(LoopKind.CLAUSAL, members))
+    return Synapper("chain", WordOrder.SVO, inner.loop)
+
+
+def test_iter_tokens_keeps_the_recursive_order():
+    rng = random.Random(27)
+    names = sorted(path.stem for path in FIXTURES.glob("*.json") if path.stem != "bad_two_subjects")
+    structures = [*map(load_structure, names), *(random_structure(rng, max_depth=5) for _ in range(300))]
+    structures.append(_token_chain(30))
+    for s in structures:
+        assert [*iter_tokens(s)] == [*_reference_tokens(s.main)]
+
+
+def test_iter_tokens_is_linear_in_nesting_depth():
+    """ops(4n) - ops(2n) = 2 * (ops(2n) - ops(n)) for a walk linear in depth."""
+    counts = []
+    for depth in (24, 48, 96):
+        s = _token_chain(depth)
+        gc.disable()
+        try:
+            with OpCounter() as counter:
+                tokens = [*iter_tokens(s)]
+        finally:
+            gc.enable()
+        assert len(tokens) == 4 * depth + 1
+        counts.append(counter.n)
+    small, middle, large = counts
+    assert 1.9 <= (large - middle) / (middle - small) <= 2.1
 
 
 def _nested_doc(depth):

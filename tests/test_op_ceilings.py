@@ -64,6 +64,7 @@ print(counter.n)
 LAYERS = (
     "parse_orders",
     "linearize_with_rules",
+    "apply_morpheme_rules_placed",
     "translate",
     "substitute_lexemes",
     "interrogativize",
@@ -88,6 +89,8 @@ def _calls() -> dict:
     question = interrogativize(tim, why, en)
     # The same question as PlacedTokens: declarativize compares it token by token.
     placed_question = LinearSentence(question.placed)
+    # A sentence built from PlacedTokens holds one run per token.
+    placed_news = LinearSentence(linearize(news, articles).placed)
     news_lexicon = identity_lexicon(news)
     rotated = rotate_main(news, 1)
 
@@ -99,6 +102,7 @@ def _calls() -> dict:
     return {
         "parse_orders": parse_orders,
         "linearize_with_rules": lambda: apply_morpheme_rules(linearize(news, articles), articles),
+        "apply_morpheme_rules_placed": lambda: apply_morpheme_rules(placed_news, articles),
         "translate": lambda: translate(horse, en_uz, uz),
         "substitute_lexemes": lambda: substitute_lexemes(news, news_lexicon),
         "interrogativize": lambda: interrogativize(tim, why, en),

@@ -1,10 +1,10 @@
 """The benchmark's pass counter still fits the morpheme engine it wraps.
 
 ``perfbench/tracing.py`` counts morpheme passes by wrapping
-``translate._apply_rule(placed, step)`` and reading ``.surface`` off each
-element it is given and returns. The file is loaded by path and used as it
-is, so a change to that contract fails here rather than only in traced
-benchmark runs.
+``translate._apply_rule(sentence, step)``, taking ``len()`` of the sentence
+it is given and of the one it returns, and reading ``.surface`` off each
+token they yield. The file is loaded by path and used as it is, so a change
+to that contract fails here rather than only in traced benchmark runs.
 """
 
 import importlib.util

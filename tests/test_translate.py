@@ -403,22 +403,51 @@ class TestFusedInserts:
     def test_inserted_words_are_built_with_the_profile(self):
         (edits,) = load_profile("en-articles").passes
         before, after = edits["British"]
-        assert before == (
-            PlacedToken("from", Category.OTHER, None, -1, False),
-            PlacedToken("a", Category.OTHER, None, -1, False),
-        )
+        assert before == (Token("from", Category.OTHER), Token("a", Category.OTHER))
         assert after == ()
-        assert all(type(pt) is PlacedToken for edit in edits.values() for side in edit for pt in side)
+        assert all(type(t) is Token for edit in edits.values() for side in edit for t in side)
 
     def test_an_insert_pass_runs_no_frame_per_anchor_hit(self):
         p = load_profile("en-articles")
-        placed = linearize(load_structure("space_news"), p).placed
         (edits,) = p.passes
-        out, frames = frames_while(_apply_rule, placed, edits)
-        assert len(out) == 62
-        # _apply_rule's own frame only: the 19 inserted words are spliced in,
-        # not built.
-        assert sum(frames.values()) == 1
+        runs = linearize(load_structure("space_news"), p)._runs
+        hits = []
+        # Ever shorter heads of the sentence, so that fewer anchors fire.
+        for size in (len(runs), len(runs) // 2, 3):
+            sentence = LinearSentence._of_runs(runs[:size])
+            hits.append(sum(t.surface in edits for t in sentence))
+            out, frames = frames_while(_apply_rule, sentence, edits)
+            assert out.placed == sequential_rules(sentence.placed, p.morpheme_rules)
+            # _apply_rule's frame and the sentence's _of_runs, however many
+            # anchors fire: the inserted words are spliced in, not built.
+            assert frames == Counter({_apply_rule.__code__: 1, LinearSentence._of_runs.__code__: 1})
+        assert hits[0] == 14 and hits[0] > hits[1] > hits[2]
+
+    def test_a_pass_keeps_each_run_it_leaves_alone(self):
+        p = load_profile("en-articles")
+        (edits,) = p.passes
+        sentence = linearize(load_structure("space_news"), p)
+        out = _apply_rule(sentence, edits)._runs
+        kept = [run for run in sentence._runs if not any(t.surface in edits for t in run[0])]
+        assert kept and all(any(run is other for other in out) for run in kept)
+        drop = MorphemeRule(MorphemeKind.DROP_CATEGORY, "DET")
+        dropped = _apply_rule(sentence, drop)._runs
+        assert len(dropped) == len(sentence._runs)
+        for run, other in zip(sentence._runs, dropped):
+            assert (run is other) == (run[3] or Category.DET not in [t.category for t in run[0]])
+
+    def test_translating_then_rendering_builds_no_placed_token(self):
+        text, frames = frames_while(lambda: translate(load_structure("horse"), en_uz(), load_profile("uz")).render())
+        assert text == "Janeda bir juda tez jigarrang ot bor"
+        assert frames[_expand.__code__] == 0
+
+    def test_a_suffix_on_a_placed_token_with_a_space_does_not_raise(self):
+        p = LanguageProfile(
+            name="x", word_order=WordOrder.SVO, morpheme_rules=(MorphemeRule(MorphemeKind.SUFFIX_ON_ROLE, "subject", "da"),)
+        )
+        out = apply_morpheme_rules(LinearSentence((PlacedToken("a b", Category.N, Role.SUBJECT, 0, False),)), p)
+        assert out.placed == (PlacedToken("a bda", Category.N, Role.SUBJECT, 0, False),)
+        assert out.render() == "A bda"
 
 
 # Small vocabularies, so that anchors repeat, inserted words equal later
