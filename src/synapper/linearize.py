@@ -41,7 +41,6 @@ from .model import (
     Token,
     WordOrder,
     _Value,
-    _role_index,
     _set,
 )
 from .profile import LanguageProfile, PostOrder, VerbPlacement
@@ -198,31 +197,25 @@ def _reading_order(
 
 def _start_index(loop: Loop, first: Role) -> int:
     """The first member with this role, else the subject, else the verb, else member 0."""
-    if first is Role.OBJECT:
+    roles = loop.roles
+    if first in roles:
+        if first is not Role.OBJECT:
+            return roles.index(first)
         # The first object clockwise after the subject, or after member 0.
-        n = len(loop.members)
-        after = (_role_index(loop, Role.SUBJECT) or 0) + 1
-        start = None
-        for idx in (*range(after, n), *range(after)):
-            if loop.members[idx].role is Role.OBJECT:
-                start = idx
-                break
-    else:
-        start = _role_index(loop, first)
-    if start is None and first is not Role.SUBJECT:
-        start = _role_index(loop, Role.SUBJECT)
-    if start is None:
-        start = _role_index(loop, Role.VERB)
-    return 0 if start is None else start
+        after = roles.index(Role.SUBJECT) + 1 if Role.SUBJECT in roles else 1
+        return roles.index(first, after) if first in roles[after:] else roles.index(first)
+    if Role.SUBJECT in roles:
+        return roles.index(Role.SUBJECT)
+    return roles.index(Role.VERB) if Role.VERB in roles else 0
 
 
 def _place_verb(order: list[int], loop: Loop, placement: VerbPlacement) -> list[int]:
     if placement is VerbPlacement.DEFAULT or len(order) < 2:
         return order
-    verb = next((i for i in order if loop.members[i].role is Role.VERB), None)
-    if verb is None:
+    roles = [*map(loop.roles.__getitem__, order)]
+    if Role.VERB not in roles:
         return order
-    order.remove(verb)
+    verb = order.pop(roles.index(Role.VERB))
     order.insert(0 if placement is VerbPlacement.V1 else 1, verb)
     return order
 

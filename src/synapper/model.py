@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Callable, Iterator, KeysView, Mapping, Set as AbstractSet
+from operator import attrgetter
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -95,6 +96,7 @@ class UnknownWordOrderError(DocumentError):
 # Sets a field of a value class in its constructor, past the class's own
 # __setattr__, which refuses every assignment.
 _set = object.__setattr__
+_role = attrgetter("role")
 
 
 class _Value:
@@ -157,7 +159,7 @@ class StructureValidationError(SynapperError):
 
 
 def _is_surface(text: str) -> bool:
-    """The surface rule for every token: non-empty, with no whitespace anywhere."""
+    """The surface rule for every token (Token.__init__ inlines it): non-empty, with no whitespace anywhere."""
     return text.split() == [text]
 
 
@@ -167,7 +169,8 @@ class Token(_Value):
     category: Category
 
     def __init__(self, surface: str, category: Category) -> None:
-        if not _is_surface(surface):
+        # _is_surface's rule, inline: a token built here runs no other frame.
+        if surface.split() != [surface]:
             raise ValueError(f"token surface must be non-empty without whitespace: {surface!r}")
         _set(self, "surface", surface)
         _set(self, "category", category)
@@ -234,10 +237,14 @@ class Constituent(_Value):
 
 
 class Loop(_Value):
-    __slots__ = __match_args__ = ("kind", "members", "head_index")
+    """A ring of members. ``roles`` is derived: each member's role, in ring order."""
+
+    __match_args__ = ("kind", "members", "head_index")
+    __slots__ = (*__match_args__, "roles")
     kind: LoopKind
     members: tuple[Constituent, ...]
     head_index: int
+    roles: tuple[Role | None, ...]
 
     def __init__(self, kind: LoopKind, members: tuple[Constituent, ...], head_index: int = 0) -> None:
         # Exactly an int: a bool or a float head would be written out as
@@ -247,6 +254,7 @@ class Loop(_Value):
         _set(self, "kind", kind)
         _set(self, "members", members)
         _set(self, "head_index", head_index)
+        _set(self, "roles", tuple(map(_role, members)))
 
 
 class Synapper(_Value):
@@ -276,7 +284,6 @@ _TOP_REQUIRED = _schema_keys("word_order", "loop")
 _TOP_KEYS = frozenset({*_TOP_REQUIRED, "label"})
 _LOOP_REQUIRED = _schema_keys("kind", "members")
 _LOOP_KEYS = frozenset({*_LOOP_REQUIRED, "head_index"})
-_MEMBER_REQUIRED = _schema_keys()
 _MEMBER_KEYS = frozenset({"role", "node", "loop", "branches"})
 _BRANCH_KEYS = _schema_keys("category", "tokens")
 _TOKEN_KEYS = _schema_keys("surface", "category")
@@ -328,7 +335,7 @@ def build_synapper(doc: StructureDocument) -> Synapper:
 
     issues: list[ValidationIssue] = []
     main = _convert_loop(doc["loop"], (), issues)
-    s = Synapper(label=label, word_order=word_order, main=main)
+    s = Synapper(label, word_order, main)
     issues += structure_issues(s)
     if issues:
         raise StructureValidationError(issues)
@@ -406,8 +413,10 @@ def _convert_loop(raw: object, at: tuple[int, ...], issues: list[ValidationIssue
     if not isinstance(members_raw, list):
         raise MalformedDocumentError(_path(at, "members"), "expected an array")
     members = []
-    for i, m in enumerate(members_raw):
-        member = _check_keys(m, _MEMBER_REQUIRED, _MEMBER_KEYS, _path, at, "members", i)
+    for i, member in enumerate(members_raw):
+        # A member requires no key, so _check_keys's test is made here, without its frame.
+        if not (isinstance(member, _OBJECT_TYPES) and member.keys() <= _MEMBER_KEYS):
+            raise _object_error(member, frozenset(), _MEMBER_KEYS, _path(at, "members", i))
         role: Role | None = None
         if "role" in member:
             role_text = member["role"]
@@ -425,7 +434,7 @@ def _convert_loop(raw: object, at: tuple[int, ...], issues: list[ValidationIssue
         if has_loop and "branches" in member:
             raise UnknownKeyError(_path(at, "members", i, "branches"), "branches attach to nodes, not to nested loops")
         if has_loop:
-            members.append(Constituent(role=role, loop=_convert_loop(member["loop"], at + (i,), issues)))
+            members.append(Constituent(role, None, _convert_loop(member["loop"], at + (i,), issues)))
             continue
         node = _convert_tokens(member["node"], issues, at, "members", i, "node")
         branches_raw = member.get("branches", [])
@@ -440,13 +449,13 @@ def _convert_loop(raw: object, at: tuple[int, ...], issues: list[ValidationIssue
             if category is None:
                 category = _unknown_category(text, _path(at, "members", i, "branches", k, "category"), issues)
             tokens = _convert_tokens(b["tokens"], issues, at, "members", i, "branches", k, "tokens")
-            branches.append(Branch(tokens=tokens, category=category))
-        members.append(Constituent(role=role, node=node, branches=tuple(branches)))
+            branches.append(Branch(tokens, category))
+        members.append(Constituent(role, node, None, tuple(branches)))
     # A clausal loop has no head_index, so it gets the default 0.
     head = obj.get("head_index", 0)
     if not isinstance(head, int) or isinstance(head, bool):
         raise MalformedDocumentError(_path(at, "head_index"), "expected an integer")
-    return Loop(kind=kind, members=tuple(members), head_index=head)
+    return Loop(kind, tuple(members), head)
 
 
 def _convert_tokens(
@@ -498,7 +507,7 @@ def _loop_issues(loop: Loop, at: tuple[int, ...], issues: list[ValidationIssue])
     if not loop.members:
         issues.append(ValidationIssue("empty-loop", _path(at, "members"), "a loop needs at least one member"))
         return
-    roles = [m.role for m in loop.members]
+    roles = loop.roles
     if loop.kind is LoopKind.PHRASAL:
         if not 0 <= loop.head_index < len(roles):
             issues.append(ValidationIssue("head-out-of-range", _path(at, "head_index"), "head_index out of range"))
@@ -563,16 +572,11 @@ def iter_tokens(s: Synapper) -> Iterator[Token]:
             stack.pop()
 
 
-def _role_index(loop: Loop, role: Role) -> int | None:
-    """Ring index of the first member with this role, or None."""
-    for i, member in enumerate(loop.members):
-        if member.role is role:
-            return i
-    return None
-
-
 def _rotated_members(loop: Loop) -> tuple[Constituent, ...]:
-    i = loop.head_index if loop.kind is LoopKind.PHRASAL else _role_index(loop, Role.SUBJECT) or 0
+    if loop.kind is LoopKind.PHRASAL:
+        i = loop.head_index
+    else:
+        i = loop.roles.index(Role.SUBJECT) if Role.SUBJECT in loop.roles else 0
     return loop.members[i:] + loop.members[:i]
 
 

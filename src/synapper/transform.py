@@ -25,7 +25,6 @@ from .model import Category, Role, Synapper, SynapperError, Token, _is_surface
 from .profile import LanguageProfile, WhRule
 
 
-_role = attrgetter("role")
 _surface_category = attrgetter("surface", "category")
 
 
@@ -121,7 +120,7 @@ def _with_wh(runs: list[_Run], at: int, wh: Token) -> list[_Run]:
 
 
 def _swap_subject_verb(order: list[int], s: Synapper) -> None:
-    roles = [*map(_role, map(s.main.members.__getitem__, order))]
+    roles = [*map(s.main.roles.__getitem__, order)]
     if Role.SUBJECT in roles and Role.VERB in roles:
         subject_at, verb_at = roles.index(Role.SUBJECT), roles.index(Role.VERB)
         order[subject_at], order[verb_at] = order[verb_at], order[subject_at]

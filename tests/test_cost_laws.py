@@ -1,0 +1,85 @@
+"""Cost laws: the reader and the bare ring walk are linear in every size dimension.
+
+Op counts are exact, so growth can be tested exactly: a layer whose cost is
+linear in n has ops(4n) - ops(2n) = 2 * (ops(2n) - ops(n)). Each case counts
+one layer at n, 2n and 4n along one dimension of a generated structure and
+holds the ratio of the two differences between 1.9 and 2.1 (the empirical
+complexity method of Goldsmith, Aiken and Wilkerson, 2007, with exact counts
+in place of timings).
+
+The layers are ``parse_structure``, which runs ``structure_issues``, and a
+bare ``linearize(...).render()`` under all six word orders. The dimensions
+are ring width, nesting depth, node length and branches per node.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from synapper import LanguageProfile, WordOrder, linearize, parse_structure
+from test_op_ceilings import count_ops
+
+_BARE = [LanguageProfile(name=order.value, word_order=order) for order in WordOrder]
+
+
+def _node(role: str, tokens: int = 1, branches: int = 0) -> dict:
+    member = {"role": role, "node": [{"surface": f"w{i}", "category": "N"} for i in range(tokens)]}
+    if branches:
+        member["branches"] = [{"category": "ADJ", "tokens": [{"surface": "b", "category": "ADJ"}]}] * branches
+    return member
+
+
+def _clausal(*members: dict) -> dict:
+    return {"kind": "clausal", "members": [*members]}
+
+
+def _nested(depth: int) -> dict:
+    """A chain of depth clausal loops, each the subject of the one around it."""
+    loop = _clausal(_node("subject"), _node("verb"))
+    for _ in range(depth - 1):
+        loop = _clausal({"role": "subject", "loop": loop}, _node("verb"), _node("object"))
+    return loop
+
+
+# Each dimension: its smallest size n and the main loop of size n. The
+# largest, 4n, stays well inside MAX_DEPTH for the chain.
+DIMENSIONS = {
+    "ring_width": (25, lambda n: _clausal(_node("subject"), _node("verb"), *[_node("object", branches=1)] * n)),
+    "nesting_depth": (12, _nested),
+    "node_length": (25, lambda n: _clausal(_node("subject", tokens=n), _node("verb"))),
+    "branches_per_node": (25, lambda n: _clausal(_node("subject", branches=n), _node("verb"))),
+}
+
+
+def _text(loop: dict) -> str:
+    return json.dumps({"word_order": "svo", "loop": loop})
+
+
+def _render_all(text: str):
+    s = parse_structure(text)
+    return lambda: [linearize(s, p).render() for p in _BARE]
+
+
+LAYERS = {
+    "parse_structure": lambda text: lambda: parse_structure(text),
+    "bare_orders": _render_all,
+}
+
+# A node's tokens reach the rendering as one tuple, which only C code walks
+# (str.join over the surfaces), so the bare walk costs the same ops whatever
+# the node's length: both differences are 0, which the linear law allows.
+_CONSTANT = {("bare_orders", "node_length")}
+
+
+@pytest.mark.parametrize("dimension", sorted(DIMENSIONS))
+@pytest.mark.parametrize("layer", sorted(LAYERS))
+def test_cost_is_linear(layer, dimension):
+    n, shape = DIMENSIONS[dimension]
+    ops = [count_ops(LAYERS[layer](_text(shape(size)))) for size in (n, 2 * n, 4 * n)]
+    first, second = ops[1] - ops[0], ops[2] - ops[1]
+    if (layer, dimension) in _CONSTANT:
+        assert first == second == 0, ops
+    else:
+        assert first > 0 and 1.9 <= second / first <= 2.1, ops

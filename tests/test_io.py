@@ -466,10 +466,16 @@ class TestLexiconParsing:
         assert parse_lexicon("\ufeffJane\tN\tJane\n").lookup("Jane", Category.N) == "Jane"
 
     def test_surface_rule_runs_once_per_field(self):
+        """_is_surface checks each source; Token applies the same rule inline to each target."""
         text = (LEXICONS / "en-uz.tsv").read_text(encoding="utf-8")
         lex, frames = frames_while(parse_lexicon, text)
         assert len(lex) == 7
-        assert frames[_is_surface.__code__] == 2 * 7
+        assert frames[_is_surface.__code__] == frames[Token.__init__.__code__] == 7
+        # A target with whitespace still fails on its own line.
+        with pytest.raises(MalformedSyntaxError) as e:
+            parse_lexicon(text + "Mary\tN\tMa ry\n")
+        assert e.value.line == text.count("\n") + 1
+        assert str(e.value).endswith(": source and target must be single tokens without whitespace")
 
 
 _PROFILE_HEAD = '"name": "x", "word_order": "svo", "wh_rule": "initial_plain"'

@@ -35,7 +35,7 @@ from synapper import (
     linearize,
     wh_token,
 )
-from synapper.linearize import _emit, _expand, _reading_order
+from synapper.linearize import _emit, _expand, _reading_order, _start_index
 from conftest import (
     FIXTURES,
     PROFILES,
@@ -306,6 +306,48 @@ def _reference_first_object_index(loop: Loop, subject: int | None) -> int | None
         if loop.members[idx].role is Role.OBJECT:
             return idx
     return None
+
+
+# The reading start as linearize once found it, by scanning the members one
+# by one; _start_index reads it off Loop.roles instead.
+
+
+def _scan_role_index(loop: Loop, role: Role) -> int | None:
+    for i, member in enumerate(loop.members):
+        if member.role is role:
+            return i
+    return None
+
+
+def _scan_start_index(loop: Loop, first: Role) -> int:
+    if first is Role.OBJECT:
+        n = len(loop.members)
+        after = (_scan_role_index(loop, Role.SUBJECT) or 0) + 1
+        start = None
+        for idx in (*range(after, n), *range(after)):
+            if loop.members[idx].role is Role.OBJECT:
+                start = idx
+                break
+    else:
+        start = _scan_role_index(loop, first)
+    if start is None and first is not Role.SUBJECT:
+        start = _scan_role_index(loop, Role.SUBJECT)
+    if start is None:
+        start = _scan_role_index(loop, Role.VERB)
+    return 0 if start is None else start
+
+
+def test_the_start_read_off_roles_equals_the_member_scan_on_every_short_ring():
+    """Every role tuple of 1 to 6 members from {subject, verb, object, none}, from each first role."""
+    token = (Token("w", Category.N),)
+    rings = 0
+    for n in range(1, 7):
+        for roles in itertools.product((Role.SUBJECT, Role.VERB, Role.OBJECT, None), repeat=n):
+            loop = Loop(LoopKind.CLAUSAL, tuple(Constituent(role, token) for role in roles))
+            for first in (Role.SUBJECT, Role.VERB, Role.OBJECT):
+                assert _start_index(loop, first) == _scan_start_index(loop, first), (roles, first)
+            rings += 1
+    assert rings == sum(4**n for n in range(1, 7))
 
 
 def reference_linearize(s: Synapper, p: LanguageProfile) -> tuple[PlacedToken, ...]:

@@ -6,6 +6,7 @@ import gc
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -351,8 +352,13 @@ class TestValueSemantics:
             "Loop(kind=<LoopKind.PHRASAL: 'phrasal'>, members=(Constituent(role=None, node=(Token(surface='a',"
             " category=<Category.N: 'N'>),), loop=None, branches=()), Constituent(role=None,"
             " node=(Token(surface='go', category=<Category.V: 'V'>),), loop=None, branches=())), head_index=1)",
+            derived=("roles",),
         )
         assert Loop(LoopKind.CLAUSAL, members).head_index == 0
+
+    def test_loop_reads_each_members_role_when_built(self):
+        with pytest.raises(AttributeError):
+            Loop(LoopKind.PHRASAL, (Constituent(node=(_A,)), _A))
 
     def test_synapper(self):
         main = Loop(LoopKind.CLAUSAL, (Constituent(Role.VERB, (_GO,)),))
@@ -766,6 +772,22 @@ def _loops(loop):
     for m in loop.members:
         if m.loop is not None:
             yield from _loops(m.loop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_loop_roles_are_derived_and_left_out_of_the_value(seed):
+    s = random_structure(random.Random(seed), max_ring=6, max_depth=3)
+    for loop in _loops(s.main):
+        assert loop.roles == tuple(m.role for m in loop.members)
+        # A twin whose roles are wrong is still equal, hashes and prints alike,
+        # and a copy or a pickle of it gets its roles rebuilt from its members.
+        twin = replaced(loop)
+        object.__setattr__(twin, "roles", ())
+        assert twin == loop and hash(twin) == hash(loop) and repr(twin) == repr(loop)
+        assert "roles" not in repr(loop)
+        for copied in (copy.copy(twin), copy.deepcopy(twin), pickle.loads(pickle.dumps(twin))):
+            assert copied.roles == loop.roles
 
 
 def _swapped(loop, old, new):
@@ -1218,9 +1240,9 @@ def test_only_token_checks_run_a_frame_per_token():
     n = sum(1 for _ in iter_tokens(s))
     assert sum(1 for _ in iter_tokens(doubled)) == 2 * n
 
-    per_token = {Token.__init__.__code__, _is_surface.__code__}
-    assert {code: frames[code] for code in per_token} == dict.fromkeys(per_token, n)
-    assert doubled_frames - frames == Counter(dict.fromkeys(per_token, n))
+    # Token applies the surface rule inline, so _is_surface runs no frame here.
+    assert frames[Token.__init__.__code__] == n and frames[_is_surface.__code__] == 0
+    assert doubled_frames - frames == Counter({Token.__init__.__code__: n})
     assert not [code for code in frames if Path(code.co_filename) == Path(enum.__file__)]
     assert not [code for code in frames if code.co_name in ("_join", "_path")]
 
@@ -1242,15 +1264,15 @@ def test_the_reader_runs_one_frame_per_loop_and_per_token_run():
                     pending.append(m.loop)
                 branches += len(m.branches)
                 runs += (m.node is not None) + len(m.branches)
-        per_token = {Token.__init__.__code__, _is_surface.__code__}
-        read = {code: n for code, n in frames.items() if code.co_filename == model.__file__ and code not in per_token}
-        # The roles list comprehension in _loop_issues is a frame of its own before Python 3.12.
-        comprehensions = [c for c in model._loop_issues.__code__.co_consts if isinstance(c, CodeType)]
-        # Counter equality reads a missing code as 0 frames: space_news has no branch.
+        read = {code: n for code, n in frames.items() if code.co_filename == model.__file__}
+        # _loop_issues reads each loop's roles tuple: no comprehension of its own.
+        assert not [c for c in model._loop_issues.__code__.co_consts if isinstance(c, CodeType)]
+        # Counter equality reads a missing code as 0 frames: space_news has no
+        # branch. A member's keys are checked in _convert_loop's frame.
         assert Counter(read) == Counter({
             build_synapper.__code__: 1,
             model.structure_issues.__code__: 1,
-            model._check_keys.__code__: 1 + loops + members,
+            model._check_keys.__code__: 1 + loops,
             model._expect_str.__code__: 2,
             model._word_order.__code__: 1,
             model._convert_loop.__code__: loops,
@@ -1260,5 +1282,5 @@ def test_the_reader_runs_one_frame_per_loop_and_per_token_run():
             Branch.__init__.__code__: branches,
             Synapper.__init__.__code__: 1,
             model._loop_issues.__code__: loops,
-            **dict.fromkeys(comprehensions, loops),
+            Token.__init__.__code__: sum(1 for _ in iter_tokens(s)),
         })

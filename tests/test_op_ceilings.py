@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 import subprocess
 import sys
 from functools import cache
@@ -41,7 +42,7 @@ from synapper import (
     translate,
     wh_token,
 )
-from conftest import FIXTURES, LEXICONS, ROOT, load_profile, load_structure, rotate_main
+from conftest import FIXTURES, LEXICONS, ROOT, load_profile, load_structure, random_structure, rotate_main
 from op_counter import OpCounter
 
 CEILINGS = Path(__file__).resolve().parent / "op_ceilings.json"
@@ -62,7 +63,9 @@ print(counter.n)
 
 
 LAYERS = (
+    "parse_structure",
     "parse_orders",
+    "parse_orders_generated",
     "linearize_with_rules",
     "apply_morpheme_rules_placed",
     "translate",
@@ -81,6 +84,9 @@ LAYERS = (
 def _calls() -> dict:
     """Each counted layer's call, with its inputs read beforehand."""
     news_text = (FIXTURES / "space_news.json").read_text(encoding="utf-8")
+    # The valid fixtures hold 5 branches in all; this structure holds about one per
+    # node, so the reader's and the walk's branch paths are counted too.
+    generated_text = serialize_structure(random_structure(random.Random(7)))
     news, tim, horse = load_structure("space_news"), load_structure("tim"), load_structure("horse")
     bare = [LanguageProfile(name=order.value, word_order=order) for order in WordOrder]
     articles, en, uz = load_profile("en-articles"), load_profile("en"), load_profile("uz")
@@ -94,13 +100,15 @@ def _calls() -> dict:
     news_lexicon = identity_lexicon(news)
     rotated = rotate_main(news, 1)
 
-    def parse_orders():
-        s = parse_structure(news_text)
+    def parse_orders(text):
+        s = parse_structure(text)
         for p in bare:
             linearize(s, p).render()
 
     return {
-        "parse_orders": parse_orders,
+        "parse_structure": lambda: parse_structure(news_text),
+        "parse_orders": lambda: parse_orders(news_text),
+        "parse_orders_generated": lambda: parse_orders(generated_text),
         "linearize_with_rules": lambda: apply_morpheme_rules(linearize(news, articles), articles),
         "apply_morpheme_rules_placed": lambda: apply_morpheme_rules(placed_news, articles),
         "translate": lambda: translate(horse, en_uz, uz),
