@@ -16,6 +16,7 @@ clusters.
 from __future__ import annotations
 
 import json
+from itertools import pairwise
 from json.encoder import encode_basestring
 
 TYPE_CHECKING = False
@@ -116,13 +117,16 @@ def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
         for text, role in _ROLES.items():
             heads[role] = f'{item}{{{field}"role": "{text}",{field}'
         # The members' node arrays and the branches' token arrays, each
-        # written after its key at its own indent (see _emit_tokens).
+        # written after its key at its own indent: the whole empty array, the
+        # opening of the first token and of every next one (each ending at
+        # the surface), the text between surface and category, and the
+        # array's closing; so each token takes one ``out +=``.
         arrays = []
         for key, at in ('"node": ', field), ('"tokens": ', branch + "  "):
             opening = f'{at}  {{{at}    "surface": '
             closing = f'"{at}  }}'
             middle = f',{at}    "category": "'
-            arrays.append((key + "[]", f"{key}[{opening}", f"{closing},{opening}", middle, closing + at + "]"))
+            arrays += [key + "[]", f"{key}[{opening}", f"{closing},{opening}", middle, closing + at + "]"]
         layout = (
             f'{{{inner}"kind": "clausal",{inner}"members": ',
             f'{{{inner}"kind": "phrasal",{inner}"head_index": ',
@@ -141,8 +145,9 @@ def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
         if len(_LAYOUTS) < MAX_DEPTH:
             _LAYOUTS[nl] = layout
     (
-        clausal, phrasal, members, heads, field, next_member, first_branch, next_branch,
-        category_end, branches_end, node_array, branch_array, end, empty_end,
+        clausal, phrasal, members, heads, field, next_member, first_branch, next_branch, category_end,
+        branches_end, no_node, node_first, node_next, node_middle, node_end,
+        no_tokens, tokens_first, tokens_next, tokens_middle, tokens_end, end, empty_end,
     ) = layout
     if loop.kind is LoopKind.PHRASAL:
         out.append(f"{phrasal}{loop.head_index}{members}")
@@ -152,7 +157,14 @@ def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
     for c in loop.members:
         out += [sep, heads[c.role]]
         if c.node is not None:
-            _emit_tokens(c.node, node_array, out)
+            if c.node:
+                token_sep = node_first
+                for t in c.node:
+                    out += [token_sep, encode_basestring(t.surface), node_middle, _TEXT[t.category]]
+                    token_sep = node_next
+                out.append(node_end)
+            else:
+                out.append(no_node)
         else:
             out.append('"loop": ')
             _emit_loop(c.loop, field, out)  # type: ignore[arg-type]
@@ -160,28 +172,18 @@ def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
             branch_sep = first_branch
             for b in c.branches:
                 out += [branch_sep, _TEXT[b.category], category_end]
-                _emit_tokens(b.tokens, branch_array, out)
+                if b.tokens:
+                    token_sep = tokens_first
+                    for t in b.tokens:
+                        out += [token_sep, encode_basestring(t.surface), tokens_middle, _TEXT[t.category]]
+                        token_sep = tokens_next
+                    out.append(tokens_end)
+                else:
+                    out.append(no_tokens)
                 branch_sep = next_branch
             out.append(branches_end)
         sep = next_member
     out.append(end if loop.members else empty_end)
-
-
-def _emit_tokens(tokens: tuple[Token, ...], layout: tuple[str, ...], out: list[str]) -> None:
-    """A token array, written from one of a _LAYOUTS entry's ready array layouts.
-
-    layout holds the whole empty array, the opening of the first token and of
-    every next one (each ending at the surface), the text between surface and
-    category, and the array's closing; so each token takes one ``out +=``.
-    """
-    if not tokens:
-        out.append(layout[0])
-        return
-    _, sep, following, middle, end = layout
-    for t in tokens:
-        out += [sep, encode_basestring(t.surface), middle, _TEXT[t.category]]
-        sep = following
-    out.append(end)
 
 
 _PROFILE_REQUIRED = _schema_keys("name", "word_order", "wh_rule")
@@ -317,37 +319,44 @@ def to_dot(s: Synapper) -> str:
     close the cycle whenever the loop has more than one member. Nested
     loops are drawn as clusters named after their position.
     """
-    body: list[str] = []
-    _dot_loop(s.main, "n", "  ", body)
-    return "\n".join(["digraph synapper {", "  node [shape=box];", *body, "}"]) + "\n"
+    out = ["digraph synapper {", "  node [shape=box];"]
+    _dot_loop(s.main, "n", "  ", out)
+    out.append("}\n")
+    return "\n".join(out)
 
 
 def _dot_loop(loop: Loop, prefix: str, indent: str, out: list[str]) -> str:
+    """Writes the loop's lines to out; returns the id ring edges reach the loop by.
+
+    A box's label is its surfaces joined by spaces. A label holding ``\\``
+    or ``"`` has each escaped by a backslash, backslashes first.
+    """
     if not loop.members:
         raise SynapperError("cannot draw an empty loop")
     reps = []
     for j, member in enumerate(loop.members):
         mid = f"{prefix}{j}"
         if member.node is not None:
-            out.append(f'{indent}{mid} [label="{_esc_label(member.node)}"];')
+            label = " ".join([t.surface for t in member.node])
+            if '"' in label or "\\" in label:
+                label = label.replace("\\", "\\\\").replace('"', '\\"')
+            out.append(f'{indent}{mid} [label="{label}"];')
             rep = mid
         else:
-            assert member.loop is not None
-            out.append(f"{indent}subgraph cluster_{mid} {{")
-            out.append(f'{indent}  label="{_TEXT[member.loop.kind]} loop";')
-            rep = _dot_loop(member.loop, mid + "m", indent + "  ", out)
+            inner = member.loop
+            assert inner is not None
+            out += [f"{indent}subgraph cluster_{mid} {{", f'{indent}  label="{_TEXT[inner.kind]} loop";']
+            rep = _dot_loop(inner, mid + "m", indent + "  ", out)
             out.append(f"{indent}}}")
         for k, branch in enumerate(member.branches):
-            bid = f"{mid}b{k}"
-            out.append(f'{indent}{bid} [label="{_esc_label(branch.tokens)}"];')
-            out.append(f"{indent}{bid} -> {rep};")
+            label = " ".join([t.surface for t in branch.tokens])
+            if '"' in label or "\\" in label:
+                label = label.replace("\\", "\\\\").replace('"', '\\"')
+            box = f"{indent}{mid}b{k}"
+            out.append(f'{box} [label="{label}"];\n{box} -> {rep};')
         reps.append(rep)
     if len(reps) > 1:
-        for j, rep in enumerate(reps):
-            out.append(f"{indent}{rep} -> {reps[(j + 1) % len(reps)]};")
+        reps.append(reps[0])
+        for a, b in pairwise(reps):
+            out.append(f"{indent}{a} -> {b};")
     return reps[0]
-
-
-def _esc_label(tokens) -> str:
-    text = " ".join([t.surface for t in tokens])
-    return text.replace("\\", "\\\\").replace('"', '\\"')

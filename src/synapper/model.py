@@ -627,16 +627,24 @@ def _canon_loop(loop: Loop, out: list[str]) -> None:
         if c.branches:
             branch_sep = '"branches":[{"category":"'
             for b in c.branches:
-                out += [branch_sep, _TEXT[b.category], '","tokens":']
-                _canon_tokens(b.tokens, out)
+                out += [branch_sep, _TEXT[b.category], '","tokens":[']
+                token_sep = "["
+                for t in b.tokens:
+                    out += [token_sep, _escape_ascii(t.surface), ',"', _TEXT[t.category], '"]']
+                    token_sep = ",["
+                out.append("]")
                 branch_sep = '},{"category":"'
             out.append("}],")
         if c.loop is not None:
             out.append('"loop":')
             _canon_loop(c.loop, out)
         else:
-            out.append('"node":')
-            _canon_tokens(c.node, out)  # type: ignore[arg-type]
+            out.append('"node":[')
+            token_sep = "["
+            for t in c.node:  # type: ignore[union-attr]
+                out += [token_sep, _escape_ascii(t.surface), ',"', _TEXT[t.category], '"]']
+                token_sep = ",["
+            out.append("]")
         if c.role is not None:
             out += [',"role":"', _TEXT[c.role], '"']
         sep = "},{"
@@ -645,11 +653,3 @@ def _canon_loop(loop: Loop, out: list[str]) -> None:
 
 # json.dumps's default escaper: every non-ASCII character as \uXXXX.
 _escape_ascii = json.encoder.encode_basestring_ascii
-
-
-def _canon_tokens(tokens: tuple[Token, ...], out: list[str]) -> None:
-    sep = "[["
-    for t in tokens:
-        out += [sep, _escape_ascii(t.surface), ',"', _TEXT[t.category], '"]']
-        sep = ",["
-    out.append("]" if tokens else "[]")

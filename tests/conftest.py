@@ -141,6 +141,15 @@ def rotate_main(s: Synapper, k: int) -> Synapper:
     return Synapper(label=s.label, word_order=s.word_order, main=main)
 
 
+def loops_of(loop: Loop) -> list[Loop]:
+    """loop and every loop nested in it, at every depth."""
+    out = [loop]
+    for c in loop.members:
+        if c.loop is not None:
+            out += loops_of(c.loop)
+    return out
+
+
 def frames_while(call, *args):
     """call(*args) and how many frames of each code object it ran, by sys.setprofile.
 

@@ -1,4 +1,4 @@
-"""Cost laws: the reader and the bare ring walk are linear in every size dimension.
+"""Cost laws: the reader, the bare ring walk and the write and compare path are linear in every size dimension.
 
 Op counts are exact, so growth can be tested exactly: a layer whose cost is
 linear in n has ops(4n) - ops(2n) = 2 * (ops(2n) - ops(n)). Each case counts
@@ -7,18 +7,32 @@ holds the ratio of the two differences between 1.9 and 2.1 (the empirical
 complexity method of Goldsmith, Aiken and Wilkerson, 2007, with exact counts
 in place of timings).
 
-The layers are ``parse_structure``, which runs ``structure_issues``, and a
-bare ``linearize(...).render()`` under all six word orders. The dimensions
-are ring width, nesting depth, node length and branches per node.
+The layers are ``parse_structure``, which runs ``structure_issues``, a
+bare ``linearize(...).render()`` under all six word orders, and the
+writers and comparers on the parsed structure: ``serialize_structure``,
+``to_dot``, ``canonical_form``, and ``structural_equal`` against a copy
+read from the same text and stored from another member. The dimensions are
+ring width, nesting depth, node length and branches per node.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
-from synapper import LanguageProfile, WordOrder, linearize, parse_structure
+from synapper import (
+    LanguageProfile,
+    WordOrder,
+    canonical_form,
+    linearize,
+    parse_structure,
+    serialize_structure,
+    structural_equal,
+    to_dot,
+)
+from conftest import rotate_main
 from test_op_ceilings import count_ops
 
 _BARE = [LanguageProfile(name=order.value, word_order=order) for order in WordOrder]
@@ -62,9 +76,21 @@ def _render_all(text: str):
     return lambda: [linearize(s, p).render() for p in _BARE]
 
 
+def _on_parsed(write):
+    return lambda text: partial(write, parse_structure(text))
+
+
+def _compare_rotated(text: str):
+    return partial(structural_equal, parse_structure(text), rotate_main(parse_structure(text), 1))
+
+
 LAYERS = {
     "parse_structure": lambda text: lambda: parse_structure(text),
     "bare_orders": _render_all,
+    "serialize_structure": _on_parsed(serialize_structure),
+    "to_dot": _on_parsed(to_dot),
+    "canonical_form": _on_parsed(canonical_form),
+    "structural_equal": _compare_rotated,
 }
 
 # A node's tokens reach the rendering as one tuple, which only C code walks

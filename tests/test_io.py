@@ -3,6 +3,7 @@
 import enum
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from synapper import (
     MalformedSyntaxError,
     Role,
     Synapper,
+    SynapperError,
     Token,
     UnknownKeyError,
     WordOrder,
@@ -41,6 +43,7 @@ from conftest import (
     frames_while,
     load_profile,
     load_structure,
+    loops_of,
     random_structure,
     replaced,
 )
@@ -88,6 +91,43 @@ def _token_doc(t: Token) -> dict:
 
 def _word(surface: str) -> Token:
     return Token(surface, Category.N)
+
+
+def reference_dot(s: Synapper) -> str:
+    """The DOT writer's specification: one line at a time, each label escaped by str.replace."""
+    body: list[str] = []
+    _ref_dot_loop(s.main, "n", "  ", body)
+    return "\n".join(["digraph synapper {", "  node [shape=box];", *body, "}"]) + "\n"
+
+
+def _ref_dot_loop(loop: Loop, prefix: str, indent: str, out: list[str]) -> str:
+    if not loop.members:
+        raise SynapperError("cannot draw an empty loop")
+    reps = []
+    for j, member in enumerate(loop.members):
+        mid = f"{prefix}{j}"
+        if member.node is not None:
+            out.append(f'{indent}{mid} [label="{_ref_label(member.node)}"];')
+            rep = mid
+        else:
+            out.append(f"{indent}subgraph cluster_{mid} {{")
+            out.append(f'{indent}  label="{member.loop.kind.value} loop";')
+            rep = _ref_dot_loop(member.loop, mid + "m", indent + "  ", out)
+            out.append(f"{indent}}}")
+        for k, branch in enumerate(member.branches):
+            bid = f"{mid}b{k}"
+            out.append(f'{indent}{bid} [label="{_ref_label(branch.tokens)}"];')
+            out.append(f"{indent}{bid} -> {rep};")
+        reps.append(rep)
+    if len(reps) > 1:
+        for j, rep in enumerate(reps):
+            out.append(f"{indent}{rep} -> {reps[(j + 1) % len(reps)]};")
+    return reps[0]
+
+
+def _ref_label(tokens) -> str:
+    text = " ".join([t.surface for t in tokens])
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 # Members whose documents hold the shapes random_structure never makes: empty
@@ -193,21 +233,12 @@ class TestDirectSerializer:
         s = replaced(s, label=label, main=main)
         assert serialize_structure(s) == reference_serialize(s)
 
-    def test_one_frame_per_loop_and_per_token_run(self):
-        """_emit_loop writes members and branches itself; each node or branch's tokens take one frame."""
-        s = load_structure("space_news")
-        _, frames = frames_while(serialize_structure, s)
-        loops, runs = 0, 0
-        pending = [s.main]
-        while pending:
-            loop = pending.pop()
-            loops += 1
-            for m in loop.members:
-                if m.loop is not None:
-                    pending.append(m.loop)
-                runs += (m.node is not None) + len(m.branches)
-        written = {code.co_name: n for code, n in frames.items() if code.co_filename == io_formats.__file__}
-        assert written == {"serialize_structure": 1, "_emit_loop": loops, "_emit_tokens": runs}
+    def test_one_frame_per_loop(self):
+        """_emit_loop writes members, branches and their token arrays itself: one frame per loop."""
+        for s in [*map(load_structure, ALL_FIXTURES), *map(random_structure, map(random.Random, range(30)))]:
+            _, frames = frames_while(serialize_structure, s)
+            written = {code.co_name: n for code, n in frames.items() if code.co_filename == io_formats.__file__}
+            assert written == {"serialize_structure": 1, "_emit_loop": len(loops_of(s.main))}
 
     def test_layout_table_serves_depths_in_any_order(self, monkeypatch):
         """Down to MAX_DEPTH, then shallow, then deep again: each depth's stored layout writes json.dumps's text."""
@@ -582,21 +613,59 @@ class TestDot:
         assert "n2b0 -> n2;" in dot
 
     def test_escapes_quotes(self):
-        s = parse_structure(
-            json.dumps(
-                {
-                    "word_order": "svo",
-                    "loop": {
-                        "kind": "clausal",
-                        "members": [
-                            {"role": "subject", "node": [{"surface": 'say"hi"', "category": "N"}]},
-                            {"role": "verb", "node": [{"surface": "went", "category": "V"}]},
-                        ],
-                    },
-                }
+        """A backslash, then a quote, is escaped by a backslash; nothing else is."""
+        for surface, label in [('say"hi"', 'say\\"hi\\"'), ("a\\b", "a\\\\b"), ('a\\"b', 'a\\\\\\"b'), ("é\x07", "é\x07")]:
+            s = parse_structure(
+                json.dumps(
+                    {
+                        "word_order": "svo",
+                        "loop": {
+                            "kind": "clausal",
+                            "members": [
+                                {"role": "subject", "node": [{"surface": surface, "category": "N"}]},
+                                {"role": "verb", "node": [{"surface": "went", "category": "V"}]},
+                            ],
+                        },
+                    }
+                )
             )
-        )
-        assert '\\"hi\\"' in to_dot(s)
+            assert f'  n0 [label="{label}"];\n' in to_dot(s)
+
+    @pytest.mark.parametrize("members", [(), (EDGE_MEMBERS["empty loop"],)], ids=["main", "nested"])
+    def test_an_empty_loop_cannot_be_drawn(self, members):
+        s = Synapper(label="", word_order=WordOrder.SVO, main=Loop(LoopKind.CLAUSAL, members))
+        with pytest.raises(SynapperError, match="cannot draw an empty loop"):
+            to_dot(s)
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_bundled_fixtures_match_the_reference(self, name):
+        s = load_structure(name)
+        assert to_dot(s) == reference_dot(s)
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**9),
+        words=st.lists(surfaces, min_size=1, max_size=8),
+        extra=st.lists(st.sampled_from([m for name, m in EDGE_MEMBERS.items() if name != "empty loop"]), max_size=2),
+    )
+    def test_random_structures_match_the_reference(self, seed, words, extra):
+        s = random_structure(random.Random(seed))
+        pairs = dict.fromkeys((t.surface, t.category) for t in iter_tokens(s))
+        s = substitute_lexemes(s, Lexicon({pair: words[i % len(words)] for i, pair in enumerate(pairs)}))
+        s = replaced(s, main=replaced(s.main, members=s.main.members + tuple(extra)))
+        assert to_dot(s) == reference_dot(s)
+
+    def test_one_frame_per_loop_and_one_comprehension_per_label(self):
+        """_dot_loop writes each node, branch and ring edge itself; only a label's join runs a frame."""
+        for s in [*map(load_structure, ALL_FIXTURES), *map(random_structure, map(random.Random, range(30)))]:
+            _, frames = frames_while(to_dot, s)
+            loops = loops_of(s.main)
+            labels = sum((c.node is not None) + len(c.branches) for loop in loops for c in loop.members)
+            written = Counter()
+            for code, n in frames.items():
+                if code.co_filename == io_formats.__file__:
+                    written[code.co_name] += n
+            assert written == {"to_dot": 1, "_dot_loop": len(loops), "<listcomp>": labels}
 
 
 @settings(max_examples=40)

@@ -55,11 +55,12 @@ from conftest import (
     check_value_semantics,
     frames_while,
     load_structure,
+    loops_of,
     random_structure,
     replaced,
     rotate_main,
 )
-from test_io import EDGE_MEMBERS
+from test_io import ALL_FIXTURES, EDGE_MEMBERS
 from test_totality import JSON_VALUES, STRUCTURE_DOCS
 
 
@@ -592,6 +593,15 @@ def test_write_path_runs_no_enum_or_json_encoder_frame(name):
     files = {Path(code.co_filename) for code in frames}
     assert Path(enum.__file__) not in files
     assert Path(json.encoder.__file__) not in files
+
+
+def test_canonical_form_runs_one_frame_per_loop():
+    """_canon_loop writes members, branches and their token arrays itself; only the anchor rule has its own frame."""
+    for s in [*map(load_structure, ALL_FIXTURES), *map(random_structure, map(random.Random, range(30)))]:
+        _, frames = frames_while(canonical_form, s)
+        loops = len(loops_of(s.main))
+        written = {code.co_name: n for code, n in frames.items() if code.co_filename == model.__file__}
+        assert written == {"canonical_form": 1, "_canon_loop": loops, "_rotated_members": loops}
 
 
 def test_iter_tokens_stored_order():

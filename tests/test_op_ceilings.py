@@ -77,6 +77,7 @@ LAYERS = (
     "canonical_form",
     "structural_equal",
     "to_dot",
+    "serialize_canon_generated",
 )
 
 
@@ -85,8 +86,12 @@ def _calls() -> dict:
     """Each counted layer's call, with its inputs read beforehand."""
     news_text = (FIXTURES / "space_news.json").read_text(encoding="utf-8")
     # The valid fixtures hold 5 branches in all; this structure holds about one per
-    # node, so the reader's and the walk's branch paths are counted too.
-    generated_text = serialize_structure(random_structure(random.Random(7)))
+    # node, so the reader's, the walk's, the writers' and the comparison's branch
+    # paths are counted too, the comparison against a copy read back and stored
+    # from another member.
+    generated = random_structure(random.Random(7))
+    generated_text = serialize_structure(generated)
+    generated_copy = rotate_main(parse_structure(generated_text), 1)
     news, tim, horse = load_structure("space_news"), load_structure("tim"), load_structure("horse")
     bare = [LanguageProfile(name=order.value, word_order=order) for order in WordOrder]
     articles, en, uz = load_profile("en-articles"), load_profile("en"), load_profile("uz")
@@ -105,6 +110,12 @@ def _calls() -> dict:
         for p in bare:
             linearize(s, p).render()
 
+    def serialize_canon(s, other):
+        serialize_structure(s)
+        to_dot(s)
+        canonical_form(s)
+        structural_equal(s, other)
+
     return {
         "parse_structure": lambda: parse_structure(news_text),
         "parse_orders": lambda: parse_orders(news_text),
@@ -120,6 +131,7 @@ def _calls() -> dict:
         "canonical_form": lambda: canonical_form(news),
         "structural_equal": lambda: structural_equal(news, rotated),
         "to_dot": lambda: to_dot(news),
+        "serialize_canon_generated": lambda: serialize_canon(generated, generated_copy),
     }
 
 
