@@ -1,11 +1,15 @@
 """Command-line interface.
 
-One subcommand per operation: validate, linearize, translate, question,
-declarativize, compare, canon, dot, prob, orders. Each command is one
-function from its parsed arguments to its whole stdout text, and ``run``
-writes it. Failures print a JSON error report to stderr and exit 1; usage
-errors exit 2. ``linearize`` and ``translate`` apply the profile's morpheme
-rules; ``question``, ``declarativize`` and ``orders`` use the bare linearization.
+Each command (validate, linearize, translate, question, declarativize,
+compare, canon, dot, prob, orders) is one row of ``_COMMANDS``: its help, its
+op and its arguments. An op takes the loaded argument values and returns the
+command's whole stdout text. ``run`` builds the parser from the table, with
+only the named command's subparser when the first argument names one, loads
+the arguments in row order (so the first bad input is the one reported),
+calls the op and writes its text. Failures print a JSON error report to
+stderr and exit 1; usage errors exit 2. The table holds names, not
+functions: ops and ``_load`` look each layer function up in this module's
+globals when they run, so a wrapper set on ``synapper.cli`` sees every call.
 """
 
 from __future__ import annotations
@@ -35,11 +39,36 @@ from .profile import LanguageProfile
 from .transform import interrogativize, parse_question, wh_token
 from .translate import MissingLexemeError, apply_morpheme_rules, translate
 
+# One row per command: (name, help, op, arguments). An argument is (name,
+# loader, help), declared and loaded in this order; a name that starts with
+# "--" is a required option. A loader is a file path to read and parse
+# ("structure", "profile", "lexicon"), a WH word ("wh"), text as given
+# ("text") or argparse's int ("int").
+_COMMANDS = (
+    ("validate", "check a structure file and print OK", "_validate",
+     (("structure", "structure", "path to a structure JSON file"),)),
+    ("linearize", "render a structure under a profile", "_linearize",
+     (("structure", "structure", None), ("--profile", "profile", "path to a profile JSON file"))),
+    ("translate", "substitute lexemes and render under a profile", "_translate",
+     (("structure", "structure", None), ("--lexicon", "lexicon", "path to a TSV lexicon"),
+      ("--profile", "profile", None))),
+    ("question", "render the interrogative form", "_question",
+     (("structure", "structure", None), ("--profile", "profile", None), ("--wh", "wh", "question word to add"))),
+    ("declarativize", "undo a question against its structure", "_declarativize",
+     (("structure", "structure", None), ("--profile", "profile", None),
+      ("--question", "text", "the full question text"))),
+    ("compare", "print SAME or DIFFERENT for two structures", "_compare",
+     (("a", "structure", None), ("b", "structure", None))),
+    ("canon", "print the canonical one-line form", "_canon", (("structure", "structure", None),)),
+    ("dot", "print Graphviz source for a structure", "_dot", (("structure", "structure", None),)),
+    ("prob", "chance probability that n members line up", "_prob", (("n", "int", None),)),
+    ("orders", "render a structure in all six word orders", "_orders", (("structure", "structure", None),)),
+)
+
 
 def run(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        text = _writable(args.op(args))
+        text = _writable(_output(sys.argv[1:] if argv is None else argv))
     except SynapperError as e:
         sys.stderr.write(json.dumps(_error_report(e), indent=2, ensure_ascii=False) + "\n")
         return 1
@@ -49,6 +78,43 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+def _output(argv: list[str]) -> str:
+    """The command's whole stdout text, or the SynapperError run reports; argparse exits 2 on a usage error."""
+    args = _parser(argv[0] if argv else None).parse_args(argv)
+    return globals()[args.op](*[_load(loader, getattr(args, name.lstrip("-"))) for name, loader, _ in args.arguments])
+
+
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of the command named, or of every command when none is."""
+    parser = argparse.ArgumentParser(prog="synapper", description="Work with closed-loop sentence structures.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, help_text, op, arguments in [row for row in _COMMANDS if row[0] == command] or _COMMANDS:
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(op=op, arguments=arguments)
+        for arg, loader, arg_help in arguments:
+            if arg.startswith("--"):
+                cmd.add_argument(arg, required=True, help=arg_help)
+            else:
+                cmd.add_argument(arg, type=int if loader == "int" else None, help=arg_help)
+    return parser
+
+
+def _load(loader, text):
+    """An argument's value: the file at the path text read and parsed, a WH token, or text as argparse gave it."""
+    if loader == "structure":
+        return parse_structure(_read(text))
+    if loader == "profile":
+        return parse_profile(_read(text))
+    if loader == "lexicon":
+        return parse_lexicon(_read(text))
+    if loader == "wh":
+        try:
+            return wh_token(text)
+        except ValueError as exc:
+            raise SynapperError(f"invalid wh word {text!r}: must be one non-empty token") from exc
+    return text
 
 
 def _writable(text: str) -> str:
@@ -88,127 +154,55 @@ def _read(path: str) -> str:
     raise SynapperError(f"cannot read {path}: {reason}")
 
 
-def _validate(args) -> str:
-    parse_structure(_read(args.structure))
+def _validate(structure):
     return "OK\n"
 
 
-def _linearize(args) -> str:
-    p = parse_profile(_read(args.profile))
-    sentence = apply_morpheme_rules(linearize(parse_structure(_read(args.structure)), p), p)
-    return sentence.render() + "\n"
+def _linearize(structure, profile):
+    return apply_morpheme_rules(linearize(structure, profile), profile).render() + "\n"
 
 
-def _translate(args) -> str:
-    s = parse_structure(_read(args.structure))
-    lex = parse_lexicon(_read(args.lexicon))
-    return translate(s, lex, parse_profile(_read(args.profile))).render() + "\n"
+def _translate(structure, lexicon, profile):
+    return translate(structure, lexicon, profile).render() + "\n"
 
 
-def _question(args) -> str:
-    s = parse_structure(_read(args.structure))
-    try:
-        wh = wh_token(args.wh)
-    except ValueError as exc:
-        raise SynapperError(f"invalid wh word {args.wh!r}: must be one non-empty token") from exc
-    return interrogativize(s, wh, parse_profile(_read(args.profile))).render() + "\n"
+def _question(structure, profile, wh):
+    return interrogativize(structure, wh, profile).render() + "\n"
 
 
-def _declarativize(args) -> str:
-    skeleton = parse_structure(_read(args.structure))
-    p = parse_profile(_read(args.profile))
-    parse_question(args.question, skeleton, p)
-    return linearize(skeleton, p).render() + "\n"
+def _declarativize(skeleton, profile, question):
+    parse_question(question, skeleton, profile)
+    return linearize(skeleton, profile).render() + "\n"
 
 
-def _compare(args) -> str:
-    same = structural_equal(parse_structure(_read(args.a)), parse_structure(_read(args.b)))
-    return "SAME\n" if same else "DIFFERENT\n"
+def _compare(a, b):
+    return "SAME\n" if structural_equal(a, b) else "DIFFERENT\n"
 
 
-def _canon(args) -> str:
-    return canonical_form(parse_structure(_read(args.structure))) + "\n"
+def _canon(structure):
+    return canonical_form(structure) + "\n"
 
 
-def _dot(args) -> str:
-    return to_dot(parse_structure(_read(args.structure)))
+def _dot(structure):
+    return to_dot(structure)
 
 
-def _prob(args) -> str:
+def _prob(n):
     import decimal
 
-    denominator = chance_probability(args.n).denominator
+    denominator = chance_probability(n).denominator
     # 1/n! from the exact integer, rounded half to even to seven significant
     # digits; past n = 170 the float probability underflows.
     quotient = decimal.Context(prec=7).divide(decimal.Decimal(1), denominator)
     return f"{quotient:.6e} (1/{denominator})\n"
 
 
-def _orders(args) -> str:
-    s = parse_structure(_read(args.structure))
+def _orders(structure):
     lines = []
     for order in WordOrder:
         bare = LanguageProfile(name=order.value, word_order=order)
-        lines.append(f"{order.name}: {linearize(s, bare).render()}\n")
+        lines.append(f"{order.name}: {linearize(structure, bare).render()}\n")
     return "".join(lines)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="synapper",
-        description="Work with closed-loop sentence structures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    cmd = sub.add_parser("validate", help="check a structure file and print OK")
-    cmd.add_argument("structure", help="path to a structure JSON file")
-    cmd.set_defaults(op=_validate)
-
-    cmd = sub.add_parser("linearize", help="render a structure under a profile")
-    cmd.add_argument("structure")
-    cmd.add_argument("--profile", required=True, help="path to a profile JSON file")
-    cmd.set_defaults(op=_linearize)
-
-    cmd = sub.add_parser("translate", help="substitute lexemes and render under a profile")
-    cmd.add_argument("structure")
-    cmd.add_argument("--lexicon", required=True, help="path to a TSV lexicon")
-    cmd.add_argument("--profile", required=True)
-    cmd.set_defaults(op=_translate)
-
-    cmd = sub.add_parser("question", help="render the interrogative form")
-    cmd.add_argument("structure")
-    cmd.add_argument("--profile", required=True)
-    cmd.add_argument("--wh", required=True, help="question word to add")
-    cmd.set_defaults(op=_question)
-
-    cmd = sub.add_parser("declarativize", help="undo a question against its structure")
-    cmd.add_argument("structure")
-    cmd.add_argument("--profile", required=True)
-    cmd.add_argument("--question", required=True, help="the full question text")
-    cmd.set_defaults(op=_declarativize)
-
-    cmd = sub.add_parser("compare", help="print SAME or DIFFERENT for two structures")
-    cmd.add_argument("a")
-    cmd.add_argument("b")
-    cmd.set_defaults(op=_compare)
-
-    cmd = sub.add_parser("canon", help="print the canonical one-line form")
-    cmd.add_argument("structure")
-    cmd.set_defaults(op=_canon)
-
-    cmd = sub.add_parser("dot", help="print Graphviz source for a structure")
-    cmd.add_argument("structure")
-    cmd.set_defaults(op=_dot)
-
-    cmd = sub.add_parser("prob", help="chance probability that n members line up")
-    cmd.add_argument("n", type=int)
-    cmd.set_defaults(op=_prob)
-
-    cmd = sub.add_parser("orders", help="render a structure in all six word orders")
-    cmd.add_argument("structure")
-    cmd.set_defaults(op=_orders)
-
-    return parser
 
 
 if __name__ == "__main__":

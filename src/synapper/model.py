@@ -451,11 +451,12 @@ def _convert_loop(raw: object, at: tuple[int, ...], issues: list[ValidationIssue
             tokens = _convert_tokens(b["tokens"], issues, at, "members", i, "branches", k, "tokens")
             branches.append(Branch(tokens, category))
         members.append(Constituent(role, node, None, tuple(branches)))
-    # A clausal loop has no head_index, so it gets the default 0.
-    head = obj.get("head_index", 0)
-    if not isinstance(head, int) or isinstance(head, bool):
-        raise MalformedDocumentError(_path(at, "head_index"), "expected an integer")
-    return Loop(kind, tuple(members), head)
+    # A clausal loop has no head_index, so it gets the default 0. Loop checks
+    # that a head is exactly an int, and raises ValueError only for that.
+    try:
+        return Loop(kind, tuple(members), obj.get("head_index", 0))
+    except ValueError:
+        raise MalformedDocumentError(_path(at, "head_index"), "expected an integer") from None
 
 
 def _convert_tokens(

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: output, exit codes, error reports."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import synapper
+from synapper import cli
 from synapper.chance import MAX_MEMBERS
 from synapper.model import MAX_DEPTH
 from conftest import FIXTURES, PROFILES, ROOT, fixture_path, lexicon_path, load_structure, profile_path
@@ -373,18 +376,112 @@ class TestOrders:
         ]
 
 
+_USAGE = "usage: synapper [-h] command ...\n"
+_COMMAND_NAMES = [row[0] for row in cli._COMMANDS]
+
+
 class TestUsage:
+    """Usage errors exit 2. The texts are argparse's at a width of 80 columns."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
     def test_no_command_exits_2(self, run_cli):
-        code, _, _ = run_cli()
-        assert code == 2
+        message = "synapper: error: the following arguments are required: command\n"
+        assert run_cli() == (2, "", _USAGE + message)
 
     def test_unknown_command_exits_2(self, run_cli):
-        code, _, _ = run_cli("frobnicate")
-        assert code == 2
+        choices = (
+            "'validate', 'linearize', 'translate', 'question', 'declarativize', 'compare', 'canon', 'dot', 'prob', 'orders'"
+        )
+        message = f"synapper: error: argument command: invalid choice: 'frobnicate' (choose from {choices})\n"
+        assert run_cli("frobnicate") == (2, "", _USAGE + message)
 
     def test_missing_required_option_exits_2(self, run_cli):
-        code, _, _ = run_cli("linearize", fixture_path("horse"))
-        assert code == 2
+        usage = "usage: synapper linearize [-h] --profile PROFILE structure\n"
+        message = "synapper linearize: error: the following arguments are required: --profile\n"
+        assert run_cli("linearize", fixture_path("horse")) == (2, "", usage + message)
+
+    def test_help_lists_every_command(self, run_cli):
+        assert run_cli("-h") == (
+            0,
+            _USAGE
+            + "\nWork with closed-loop sentence structures.\n\n"
+            "positional arguments:\n"
+            "  command\n"
+            "    validate     check a structure file and print OK\n"
+            "    linearize    render a structure under a profile\n"
+            "    translate    substitute lexemes and render under a profile\n"
+            "    question     render the interrogative form\n"
+            "    declarativize\n"
+            "                 undo a question against its structure\n"
+            "    compare      print SAME or DIFFERENT for two structures\n"
+            "    canon        print the canonical one-line form\n"
+            "    dot          print Graphviz source for a structure\n"
+            "    prob         chance probability that n members line up\n"
+            "    orders       render a structure in all six word orders\n\n"
+            "options:\n"
+            "  -h, --help     show this help message and exit\n",
+            "",
+        )
+
+    def test_command_help_keeps_its_option_order(self, run_cli):
+        assert run_cli("question", "-h") == (
+            0,
+            "usage: synapper question [-h] --profile PROFILE --wh WH structure\n\n"
+            "positional arguments:\n  structure\n\n"
+            "options:\n  -h, --help         show this help message and exit\n"
+            "  --profile PROFILE\n  --wh WH            question word to add\n",
+            "",
+        )
+
+    @pytest.mark.parametrize("command", _COMMAND_NAMES)
+    def test_one_command_parser_prints_what_the_full_parser_prints(self, command):
+        """run builds only the named command's subparser; it prints the full parser's -h and usage error."""
+        for argv, code in (([command, "-h"], 0), ([command], 2)):
+            one, full = _parse(cli._parser(command), argv), _parse(cli._parser(None), argv)
+            assert one == full
+            assert one[0] == code and (one[1] or one[2])
+
+
+def _parse(parser, argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as e:
+        parser.parse_args(argv)
+    return e.value.code, out.getvalue(), err.getvalue()
+
+
+class TestReadOrder:
+    """Each command loads its arguments in its row's order, so the first bad one is the one reported."""
+
+    def test_linearize_reports_a_bad_structure_before_a_bad_profile(self, run_cli):
+        code, out, err = run_cli("linearize", "no_structure.json", "--profile", "no_profile.json")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == "cannot read no_structure.json: No such file or directory"
+
+    def test_question_reports_a_bad_profile_before_a_bad_wh_word(self, run_cli):
+        code, out, err = run_cli("question", fixture_path("tim"), "--profile", "no_profile.json", "--wh", "")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == "cannot read no_profile.json: No such file or directory"
+
+
+def test_a_wrapper_set_on_the_cli_module_sees_each_layer_call(run_cli, monkeypatch):
+    """The benchmark's tracer replaces module attributes, so the command table must not hold layer functions."""
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("parse_structure", "to_dot"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    code, out, _ = run_cli("dot", fixture_path("colette"))
+    assert code == 0 and out.startswith("digraph")
+    assert calls == ["parse_structure", "to_dot"]
 
 
 def _run_synapper_process(*args: str) -> subprocess.CompletedProcess:

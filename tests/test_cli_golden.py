@@ -8,8 +8,9 @@ declarativize of every question that succeeded, as printed and with one
 word appended; and compare over every ordered fixture pair. ``prob`` is
 left out; its output is tested against exact arithmetic in test_cli.py.
 
-The same cases also call each command's op directly: an op returns its
-whole stdout text, or raises the error ``run`` reports, and writes nothing.
+The same cases also go through ``run``'s dispatch without its write: parsing,
+loading and the op return the whole stdout text, or raise the error ``run``
+reports, and write nothing.
 
 When a change to the CLI's output is intended, regenerate the file from a
 checkout with
@@ -101,17 +102,16 @@ def test_cli_output_is_unchanged(case):
 
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=CASE_IDS)
 def test_each_op_returns_the_recorded_stdout(case):
-    args = cli._build_parser().parse_args(case["argv"])
     written = io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
         with contextlib.redirect_stdout(written), contextlib.redirect_stderr(written):
             if case["code"] == 0:
-                assert args.op(args) == case["stdout"]
+                assert cli._output(case["argv"]) == case["stdout"]
             else:
                 with pytest.raises(SynapperError) as e:
-                    args.op(args)
+                    cli._output(case["argv"])
     finally:
         os.chdir(cwd)
     assert written.getvalue() == ""

@@ -112,6 +112,14 @@ class TestShapeErrors:
             build_synapper(doc)
         assert e.value.path == "loop.head_index"
 
+    @pytest.mark.parametrize("head", [enum.IntEnum("Head", "ONE").ONE, True, 1.0])
+    def test_a_head_index_that_is_not_exactly_an_int(self, head):
+        # An int subclass passes isinstance(head, int); Loop states the law.
+        phrase = {"kind": "phrasal", "head_index": head, "members": [_node(None, "x")]}
+        with pytest.raises(MalformedDocumentError) as e:
+            build_synapper(_doc(GOOD[:2] + [{"role": "object", "loop": phrase}]))
+        assert (e.value.path, e.value.message) == ("loop.members[2].loop.head_index", "expected an integer")
+
     def test_branches_on_nested_loop_rejected(self):
         doc = _doc(
             [
@@ -976,7 +984,7 @@ def _ref_convert_loop(raw, path, depth, issues):
         _ref_convert_member(m, f"{path}.members[{i}]", depth, issues) for i, m in enumerate(members_raw)
     )
     head = obj.get("head_index", 0)
-    if not isinstance(head, int) or isinstance(head, bool):
+    if type(head) is not int:
         raise MalformedDocumentError(_ref_join(path, "head_index"), "expected an integer")
     return Loop(kind=kind, members=members, head_index=head if kind is LoopKind.PHRASAL else 0)
 

@@ -14,6 +14,7 @@ then exits 1::
 from __future__ import annotations
 
 import gc
+import io
 import json
 import random
 import subprocess
@@ -42,6 +43,7 @@ from synapper import (
     translate,
     wh_token,
 )
+from synapper.cli import run as cli_run
 from conftest import FIXTURES, LEXICONS, ROOT, load_profile, load_structure, random_structure, rotate_main
 from op_counter import OpCounter
 
@@ -78,6 +80,7 @@ LAYERS = (
     "structural_equal",
     "to_dot",
     "serialize_canon_generated",
+    "cli_run",
 )
 
 
@@ -110,6 +113,14 @@ def _calls() -> dict:
         for p in bare:
             linearize(s, p).render()
 
+    def validate_horse():
+        # A StringIO stdout keeps the count the same with or without pytest's capture.
+        stdout, sys.stdout = sys.stdout, io.StringIO()
+        try:
+            cli_run(["validate", str(FIXTURES / "horse.json")])
+        finally:
+            sys.stdout = stdout
+
     def serialize_canon(s, other):
         serialize_structure(s)
         to_dot(s)
@@ -132,6 +143,7 @@ def _calls() -> dict:
         "structural_equal": lambda: structural_equal(news, rotated),
         "to_dot": lambda: to_dot(news),
         "serialize_canon_generated": lambda: serialize_canon(generated, generated_copy),
+        "cli_run": validate_horse,
     }
 
 
