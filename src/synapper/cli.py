@@ -3,18 +3,21 @@
 Each command (validate, linearize, translate, question, declarativize,
 compare, canon, dot, prob, orders) is one row of ``_COMMANDS``: its help, its
 op and its arguments. An op takes the loaded argument values and returns the
-command's whole stdout text. ``run`` builds the parser from the table, with
-only the named command's subparser when the first argument names one, loads
-the arguments in row order (so the first bad input is the one reported),
-calls the op and writes its text. Failures print a JSON error report to
-stderr and exit 1; usage errors exit 2. The table holds names, not
-functions: ops and ``_load`` look each layer function up in this module's
-globals when they run, so a wrapper set on ``synapper.cli`` sees every call.
+command's whole stdout text. ``run`` reads a well-formed call straight from
+its row: the command, its positionals in order and each required option
+once with its value. Any other argument list (``-h``, a usage error, or a
+form argparse reads in its own way, such as ``--profile=p``) goes to
+argparse, which is imported only then and builds only the named command's
+subparser when the first argument names one. ``run`` loads the arguments in
+row order (so the first bad input is the one reported), calls the op and
+writes its text. Failures print a JSON error report to stderr and exit 1;
+usage errors exit 2. The table holds names, not functions: ops and ``_load``
+look each layer function up in this module's globals when they run, so a
+wrapper set on ``synapper.cli`` sees every call.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -43,7 +46,7 @@ from .translate import MissingLexemeError, apply_morpheme_rules, translate
 # loader, help), declared and loaded in this order; a name that starts with
 # "--" is a required option. A loader is a file path to read and parse
 # ("structure", "profile", "lexicon"), a WH word ("wh"), text as given
-# ("text") or argparse's int ("int").
+# ("text") or a whole number ("int", read by int() as argparse reads it).
 _COMMANDS = (
     ("validate", "check a structure file and print OK", "_validate",
      (("structure", "structure", "path to a structure JSON file"),)),
@@ -82,12 +85,62 @@ def main() -> None:
 
 def _output(argv: list[str]) -> str:
     """The command's whole stdout text, or the SynapperError run reports; argparse exits 2 on a usage error."""
+    op, given = _table_read(argv) or _argparse_read(argv)
+    return globals()[op](*[_load(loader, text) for loader, text in given])
+
+
+def _table_read(argv: list[str]):
+    """(op, [(loader, text)] in row order) for a well-formed call, or None to leave argv to argparse.
+
+    A call is well formed when argv[0] names a row and the rest holds the
+    row's positionals in order and each of its options exactly once, each
+    followed by its value, options anywhere. No other token and no option
+    value may start with "-", and an int must be one int() reads. argparse
+    reads such an argv into exactly these values; every other form (-h, a
+    usage error, --opt=value, an abbreviated or repeated option, --, a
+    negative number) declines, so argparse reads it and writes its own texts.
+    """
+    row = next((row for row in _COMMANDS if argv and row[0] == argv[0]), None)
+    if row is None:
+        return None
+    names = [name for name, _, _ in row[3]]
+    options, positionals = {}, []
+    tail = iter(argv[1:])
+    for token in tail:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        value = next(tail, "-")  # an option with no value declines
+        if token not in names or token in options or value.startswith("-"):
+            return None
+        options[token] = value
+    rest = iter(positionals)
+    given = []
+    for name, loader, _ in row[3]:
+        text = options.get(name) if name.startswith("--") else next(rest, None)
+        if text is None:
+            return None
+        if loader == "int":
+            try:
+                text = int(text)
+            except ValueError:
+                return None
+        given.append((loader, text))
+    if next(rest, None) is not None:
+        return None
+    return row[2], given
+
+
+def _argparse_read(argv: list[str]):
+    """_table_read's (op, [(loader, text)]) as argparse reads argv; argparse exits on -h and on a usage error."""
     args = _parser(argv[0] if argv else None).parse_args(argv)
-    return globals()[args.op](*[_load(loader, getattr(args, name.lstrip("-"))) for name, loader, _ in args.arguments])
+    return args.op, [(loader, getattr(args, name.lstrip("-"))) for name, loader, _ in args.arguments]
 
 
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of the command named, or of every command when none is."""
+def _parser(command: str | None):
+    """The argparse parser of the command named, or of every command when none is."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="synapper", description="Work with closed-loop sentence structures.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, help_text, op, arguments in [row for row in _COMMANDS if row[0] == command] or _COMMANDS:
@@ -102,7 +155,7 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
 
 
 def _load(loader, text):
-    """An argument's value: the file at the path text read and parsed, a WH token, or text as argparse gave it."""
+    """An argument's value: the file at the path text read and parsed, a WH token, or text (or an int) as read."""
     if loader == "structure":
         return parse_structure(_read(text))
     if loader == "profile":

@@ -281,9 +281,9 @@ def parse_lexicon(text: str) -> Lexicon:
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as a file read in text mode
     gives them, and one leading byte order mark is dropped. Blank lines and
     lines starting with ``#`` are skipped; every malformed line (wrong field
-    count, an empty field, unknown category, a source or target that is not
-    one token, duplicate pair) is reported with its 1-based line number, the
-    first of these that applies.
+    count, which is what an empty source or target gives; an unknown or empty
+    category; a source or target that is not one token; a duplicate pair) is
+    reported with its 1-based line number, the first of these that applies.
     """
     tokens: dict[tuple[str, Category], Token] = {}
     lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -294,9 +294,9 @@ def parse_lexicon(text: str) -> Lexicon:
         parts = line.split("\t")
         if len(parts) != 3:
             raise MalformedSyntaxError(f"expected 3 tab-separated fields, got {len(parts)}", lineno)
+        # The line is stripped, so its first and last fields end in text:
+        # an empty source or target leaves two fields.
         source, cat_text, target = (p.strip() for p in parts)
-        if not source or not target:
-            raise MalformedSyntaxError("empty field", lineno)
         category = _CATEGORIES.get(cat_text)
         if category is None:
             raise MalformedSyntaxError(f"unknown category {cat_text!r}", lineno)

@@ -10,12 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import synapper
 from synapper import cli
 from synapper.chance import MAX_MEMBERS
 from synapper.model import MAX_DEPTH
 from conftest import FIXTURES, PROFILES, ROOT, fixture_path, lexicon_path, load_structure, profile_path
+from replay import ALPHABET, argparse_call, read_as_argparse_reads, tails_checked
 
 VALID_FIXTURES = sorted(f.stem for f in FIXTURES.glob("*.json") if not f.stem.startswith("bad_"))
 # Every bundled profile, plus a bare pre_subject profile per word order:
@@ -452,6 +454,81 @@ def _parse(parser, argv: list[str]) -> tuple[int, str, str]:
     return e.value.code, out.getvalue(), err.getvalue()
 
 
+class TestTableRead:
+    """A well-formed call is read from its command's row, with no argparse; the read declines every other argv."""
+
+    @pytest.mark.parametrize("command", _COMMAND_NAMES)
+    def test_every_short_tail_is_declined_or_read_as_argparse_reads_it(self, command):
+        accepted, misread = tails_checked(command)
+        assert misread == []
+        # Five tokens of the alphabet do not start with "-"; two of them are
+        # whole numbers. A tail of up to three tokens cannot hold the two
+        # options and a positional that translate, question and declarativize need.
+        expected = {"linearize": 50, "compare": 25, "prob": 2, "translate": 0, "question": 0, "declarativize": 0}
+        assert accepted == expected.get(command, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_well_formed_call_over_free_text_is_read_from_the_table(self, data):
+        name, _, op, arguments = data.draw(st.sampled_from(cli._COMMANDS))
+        text = st.text().filter(lambda t: not t.startswith("-"))
+        groups, options, given_values = [[name]], [], []
+        for arg, loader, _ in arguments:
+            value = data.draw(st.integers(0, 10**6) if loader == "int" else text)
+            given_values.append((loader, value))
+            if arg.startswith("--"):
+                options.append([arg, value])
+            else:
+                groups.append([str(value)])
+        for option in options:
+            groups.insert(data.draw(st.integers(1, len(groups))), option)
+        argv = [token for group in groups for token in group]
+        assert cli._table_read(argv) == argparse_call(argv) == (op, given_values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_COMMAND_NAMES), st.lists(st.sampled_from(ALPHABET) | st.text(), max_size=7))
+    def test_any_tail_is_declined_or_read_as_argparse_reads_it(self, command, tail):
+        assert read_as_argparse_reads([command, *tail])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["frobnicate", "x.json"],
+            ["validate"],
+            ["validate", "a.json", "b.json"],
+            ["validate", "x.json", "-h"],
+            ["linearize", "x.json", "--profile"],
+            ["linearize", "x.json", "--profile=p.json"],
+            ["linearize", "x.json", "--prof", "p.json"],
+            ["linearize", "x.json", "--profile", "p.json", "--profile", "p.json"],
+            ["linearize", "x.json", "--profile", "-"],
+            ["linearize", "--profile", "p.json", "--", "x.json"],
+            ["question", "x.json", "--profile", "p.json", "--wh", "why", "--bogus", "b"],
+            ["prob", "-5"],
+            ["prob", "five"],
+        ],
+    )
+    def test_argparse_reads_every_other_form(self, argv):
+        assert cli._table_read(argv) is None
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            ["--profile=" + profile_path("en")],
+            ["--prof", profile_path("en")],
+            ["--profile", profile_path("fr"), "--profile", profile_path("en")],
+        ],
+    )
+    def test_a_form_argparse_reads_runs_as_the_well_formed_call(self, run_cli, form):
+        assert run_cli("linearize", fixture_path("horse"), *form) == (0, "Jane has a very fast brown horse\n", "")
+
+    def test_a_negative_number_reaches_the_op(self, run_cli):
+        code, out, err = run_cli("prob", "-5")
+        assert (code, out, json.loads(err)["error"]) == (1, "", "NTooSmallError")
+
+
 class TestReadOrder:
     """Each command loads its arguments in its row's order, so the first bad one is the one reported."""
 
@@ -536,13 +613,13 @@ def test_importing_the_cli_loads_no_number_tower():
     assert not added & {"decimal", "_decimal", "_pydecimal", "fractions", "numbers"}
 
 
-def test_importing_the_cli_loads_no_dataclasses_or_source_tools():
-    """Without site, nothing but the package can load typing, dataclasses and the source tools it imports."""
+def test_importing_the_cli_loads_no_dataclasses_argparse_or_source_tools():
+    """Without site, nothing but the package can load these; argparse (gettext, locale) is for help and usage errors."""
     proc = _run_python("-S", "-c", "import synapper.cli; import sys; print(' '.join(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "synapper.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "argparse", "gettext", "locale"}
 
 
 def test_console_script_usage_error_exits_2():

@@ -10,7 +10,8 @@ left out; its output is tested against exact arithmetic in test_cli.py.
 
 The same cases also go through ``run``'s dispatch without its write: parsing,
 loading and the op return the whole stdout text, or raise the error ``run``
-reports, and write nothing.
+reports, and write nothing. Every case is a well-formed call, so each is also
+run with argparse's parser made to fail: the command table reads them all.
 
 When a change to the CLI's output is intended, regenerate the file from a
 checkout with
@@ -24,15 +25,12 @@ import contextlib
 import io
 import json
 import os
-from pathlib import Path
 
 import pytest
 
 from synapper import SynapperError, cli
-from synapper.cli import run as cli_run
+from replay import GOLDEN, ROOT, run_case
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).with_name("cli_golden.json")
 WH_WORDS = ("why", "Why", "what is", "")
 APPENDED_WORD = "today"
 
@@ -61,22 +59,6 @@ def build_matrix(question_text) -> list[list[str]]:
                         cases.append(["declarativize", fx, "--profile", pr, "--question", variant])
         cases += [["compare", fx, other] for other in fixtures]
     return cases
-
-
-def run_case(argv: list[str]) -> dict:
-    """Run the CLI in-process from the repository root and capture everything it prints."""
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(ROOT)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli_run(list(argv))
-            except SystemExit as e:
-                code = e.code if isinstance(e.code, int) else 2
-    finally:
-        os.chdir(cwd)
-    return {"argv": list(argv), "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def _question_text(result: dict) -> str | None:
@@ -117,6 +99,16 @@ def test_each_op_returns_the_recorded_stdout(case):
     assert written.getvalue() == ""
     if case["code"] != 0:
         assert json.dumps(cli._error_report(e.value), indent=2, ensure_ascii=False) + "\n" == case["stderr"]
+
+
+def test_a_well_formed_call_builds_no_parser(monkeypatch):
+    """Every case is read from the command table; argparse is only for help and usage errors."""
+
+    def no_parser(command):
+        raise AssertionError(f"built an argparse parser for {command!r}")
+
+    monkeypatch.setattr(cli, "_parser", no_parser)
+    assert [run_case(case["argv"]) for case in GOLDEN_CASES] == GOLDEN_CASES
 
 
 def _regenerate() -> None:

@@ -1,4 +1,4 @@
-"""Cost laws: the reader, the bare ring walk and the write and compare path are linear in every size dimension.
+"""Cost laws: the reader, the bare walk, the rewrite layers and the write and compare path grow linearly in size.
 
 Op counts are exact, so growth can be tested exactly: a layer whose cost is
 linear in n has ops(4n) - ops(2n) = 2 * (ops(2n) - ops(n)). Each case counts
@@ -8,11 +8,14 @@ complexity method of Goldsmith, Aiken and Wilkerson, 2007, with exact counts
 in place of timings).
 
 The layers are ``parse_structure``, which runs ``structure_issues``, a
-bare ``linearize(...).render()`` under all six word orders, and the
-writers and comparers on the parsed structure: ``serialize_structure``,
-``to_dot``, ``canonical_form``, and ``structural_equal`` against a copy
-read from the same text and stored from another member. The dimensions are
-ring width, nesting depth, node length and branches per node.
+bare ``linearize(...).render()`` under all six word orders,
+``substitute_lexemes`` with the structure's identity lexicon,
+``interrogativize`` with "why" under the ``en`` profile and
+``declarativize`` of that question, and the writers and comparers on the
+parsed structure: ``serialize_structure``, ``to_dot``, ``canonical_form``,
+and ``structural_equal`` against a copy read from the same text and stored
+from another member. The dimensions are ring width, nesting depth, node
+length and branches per node.
 """
 
 from __future__ import annotations
@@ -26,16 +29,23 @@ from synapper import (
     LanguageProfile,
     WordOrder,
     canonical_form,
+    declarativize,
+    identity_lexicon,
+    interrogativize,
     linearize,
     parse_structure,
     serialize_structure,
     structural_equal,
+    substitute_lexemes,
     to_dot,
+    wh_token,
 )
-from conftest import rotate_main
+from conftest import load_profile, rotate_main
 from test_op_ceilings import count_ops
 
 _BARE = [LanguageProfile(name=order.value, word_order=order) for order in WordOrder]
+_EN = load_profile("en")
+_WHY = wh_token("why")
 
 
 def _node(role: str, tokens: int = 1, branches: int = 0) -> dict:
@@ -84,9 +94,22 @@ def _compare_rotated(text: str):
     return partial(structural_equal, parse_structure(text), rotate_main(parse_structure(text), 1))
 
 
+def _substitute_identity(text: str):
+    s = parse_structure(text)
+    return partial(substitute_lexemes, s, identity_lexicon(s))
+
+
+def _undo_question(text: str):
+    s = parse_structure(text)
+    return partial(declarativize, interrogativize(s, _WHY, _EN), s, _EN)
+
+
 LAYERS = {
     "parse_structure": lambda text: lambda: parse_structure(text),
     "bare_orders": _render_all,
+    "substitute_lexemes": _substitute_identity,
+    "interrogativize": lambda text: partial(interrogativize, parse_structure(text), _WHY, _EN),
+    "declarativize": _undo_question,
     "serialize_structure": _on_parsed(serialize_structure),
     "to_dot": _on_parsed(to_dot),
     "canonical_form": _on_parsed(canonical_form),
@@ -95,8 +118,11 @@ LAYERS = {
 
 # A node's tokens reach the rendering as one tuple, which only C code walks
 # (str.join over the surfaces), so the bare walk costs the same ops whatever
-# the node's length: both differences are 0, which the linear law allows.
-_CONSTANT = {("bare_orders", "node_length")}
+# the node's length. The WH transforms move that tuple whole: interrogativize
+# puts it in the question as one run, and declarativize, once it finds the
+# WH word that en puts first, compares runs that hold the structure's own
+# tuples. For these three both differences are 0, which the linear law allows.
+_CONSTANT = {("bare_orders", "node_length"), ("interrogativize", "node_length"), ("declarativize", "node_length")}
 
 
 @pytest.mark.parametrize("dimension", sorted(DIMENSIONS))

@@ -441,6 +441,30 @@ class TestProfileParsing:
         )
 
 
+    def test_an_empty_name_is_named(self):
+        with pytest.raises(SynapperError) as e:
+            parse_profile('{"name": "", "word_order": "svo", "wh_rule": "initial_plain"}')
+        assert (type(e.value), e.value.path, e.value.message) == (
+            MalformedDocumentError,
+            "name",
+            "profile name must be non-empty",
+        )
+
+    @pytest.mark.parametrize("ordinal", ["1", 1.5, True])
+    def test_an_ordinal_that_is_not_an_integer_is_named(self, ordinal):
+        rule = {"kind": "drop_category", "selector": "DET", "ordinal": ordinal}
+        text = json.dumps(
+            {"name": "x", "word_order": "svo", "wh_rule": "initial_plain", "morpheme_rules": [rule]}
+        )
+        with pytest.raises(SynapperError) as e:
+            parse_profile(text)
+        assert (type(e.value), e.value.path, e.value.message) == (
+            MalformedDocumentError,
+            "morpheme_rules[0].ordinal",
+            "expected an integer",
+        )
+
+
 class TestLexiconParsing:
     def test_comments_and_blanks_skipped(self):
         lex = parse_lexicon("# header\n\nJane\tN\tJane\n\n# more\nhas\tV\tbor\n")
@@ -473,6 +497,22 @@ class TestLexiconParsing:
             parse_lexicon(f"# x\n{line}\n")
         assert e.value.line == 2
         assert str(e.value) == "line 2: source and target must be single tokens without whitespace"
+
+    @pytest.mark.parametrize("line", ["\tN\tJane", " \tN\tJane", "Jane\tN\t", "Jane\tN\t\u00a0"])
+    def test_an_empty_source_or_target_leaves_two_fields(self, line):
+        """The line is stripped before it is split, so an empty first or last field is no field at all."""
+        with pytest.raises(SynapperError) as e:
+            parse_lexicon(f"# x\nhas\tV\tbor\n{line}\n")
+        assert (type(e.value), e.value.line, str(e.value)) == (
+            MalformedSyntaxError,
+            3,
+            "line 3: expected 3 tab-separated fields, got 2",
+        )
+
+    def test_an_empty_category_is_unknown(self):
+        with pytest.raises(SynapperError) as e:
+            parse_lexicon("Jane\t \tJane\n")
+        assert (type(e.value), e.value.line, str(e.value)) == (MalformedSyntaxError, 1, "line 1: unknown category ''")
 
     def test_unknown_category_is_reported_before_a_spaced_field(self):
         with pytest.raises(MalformedSyntaxError) as e:
