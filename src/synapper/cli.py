@@ -10,15 +10,15 @@ form argparse reads in its own way, such as ``--profile=p``) goes to
 argparse, which is imported only then and builds only the named command's
 subparser when the first argument names one. ``run`` loads the arguments in
 row order (so the first bad input is the one reported), calls the op and
-writes its text. Failures print a JSON error report to stderr and exit 1;
-usage errors exit 2. The table holds names, not functions: ops and ``_load``
-look each layer function up in this module's globals when they run, so a
-wrapper set on ``synapper.cli`` sees every call.
+writes its text. Failures print a JSON error report to stderr and exit 1
+(``json`` is imported only to write it); usage errors exit 2. The table
+holds names, not functions: ops and ``_load`` look each layer function up in
+this module's globals when they run, so a wrapper set on ``synapper.cli``
+sees every call.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 
 from .chance import chance_probability
@@ -73,6 +73,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         text = _writable(_output(sys.argv[1:] if argv is None else argv))
     except SynapperError as e:
+        import json
+
         sys.stderr.write(json.dumps(_error_report(e), indent=2, ensure_ascii=False) + "\n")
         return 1
     sys.stdout.write(text)

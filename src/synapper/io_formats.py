@@ -1,23 +1,24 @@
 """Reading and writing the on-disk formats.
 
 Structures and language profiles are JSON documents with a fixed, strictly
-checked vocabulary of keys; lexicons are three-column TSV. Serialization is
-byte-deterministic: the same structure always produces the same text, with
-keys in a fixed order and members and branches in stored order, which
-re-parsing keeps. The structure writer takes every indent, separator and
-key it writes from one module-level table with an entry per loop depth,
-filled the first time that depth is written; only the label, the surfaces
-and enum text are read from the structure. ``to_dot`` renders a structure
-as a Graphviz digraph: one box per node, branch edges pointing into their
-node, ring edges following the stored clockwise order, and nested loops as
-clusters.
+checked vocabulary of keys; lexicons are three-column TSV. JSON is read by
+the C scanner that ``json.loads`` runs, with ``json.loads``'s settings, and
+``json`` itself is imported only when that read fails, so that every error
+is ``json.loads``'s own. Serialization is byte-deterministic: the same
+structure always produces the same text, with keys in a fixed order and
+members and branches in stored order, which re-parsing keeps. The structure
+writer takes every indent, separator and key it writes from one
+module-level table with an entry per loop depth, filled the first time that
+depth is written; only the label, the surfaces and enum text are read from the
+structure. ``to_dot`` renders a structure as a Graphviz digraph: one box
+per node, branch edges pointing into their node, ring edges following the
+stored clockwise order, and nested loops as clusters.
 """
 
 from __future__ import annotations
 
-import json
+from _json import encode_basestring, make_scanner
 from itertools import pairwise
-from json.encoder import encode_basestring
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -63,10 +64,41 @@ class MalformedSyntaxError(SynapperError):
         super().__init__(f"line {line}: {message}")
 
 
+class _Decoding:
+    """The settings json.loads decodes with (``json.JSONDecoder()``'s), as the C scanner reads them."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float = float
+    parse_int = int
+    parse_constant = {"-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")}.__getitem__
+
+
+_scan = make_scanner(_Decoding)
+_JSON_WHITESPACE = " \t\n\r"
+
+
 def _loads(text: str) -> Any:
-    """The JSON value of text, which may start with one byte order mark."""
+    """The JSON value of text, which may start with one byte order mark.
+
+    The value is scanned from the first character that is not JSON
+    whitespace and kept when nothing but JSON whitespace follows it: what
+    json.loads reads, by the scanner it runs. Any other text goes to
+    json.loads, which raises its own error for it.
+    """
+    text = text.removeprefix("\ufeff")
     try:
-        return json.loads(text.removeprefix("\ufeff"))
+        value, end = _scan(text, len(text) - len(text.lstrip(_JSON_WHITESPACE)))
+        if not text[end:].lstrip(_JSON_WHITESPACE):
+            return value
+    except Exception:
+        # Every scan error is json.loads's to report. Before 3.12 the scanner
+        # reports a syntax error as a SystemError while json is not loaded.
+        pass
+    import json
+
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedSyntaxError(f"invalid JSON: {e.msg}", e.lineno) from None
     except (RecursionError, ValueError) as e:
@@ -84,7 +116,7 @@ def serialize_structure(s: Synapper) -> str:
 
     Written directly for the fixed schema; the text is byte-for-byte what
     ``json.dumps(doc, indent=2, ensure_ascii=False)`` gives for the same
-    document. Free text (label, surfaces) goes through ``json``'s own
+    document. Free text (label, surfaces) goes through ``json``'s own C
     escaper; enum text comes from ``model._TEXT``, fixed ASCII written as it is.
     """
     out = ["{\n"]

@@ -17,7 +17,9 @@ laws, reporting the complete list of violations, not only the first.
 from __future__ import annotations
 
 import enum
-import json
+# json.dumps's default escaper, from its C accelerator: every non-ASCII
+# character as \uXXXX.
+from _json import encode_basestring_ascii as _escape_ascii
 from collections.abc import Callable, Iterator, KeysView, Mapping, Set as AbstractSet
 from operator import attrgetter
 
@@ -651,6 +653,3 @@ def _canon_loop(loop: Loop, out: list[str]) -> None:
         sep = "},{"
     out.append("}]}" if loop.members else "]}")
 
-
-# json.dumps's default escaper: every non-ASCII character as \uXXXX.
-_escape_ascii = json.encoder.encode_basestring_ascii

@@ -4,17 +4,20 @@ It runs on every CPython the package claims, pytest or not::
 
     PYTHONPATH=src python tests/replay.py [TOKENS]
 
-Two checks, each printed with its count:
+Three checks, each printed with its count:
 
 - every case of ``cli_golden.json`` through ``cli.run`` in-process, from
   the repository root: exit code, stdout and stderr byte for byte;
+- every bundled fixture and profile, and each of ``JSON_EDGE_TEXTS``: the
+  JSON reader (``io_formats._loads``) gives what ``json.loads`` gives, the
+  same value or, for its error, the report that error makes;
 - for each command, every argument tail of up to ``TOKENS`` tokens (by
   default ``TAIL_TOKENS``) from ``ALPHABET``: the table read
   (``cli._table_read``) either declines it or reads it into exactly the
   values argparse reads it into. A tail of 5 tokens is the shortest that
   calls translate, question or declarativize.
 
-It exits 1 if any case or tail differs.
+It exits 1 if any case, text or tail differs.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import os
 import sys
 from pathlib import Path
 
-from synapper import cli
+from synapper import cli, io_formats
+from synapper.io_formats import MalformedSyntaxError
+from synapper.model import MalformedDocumentError
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -43,6 +48,35 @@ ALPHABET = (
     *sorted({name for row in cli._COMMANDS for name, _, _ in row[3] if name.startswith("--")}),
     "--profile=p", "--prof", "--bogus", "-x y",
 )
+
+# Texts at the edges of JSON: no value, a second byte order mark, whitespace
+# json does not skip (vertical tab, form feed, no-break space), a trailing
+# comma, a raw control character, a missing colon, the three constants, an
+# int longer than int() reads and nesting deeper than older decoders hold.
+JSON_EDGE_TEXTS = (
+    "", " \t\n\r", "\ufeff\ufeff{}", "{}\x0b", "\x0c{}", "{}\xa0", "[1,]", '"\x01"', '{"a" 1}',
+    "NaN", "Infinity", "-Infinity", "1" * 5000, "[" * 3000 + "]" * 3000,
+)
+
+
+def loads_outcome(text: str) -> tuple:
+    """What the JSON reader gives for text: ("value", the value's repr), or (error type, line or path, message)."""
+    try:
+        return "value", repr(io_formats._loads(text))
+    except MalformedSyntaxError as e:
+        return MalformedSyntaxError, e.line, str(e)
+    except MalformedDocumentError as e:
+        return MalformedDocumentError, e.path, e.message
+
+
+def json_outcome(text: str) -> tuple:
+    """loads_outcome as json.loads specifies it, after one byte order mark: its value, or the report of its error."""
+    try:
+        return "value", repr(json.loads(text.removeprefix("\ufeff")))
+    except json.JSONDecodeError as e:
+        return MalformedSyntaxError, e.lineno, f"line {e.lineno}: invalid JSON: {e.msg}"
+    except (RecursionError, ValueError) as e:
+        return MalformedDocumentError, "", f"unreadable JSON: {e}"
 
 
 def run_case(argv: list[str]) -> dict:
@@ -94,6 +128,12 @@ def main(tokens: int) -> int:
     print(f"golden cases: {len(cases) - len(differing)} of {len(cases)} unchanged")
     for argv in differing:
         print(f"  differs: {argv}")
+    documents = sorted([*(ROOT / "fixtures").glob("*.json"), *(ROOT / "profiles").glob("*.json")])
+    texts = [path.read_text(encoding="utf-8") for path in documents] + list(JSON_EDGE_TEXTS)
+    misread_texts = [text for text in texts if loads_outcome(text) != json_outcome(text)]
+    print(f"json reader: {len(texts) - len(misread_texts)} of {len(texts)} texts read as json.loads reads them")
+    for text in misread_texts:
+        print(f"  misread: {text[:60]!r}")
     misread_in_all = []
     for name, *_ in cli._COMMANDS:
         accepted, misread = tails_checked(name, tokens)
@@ -101,8 +141,9 @@ def main(tokens: int) -> int:
         print(f"{name}: {accepted} tails of up to {tokens} tokens read from the table, {len(misread)} misread")
     for argv in misread_in_all:
         print(f"  misread: {argv}")
-    print(sys.version.split()[0], "PASS" if not differing and not misread_in_all else "FAIL")
-    return 1 if differing or misread_in_all else 0
+    failed = differing or misread_texts or misread_in_all
+    print(sys.version.split()[0], "FAIL" if failed else "PASS")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -348,6 +348,12 @@ class TestProb:
 
 
 def test_document_nested_past_the_json_decoder_is_reported(run_cli, tmp_path):
+    """Loops nested 900 deep are about 2,700 levels of JSON.
+
+    Before 3.13 the decoder cannot hold them and its RecursionError is the
+    report; 3.13's decoder reads them, and the builder reports the first
+    loop past MAX_DEPTH.
+    """
     depth = 900
     core = '{"kind": "clausal", "members": [{"role": "subject", "node": [{"surface": "a", "category": "N"}]}, '
     verb = '{"role": "verb", "node": [{"surface": "b", "category": "V"}]}]}'
@@ -360,8 +366,18 @@ def test_document_nested_past_the_json_decoder_is_reported(run_cli, tmp_path):
     code, out, err = run_cli("validate", str(path))
     assert (code, out) == (1, "")
     report = json.loads(err)
-    assert report["error"] == "MalformedDocumentError"
-    assert report["message"].startswith("unreadable JSON")
+    if sys.version_info >= (3, 13):
+        path = "loop" + ".members[0].loop" * MAX_DEPTH
+        message = f"{path}: loops nest deeper than {MAX_DEPTH} levels"
+        assert report == {"error": "MalformedDocumentError", "message": message, "path": path}
+    else:
+        # Objects and arrays nest in turn here, and which of them the
+        # recursion limit falls in depends on the caller's own stack depth.
+        messages = [
+            f"unreadable JSON: maximum recursion depth exceeded while decoding a JSON {kind} from a unicode string"
+            for kind in ("object", "array")
+        ]
+        assert report in [{"error": "MalformedDocumentError", "message": m, "path": ""} for m in messages]
 
 
 class TestOrders:
@@ -613,13 +629,68 @@ def test_importing_the_cli_loads_no_number_tower():
     assert not added & {"decimal", "_decimal", "_pydecimal", "fractions", "numbers"}
 
 
-def test_importing_the_cli_loads_no_dataclasses_argparse_or_source_tools():
-    """Without site, nothing but the package can load these; argparse (gettext, locale) is for help and usage errors."""
+def test_importing_the_cli_loads_no_dataclasses_argparse_json_re_or_source_tools():
+    """Without site, nothing but the package can load these.
+
+    argparse (gettext, locale) is for help and usage errors; json is for an
+    error report or a document the C scanner does not read whole, and re
+    loads only with json or argparse.
+    """
     proc = _run_python("-S", "-c", "import synapper.cli; import sys; print(' '.join(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "synapper.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "argparse", "gettext", "locale"}
+    assert not loaded & {
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "argparse", "gettext", "locale",
+        "json", "json.decoder", "json.encoder", "json.scanner", "re",
+    }
+
+
+# One well-formed call per command.
+WELL_FORMED_CALLS = (
+    ["validate", fixture_path("horse")],
+    ["linearize", fixture_path("horse"), "--profile", profile_path("en")],
+    ["translate", fixture_path("horse"), "--lexicon", lexicon_path("en-uz"), "--profile", profile_path("uz")],
+    ["question", fixture_path("tim"), "--profile", profile_path("en"), "--wh", "why"],
+    ["declarativize", fixture_path("tim"), "--profile", profile_path("en"),
+     "--question", "Why is Tim going to the hospital"],
+    ["compare", fixture_path("cena_a"), fixture_path("cena_b")],
+    ["canon", fixture_path("horse")],
+    ["dot", fixture_path("horse")],
+    ["prob", "10"],
+    ["orders", fixture_path("horse")],
+)
+
+
+def test_well_formed_calls_load_no_json():
+    """Each command's well-formed call runs in one fresh child, without site; after none of them is json loaded."""
+    assert sorted(argv[0] for argv in WELL_FORMED_CALLS) == sorted(row[0] for row in cli._COMMANDS)
+    child = (
+        "import io, sys\n"
+        "from synapper import cli\n"
+        "for argv in eval(sys.argv[1]):\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    code = cli.run(argv)\n"
+        "    sys.stdout = sys.__stdout__\n"
+        "    print(argv[0], code, 'json' in sys.modules)\n"
+    )
+    proc = _run_python("-S", "-c", child, repr(WELL_FORMED_CALLS))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [f"{argv[0]} 0 False" for argv in WELL_FORMED_CALLS]
+
+
+def test_malformed_document_report(run_cli, tmp_path):
+    path = tmp_path / "malformed.json"
+    path.write_text('{"a" 1}', encoding="utf-8")
+    assert run_cli("validate", str(path)) == (
+        1,
+        "",
+        '{\n'
+        '  "error": "MalformedSyntaxError",\n'
+        '  "message": "line 1: invalid JSON: Expecting \':\' delimiter",\n'
+        '  "line": 1\n'
+        '}\n',
+    )
 
 
 def test_console_script_usage_error_exits_2():

@@ -3,6 +3,7 @@
 import enum
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from conftest import (
     random_structure,
     replaced,
 )
+from replay import JSON_EDGE_TEXTS, json_outcome, loads_outcome
 
 ALL_FIXTURES = ["horse", "tim", "colette", "cena_a", "cena_b", "space_news", "mary", "go"]
 ALL_PROFILES = ["en", "fr", "ja-gloss", "cy-gloss", "uz", "uz-gloss", "vso", "en-articles"]
@@ -614,18 +616,96 @@ def test_profiles_and_lexicons_read_enum_text_without_an_enum_frame(parse, path)
     assert Path(enum.__file__) not in {Path(code.co_filename) for code in frames}
 
 
+# Before 3.13 the C scanner raises RecursionError at 3,000 levels; 3.13's
+# reads them, so the reader's own checks report the value. 3.10 words the
+# int limit without "digits".
+_RECURSION = "unreadable JSON: maximum recursion depth exceeded while decoding a JSON {} from a unicode string"
+_INT_LIMIT = "(4300)" if sys.version_info < (3, 11) else "(4300 digits)"
+
+
 @pytest.mark.parametrize(
-    "parse, text",
+    "parse, text, message",
     [
-        (parse_structure, "[" * 3000 + "]" * 3000),
-        (parse_profile, '{"name": ' * 3000 + "1" + "}" * 3000),
-        (parse_structure, "1" * 5000),
+        (
+            parse_structure,
+            "[" * 3000 + "]" * 3000,
+            "expected an object" if sys.version_info >= (3, 13) else _RECURSION.format("array"),
+        ),
+        (
+            parse_profile,
+            '{"name": ' * 3000 + "1" + "}" * 3000,
+            "missing key 'word_order'" if sys.version_info >= (3, 13) else _RECURSION.format("object"),
+        ),
+        (
+            parse_structure,
+            "1" * 5000,
+            f"unreadable JSON: Exceeds the limit {_INT_LIMIT} for integer string conversion: value has 5000 digits;"
+            " use sys.set_int_max_str_digits() to increase the limit",
+        ),
     ],
+    ids=["array-3000-deep", "object-3000-deep", "int-5000-digits"],
 )
-def test_json_the_decoder_cannot_hold_is_a_document_error(parse, text):
+def test_json_the_decoder_cannot_hold_is_a_document_error(parse, text, message):
     with pytest.raises(MalformedDocumentError) as e:
         parse(text)
-    assert str(e.value).startswith("unreadable JSON")
+    assert (type(e.value), e.value.path, e.value.message) == (MalformedDocumentError, "", message)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+_JSON_SPACE = st.text(" \t\n\r", max_size=3)
+
+
+@st.composite
+def json_documents(draw):
+    """A JSON value dumped with random separators, indent and escaping, in random whitespace, maybe after a mark."""
+    text = json.dumps(
+        draw(_JSON_VALUES),
+        separators=tuple(draw(_JSON_SPACE) + sep + draw(_JSON_SPACE) for sep in ",:"),
+        indent=draw(st.none() | st.integers(0, 2) | st.just("\t")),
+        ensure_ascii=draw(st.booleans()),
+    )
+    around = _JSON_SPACE | st.text(" \t\n\r\x0b\x0c\xa0", max_size=2)
+    return draw(st.sampled_from(["", "\ufeff"])) + draw(around) + text + draw(around)
+
+
+class TestJsonReader:
+    """The reader gives what json.loads gives after one byte order mark: its value, or the report of its error."""
+
+    # What the reader gives for each of JSON_EDGE_TEXTS: a value, or which error.
+    _EDGE_KINDS = {
+        **dict.fromkeys(["NaN", "Infinity", "-Infinity"], "value"),
+        "1" * 5000: MalformedDocumentError,
+        "[" * 3000 + "]" * 3000: "value" if sys.version_info >= (3, 13) else MalformedDocumentError,
+    }
+
+    @pytest.mark.parametrize("text", JSON_EDGE_TEXTS, ids=[repr(text)[:16] for text in JSON_EDGE_TEXTS])
+    def test_edge_texts(self, text):
+        outcome = loads_outcome(text)
+        assert outcome == json_outcome(text)
+        assert outcome[0] == self._EDGE_KINDS.get(text, MalformedSyntaxError)
+
+    @settings(max_examples=200)
+    @given(json_documents())
+    def test_dumped_documents(self, text):
+        assert loads_outcome(text) == json_outcome(text)
+
+    @settings(max_examples=200)
+    @given(json_documents(), st.data())
+    def test_truncated_documents(self, text, data):
+        text = text[: data.draw(st.integers(0, len(text)))]
+        assert loads_outcome(text) == json_outcome(text)
+
+    @settings(max_examples=200)
+    # Characters json does not skip as whitespace, or that end or break a value.
+    @given(json_documents(), st.sampled_from("\x00\x0b\x0c\xa0\ufeff,]}\"\\"), st.data())
+    def test_documents_with_a_character_inserted(self, text, char, data):
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + char + text[at:]
+        assert loads_outcome(text) == json_outcome(text)
 
 
 class TestDot:
