@@ -101,9 +101,13 @@ def _loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedSyntaxError(f"invalid JSON: {e.msg}", e.lineno) from None
-    except (RecursionError, ValueError) as e:
-        # Nesting past the decoder's depth limit, or an integer longer than
-        # Python's int conversion allows: valid JSON this reader cannot hold.
+    except RecursionError:
+        # Nesting past the decoder's depth limit. Its own text names the
+        # container the limit falls in, which depends on the caller's stack
+        # depth, so the report is one fixed text.
+        raise MalformedDocumentError("", "unreadable JSON: nested too deeply to decode") from None
+    except ValueError as e:
+        # An integer longer than Python's int conversion allows.
         raise MalformedDocumentError("", f"unreadable JSON: {e}") from None
 
 

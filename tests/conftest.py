@@ -150,6 +150,15 @@ def loops_of(loop: Loop) -> list[Loop]:
     return out
 
 
+def block_sequence(sentence) -> list[int]:
+    """The block of each run of tokens that share one, in sentence order."""
+    out: list[int] = []
+    for t in sentence.placed:
+        if not out or out[-1] != t.block:
+            out.append(t.block)
+    return out
+
+
 def frames_while(call, *args):
     """call(*args) and how many frames of each code object it ran, by sys.setprofile.
 

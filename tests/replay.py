@@ -1,23 +1,29 @@
-"""Replay the CLI's golden cases and check its table read against argparse, with the standard library only.
+"""Replay the CLI's golden cases and check the fast layers against the specification, with the standard library only.
 
 It runs on every CPython the package claims, pytest or not::
 
     PYTHONPATH=src python tests/replay.py [TOKENS]
 
-Three checks, each printed with its count:
+Four checks, each printed with its count:
 
 - every case of ``cli_golden.json`` through ``cli.run`` in-process, from
   the repository root: exit code, stdout and stderr byte for byte;
 - every bundled fixture and profile, and each of ``JSON_EDGE_TEXTS``: the
-  JSON reader (``io_formats._loads``) gives what ``json.loads`` gives, the
-  same value or, for its error, the report that error makes;
+  JSON reader (``io_formats._loads``) gives what ``spec.loads`` gives
+  (``json.loads``'s value, or the report its error makes);
+- every bundled fixture under every bundled profile: the fast layers give
+  exactly what ``tests/spec.py`` gives. That is the read of each fixture
+  document (value, or error type, path, message and issues); linearize,
+  the morpheme rules after it and the "why" question, as PlacedTokens;
+  serialize_structure, canonical_form and to_dot, byte for byte; and
+  structural_equal over every pair of fixtures;
 - for each command, every argument tail of up to ``TOKENS`` tokens (by
   default ``TAIL_TOKENS``) from ``ALPHABET``: the table read
   (``cli._table_read``) either declines it or reads it into exactly the
   values argparse reads it into. A tail of 5 tokens is the shortest that
   calls translate, question or declarativize.
 
-It exits 1 if any case, text or tail differs.
+It exits 1 if any case, text, comparison or tail differs.
 """
 
 from __future__ import annotations
@@ -28,11 +34,15 @@ import itertools
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
-from synapper import cli, io_formats
-from synapper.io_formats import MalformedSyntaxError
-from synapper.model import MalformedDocumentError
+import spec
+from synapper import (
+    DocumentError, MalformedDocumentError, MalformedSyntaxError, StructureValidationError, apply_morpheme_rules,
+    canonical_form, cli, interrogativize, io_formats, linearize, parse_profile, parse_structure, serialize_structure,
+    structural_equal, to_dot, wh_token,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -59,10 +69,10 @@ JSON_EDGE_TEXTS = (
 )
 
 
-def loads_outcome(text: str) -> tuple:
-    """What the JSON reader gives for text: ("value", the value's repr), or (error type, line or path, message)."""
+def loads_outcome(text: str, read=io_formats._loads) -> tuple:
+    """What a JSON reader gives for text: ("value", the value's repr), or (error type, line or path, message)."""
     try:
-        return "value", repr(io_formats._loads(text))
+        return "value", repr(read(text))
     except MalformedSyntaxError as e:
         return MalformedSyntaxError, e.line, str(e)
     except MalformedDocumentError as e:
@@ -70,13 +80,40 @@ def loads_outcome(text: str) -> tuple:
 
 
 def json_outcome(text: str) -> tuple:
-    """loads_outcome as json.loads specifies it, after one byte order mark: its value, or the report of its error."""
+    """loads_outcome as the specification gives it: json.loads's value after one byte order mark, or its error's report."""
+    return loads_outcome(text, spec.loads)
+
+
+def outcome(call, *args):
+    """call(*args), or its error: (type, path, message), or for a StructureValidationError (type, Counter of issues)."""
     try:
-        return "value", repr(json.loads(text.removeprefix("\ufeff")))
-    except json.JSONDecodeError as e:
-        return MalformedSyntaxError, e.lineno, f"line {e.lineno}: invalid JSON: {e.msg}"
-    except (RecursionError, ValueError) as e:
-        return MalformedDocumentError, "", f"unreadable JSON: {e}"
+        return call(*args)
+    except StructureValidationError as e:
+        return StructureValidationError, Counter(e.issues)
+    except DocumentError as e:
+        return type(e), e.path, e.message
+
+
+def spec_comparisons() -> list[tuple[str, bool]]:
+    """(what was compared, whether the fast layer gave what spec gives) over the bundled fixtures and profiles."""
+    texts = {path.stem: path.read_text(encoding="utf-8") for path in sorted((ROOT / "fixtures").glob("*.json"))}
+    checks = [(f"read {name}", outcome(parse_structure, text) == outcome(spec.parse_structure, text)) for name, text in texts.items()]
+    structures = {name: parse_structure(text) for name, text in texts.items() if name != "bad_two_subjects"}
+    profiles = {path.stem: parse_profile(path.read_text(encoding="utf-8")) for path in (ROOT / "profiles").glob("*.json")}
+    why = wh_token("why")
+    for name, s in structures.items():
+        for write in serialize_structure, canonical_form, to_dot:
+            checks.append((f"{write.__name__} {name}", write(s) == getattr(spec, write.__name__)(s)))
+        for other, t in structures.items():
+            checks.append((f"structural_equal {name} {other}", structural_equal(s, t) == spec.structural_equal(s, t)))
+        for pname, p in profiles.items():
+            sentence, expected = linearize(s, p), spec.linearize(s, p)
+            checks += [
+                (f"linearize {name} {pname}", sentence.placed == expected),
+                (f"rules {name} {pname}", apply_morpheme_rules(sentence, p).placed == spec.apply_morpheme_rules(expected, p)),
+                (f"why {name} {pname}", interrogativize(s, why, p).placed == spec.interrogativize(s, why, p)),
+            ]
+    return checks
 
 
 def run_case(argv: list[str]) -> dict:
@@ -134,6 +171,11 @@ def main(tokens: int) -> int:
     print(f"json reader: {len(texts) - len(misread_texts)} of {len(texts)} texts read as json.loads reads them")
     for text in misread_texts:
         print(f"  misread: {text[:60]!r}")
+    checks = spec_comparisons()
+    disagreeing = [what for what, agrees in checks if not agrees]
+    print(f"spec: {len(checks) - len(disagreeing)} of {len(checks)} comparisons agree")
+    for what in disagreeing:
+        print(f"  disagrees: {what}")
     misread_in_all = []
     for name, *_ in cli._COMMANDS:
         accepted, misread = tails_checked(name, tokens)
@@ -141,7 +183,7 @@ def main(tokens: int) -> int:
         print(f"{name}: {accepted} tails of up to {tokens} tokens read from the table, {len(misread)} misread")
     for argv in misread_in_all:
         print(f"  misread: {argv}")
-    failed = differing or misread_texts or misread_in_all
+    failed = differing or misread_texts or disagreeing or misread_in_all
     print(sys.version.split()[0], "FAIL" if failed else "PASS")
     return 1 if failed else 0
 

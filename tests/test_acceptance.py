@@ -24,6 +24,7 @@ from synapper import (
     wh_token,
 )
 from conftest import (
+    block_sequence,
     fixture_path,
     lexicon_path,
     load_profile,
@@ -180,8 +181,8 @@ def test_criterion_09_property_suites():
     # Reversing direction reverses the top-level blocks after the start.
     for s in structures[:80]:
         for cw, ccw in ((WordOrder.SVO, WordOrder.SOV), (WordOrder.VOS, WordOrder.VSO)):
-            cw_blocks = _blocks(linearize(s, LanguageProfile(name="x", word_order=cw)))
-            ccw_blocks = _blocks(linearize(s, LanguageProfile(name="x", word_order=ccw)))
+            cw_blocks = block_sequence(linearize(s, LanguageProfile(name="x", word_order=cw)))
+            ccw_blocks = block_sequence(linearize(s, LanguageProfile(name="x", word_order=ccw)))
             assert ccw_blocks == cw_blocks[:1] + cw_blocks[1:][::-1]
 
     # V1 is exactly "move the verb block to the front".
@@ -218,11 +219,3 @@ def test_criterion_09_property_suites():
     for a in sample[:20]:
         for b in sample[:20]:
             assert structural_equal(a, b) == (canonical_form(a) == canonical_form(b))
-
-
-def _blocks(sentence) -> list[int]:
-    out: list[int] = []
-    for t in sentence.placed:
-        if not out or out[-1] != t.block:
-            out.append(t.block)
-    return out

@@ -11,11 +11,13 @@ The layers are ``parse_structure``, which runs ``structure_issues``, a
 bare ``linearize(...).render()`` under all six word orders,
 ``substitute_lexemes`` with the structure's identity lexicon,
 ``interrogativize`` with "why" under the ``en`` profile and
-``declarativize`` of that question, and the writers and comparers on the
-parsed structure: ``serialize_structure``, ``to_dot``, ``canonical_form``,
-and ``structural_equal`` against a copy read from the same text and stored
-from another member. The dimensions are ring width, nesting depth, node
-length and branches per node.
+``declarativize`` of that question, ``linearize`` followed by
+``apply_morpheme_rules`` and ``translate`` with the identity lexicon under
+a profile whose insert, drop and suffix rules all fire, and the writers
+and comparers on the parsed structure: ``serialize_structure``,
+``to_dot``, ``canonical_form``, and ``structural_equal`` against a copy
+read from the same text and stored from another member. The dimensions
+are ring width, nesting depth, node length and branches per node.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ import pytest
 
 from synapper import (
     LanguageProfile,
+    MorphemeKind,
+    MorphemeRule,
     WordOrder,
+    apply_morpheme_rules,
     canonical_form,
     declarativize,
     identity_lexicon,
@@ -38,6 +43,7 @@ from synapper import (
     structural_equal,
     substitute_lexemes,
     to_dot,
+    translate,
     wh_token,
 )
 from conftest import load_profile, rotate_main
@@ -46,6 +52,12 @@ from test_op_ceilings import count_ops
 _BARE = [LanguageProfile(name=order.value, word_order=order) for order in WordOrder]
 _EN = load_profile("en")
 _WHY = wh_token("why")
+# An insert before each node's first word, a drop of the branches' category and a suffix on the subject.
+_RULES = LanguageProfile("rules", WordOrder.SVO, morpheme_rules=(
+    MorphemeRule(MorphemeKind.INSERT_BEFORE, "w0", "the"),
+    MorphemeRule(MorphemeKind.DROP_CATEGORY, "ADJ"),
+    MorphemeRule(MorphemeKind.SUFFIX_ON_ROLE, "subject", "da"),
+))
 
 
 def _node(role: str, tokens: int = 1, branches: int = 0) -> dict:
@@ -99,6 +111,11 @@ def _substitute_identity(text: str):
     return partial(substitute_lexemes, s, identity_lexicon(s))
 
 
+def _translate_identity(text: str):
+    s = parse_structure(text)
+    return partial(translate, s, identity_lexicon(s), _RULES)
+
+
 def _undo_question(text: str):
     s = parse_structure(text)
     return partial(declarativize, interrogativize(s, _WHY, _EN), s, _EN)
@@ -110,6 +127,8 @@ LAYERS = {
     "substitute_lexemes": _substitute_identity,
     "interrogativize": lambda text: partial(interrogativize, parse_structure(text), _WHY, _EN),
     "declarativize": _undo_question,
+    "linearize_with_rules": _on_parsed(lambda s: apply_morpheme_rules(linearize(s, _RULES), _RULES)),
+    "translate": _translate_identity,
     "serialize_structure": _on_parsed(serialize_structure),
     "to_dot": _on_parsed(to_dot),
     "canonical_form": _on_parsed(canonical_form),

@@ -39,6 +39,7 @@ from synapper.linearize import _emit, _expand, _reading_order, _start_index
 from conftest import (
     FIXTURES,
     PROFILES,
+    block_sequence,
     check_value_semantics,
     frames_while,
     load_profile,
@@ -47,6 +48,7 @@ from conftest import (
     replaced,
     rotate_main,
 )
+import spec
 
 
 def _bare(order: WordOrder) -> LanguageProfile:
@@ -184,8 +186,8 @@ class TestInvariance:
         for cw, ccw in [(WordOrder.SVO, WordOrder.SOV), (WordOrder.VOS, WordOrder.VSO)]:
             for _ in range(40):
                 s = random_structure(rng)
-                cw_blocks = _block_sequence(linearize(s, _bare(cw)))
-                ccw_blocks = _block_sequence(linearize(s, _bare(ccw)))
+                cw_blocks = block_sequence(linearize(s, _bare(cw)))
+                ccw_blocks = block_sequence(linearize(s, _bare(ccw)))
                 assert ccw_blocks == cw_blocks[:1] + cw_blocks[1:][::-1]
 
     def test_token_multiset_is_order_independent(self):
@@ -199,14 +201,6 @@ class TestInvariance:
         s = load_structure("space_news")
         p = load_profile("en-articles")
         assert linearize(s, p).placed == linearize(s, p).placed
-
-
-def _block_sequence(sentence) -> list[int]:
-    seen: list[int] = []
-    for p in sentence.placed:
-        if not seen or seen[-1] != p.block:
-            seen.append(p.block)
-    return seen
 
 
 def test_degenerate_structure_raises():
@@ -256,165 +250,17 @@ def test_o_initial_orders_start_at_first_object_clockwise_from_subject():
     assert linearize(s, _bare(WordOrder.OSV)).surfaces() == ("home", "late", "Ann", "ran")
 
 
-# References for the order-first linearize and the index-swap inversion: the
-# earlier two-step shape, kept as an oracle. Each member becomes a list of
-# (Token, unit) pairs copied up one nesting level at a time, the lists become
-# PlacedToken blocks, V1/V2 move the verb block, and a question is built by
-# cutting the flat sequence back into runs by block and swapping the subject
-# run with the verb run. The ring walk is the reference's own too: each index
-# is computed modulo the ring size, one member at a time, and the orders that
-# read clockwise are listed here, apart from linearize's table.
-
-_REFERENCE_CLOCKWISE = {WordOrder.SVO, WordOrder.VOS, WordOrder.OSV}
-
-
-def _reference_member_order(loop: Loop, order: WordOrder) -> list[int]:
-    n = len(loop.members)
-    if n == 0:
-        return []
-    clockwise = order in _REFERENCE_CLOCKWISE
-    if loop.kind is LoopKind.PHRASAL:
-        seq = [(loop.head_index + i) % n for i in range(n)]
-        return seq if clockwise else seq[::-1]
-    start = _reference_start_index(loop, order)
-    if clockwise:
-        return [(start + i) % n for i in range(n)]
-    return [start] + [(start - i) % n for i in range(1, n)]
-
-
-def _reference_start_index(loop: Loop, order: WordOrder) -> int:
-    roles = [m.role for m in loop.members]
-    subject = roles.index(Role.SUBJECT) if Role.SUBJECT in roles else None
-    verb = roles.index(Role.VERB) if Role.VERB in roles else None
-    if order in (WordOrder.SVO, WordOrder.SOV):
-        candidates = [subject, verb]
-    elif order in (WordOrder.VSO, WordOrder.VOS):
-        candidates = [verb, subject]
-    else:
-        candidates = [_reference_first_object_index(loop, subject), subject, verb]
-    for candidate in candidates:
-        if candidate is not None:
-            return candidate
-    return 0
-
-
-def _reference_first_object_index(loop: Loop, subject: int | None) -> int | None:
-    n = len(loop.members)
-    origin = subject if subject is not None else 0
-    for step in range(n):
-        idx = (origin + 1 + step) % n
-        if loop.members[idx].role is Role.OBJECT:
-            return idx
-    return None
-
-
-# The reading start as linearize once found it, by scanning the members one
-# by one; _start_index reads it off Loop.roles instead.
-
-
-def _scan_role_index(loop: Loop, role: Role) -> int | None:
-    for i, member in enumerate(loop.members):
-        if member.role is role:
-            return i
-    return None
-
-
-def _scan_start_index(loop: Loop, first: Role) -> int:
-    if first is Role.OBJECT:
-        n = len(loop.members)
-        after = (_scan_role_index(loop, Role.SUBJECT) or 0) + 1
-        start = None
-        for idx in (*range(after, n), *range(after)):
-            if loop.members[idx].role is Role.OBJECT:
-                start = idx
-                break
-    else:
-        start = _scan_role_index(loop, first)
-    if start is None and first is not Role.SUBJECT:
-        start = _scan_role_index(loop, Role.SUBJECT)
-    if start is None:
-        start = _scan_role_index(loop, Role.VERB)
-    return 0 if start is None else start
-
-
-def test_the_start_read_off_roles_equals_the_member_scan_on_every_short_ring():
-    """Every role tuple of 1 to 6 members from {subject, verb, object, none}, from each first role."""
+def test_the_start_read_off_roles_equals_the_spec_on_every_short_ring():
+    """spec.start_member on every role tuple of 1 to 6 members from {subject, verb, object, none}, from each first role."""
     token = (Token("w", Category.N),)
     rings = 0
     for n in range(1, 7):
         for roles in itertools.product((Role.SUBJECT, Role.VERB, Role.OBJECT, None), repeat=n):
             loop = Loop(LoopKind.CLAUSAL, tuple(Constituent(role, token) for role in roles))
             for first in (Role.SUBJECT, Role.VERB, Role.OBJECT):
-                assert _start_index(loop, first) == _scan_start_index(loop, first), (roles, first)
+                assert _start_index(loop, first) == spec.start_member(loop, first), (roles, first)
             rings += 1
     assert rings == sum(4**n for n in range(1, 7))
-
-
-def reference_linearize(s: Synapper, p: LanguageProfile) -> tuple[PlacedToken, ...]:
-    blocks = []
-    for index in _reference_member_order(s.main, p.word_order):
-        member = s.main.members[index]
-        placed = [
-            PlacedToken(t.surface, t.category, member.role, index, unit)
-            for t, unit in _reference_constituent(member, p)
-        ]
-        blocks.append((member.role, placed))
-    if p.verb_placement is not VerbPlacement.DEFAULT and len(blocks) >= 2:
-        verb_at = next((i for i, (role, _) in enumerate(blocks) if role is Role.VERB), None)
-        if verb_at is not None:
-            rest = blocks[:verb_at] + blocks[verb_at + 1 :]
-            target = 0 if p.verb_placement is VerbPlacement.V1 else min(1, len(rest))
-            blocks = rest[:target] + [blocks[verb_at]] + rest[target:]
-    flat = tuple(pt for _, block in blocks for pt in block)
-    if not flat:
-        raise DegenerateStructureError("structure produced no tokens")
-    return flat
-
-
-def _reference_constituent(c: Constituent, p: LanguageProfile) -> list:
-    pre, post, reversed_slots = [], [], []
-    for branch in c.branches:
-        side, post_order = p.placement[branch.category]
-        if side is BranchSide.PRE:
-            pre.append(branch)
-        else:
-            if post_order is PostOrder.REVERSED:
-                reversed_slots.append(len(post))
-            post.append(branch)
-    for slot, branch in zip(reversed_slots, [post[i] for i in reversed(reversed_slots)]):
-        post[slot] = branch
-    out = []
-    for branch in pre:
-        out.extend((t, False) for t in branch.tokens)
-    if c.node is not None:
-        out.extend((t, len(c.node) > 1) for t in c.node)
-    else:
-        for index in _reference_member_order(c.loop, p.word_order):
-            out.extend(_reference_constituent(c.loop.members[index], p))
-    for branch in post:
-        out.extend((t, False) for t in branch.tokens)
-    return out
-
-
-def reference_interrogativize(s: Synapper, wh: Token, p: LanguageProfile) -> tuple[PlacedToken, ...]:
-    base = reference_linearize(s, p)
-    mark = PlacedToken(wh.surface, Category.WH, None, -1, False)
-    if p.wh_rule is WhRule.INITIAL_NO_INVERSION:
-        return (mark,) + base
-    if p.wh_rule is WhRule.PRE_SUBJECT:
-        at = next((i for i, pt in enumerate(base) if pt.role is Role.SUBJECT), 0)
-        return base[:at] + (mark,) + base[at:]
-    runs: list[list[PlacedToken]] = []
-    for pt in base:
-        if runs and runs[-1][0].block == pt.block:
-            runs[-1].append(pt)
-        else:
-            runs.append([pt])
-    subject_at = next((i for i, run in enumerate(runs) if run[0].role is Role.SUBJECT), None)
-    verb_at = next((i for i, run in enumerate(runs) if run[0].role is Role.VERB), None)
-    if subject_at is not None and verb_at is not None:
-        runs[subject_at], runs[verb_at] = runs[verb_at], runs[subject_at]
-    return (mark,) + tuple(pt for run in runs for pt in run)
 
 
 _BRANCH_RULES = st.lists(
@@ -428,17 +274,17 @@ _BRANCH_RULES = st.lists(
 )
 
 
-def _assert_matches_reference(s: Synapper, p: LanguageProfile) -> None:
+def _assert_matches_spec(s: Synapper, p: LanguageProfile) -> None:
     # render and surfaces read linearize's runs, and a constructed
-    # sentence's PlacedTokens: both must give the reference's text.
-    sentence, reference = linearize(s, p), LinearSentence(reference_linearize(s, p))
-    assert sentence.render() == reference.render()
-    assert sentence.surfaces() == reference.surfaces()
-    assert sentence.placed == reference.placed
-    assert interrogativize(s, wh_token("why"), p).placed == reference_interrogativize(s, wh_token("why"), p)
+    # sentence's PlacedTokens: both must give the specification's text.
+    sentence, expected = linearize(s, p), LinearSentence(spec.linearize(s, p))
+    assert sentence.render() == expected.render()
+    assert sentence.surfaces() == expected.surfaces()
+    assert sentence.placed == expected.placed
+    assert interrogativize(s, wh_token("why"), p).placed == spec.interrogativize(s, wh_token("why"), p)
 
 
-class TestReferenceOracle:
+class TestAgainstTheSpec:
     @settings(max_examples=400, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
@@ -447,12 +293,12 @@ class TestReferenceOracle:
         st.sampled_from(list(WhRule)),
         _BRANCH_RULES,
     )
-    def test_equals_the_two_step_reference(self, seed, order, placement, rule, branch_rules):
+    def test_equals_the_spec(self, seed, order, placement, rule, branch_rules):
         s = random_structure(random.Random(seed))
         p = LanguageProfile(
             name="x", word_order=order, verb_placement=placement, branch_rules=tuple(branch_rules), wh_rule=rule
         )
-        _assert_matches_reference(s, p)
+        _assert_matches_spec(s, p)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([Role.SUBJECT, Role.VERB, Role.OBJECT, None]), min_size=1, max_size=6))
@@ -465,7 +311,7 @@ class TestReferenceOracle:
         s = Synapper("", WordOrder.SVO, Loop(kind=LoopKind.CLAUSAL, members=members))
         for order, placement, rule in itertools.product(WordOrder, VerbPlacement, WhRule):
             p = LanguageProfile(name="x", word_order=order, verb_placement=placement, wh_rule=rule)
-            _assert_matches_reference(s, p)
+            _assert_matches_spec(s, p)
 
     @pytest.mark.parametrize("order", list(WordOrder))
     def test_v2_on_a_two_member_ring(self, order):
@@ -477,7 +323,7 @@ class TestReferenceOracle:
         for rule in WhRule:
             p = LanguageProfile(name="x", word_order=order, verb_placement=VerbPlacement.V2, wh_rule=rule)
             assert linearize(s, p).surfaces() == ("Ann", "runs")
-            _assert_matches_reference(s, p)
+            _assert_matches_spec(s, p)
 
     @pytest.mark.parametrize("placement", list(VerbPlacement))
     @pytest.mark.parametrize("rule", list(WhRule))
@@ -485,7 +331,7 @@ class TestReferenceOracle:
         s = load_structure("go")
         p = LanguageProfile(name="x", word_order=WordOrder.VSO, verb_placement=placement, wh_rule=rule)
         assert interrogativize(s, wh_token("why"), p).render() == "Why go"
-        _assert_matches_reference(s, p)
+        _assert_matches_spec(s, p)
 
     def test_nested_phrasal_head_read_counterclockwise(self):
         # The object is a phrasal loop headed by "horse" (index 1); read
@@ -529,7 +375,7 @@ class TestReferenceOracle:
             PlacedToken("has", Category.V, Role.VERB, 1, False),
         )
         assert interrogativize(s, wh_token("why"), p).render() == "Why has big very old horse a Jane"
-        _assert_matches_reference(s, p)
+        _assert_matches_spec(s, p)
 
     def test_a_source_slot_between_reversed_post_branches(self):
         # Stored post branches a1 (Reversed), p (Source), a2 (Reversed), j
@@ -565,7 +411,7 @@ class TestReferenceOracle:
             ),
         )
         assert linearize(s, p).render() == "S v x j p a2 a1"
-        _assert_matches_reference(s, p)
+        _assert_matches_spec(s, p)
 
 
 class TestProfileAndSentenceValues:
@@ -638,7 +484,7 @@ class TestProfileAndSentenceValues:
         s, p = load_structure("space_news"), load_profile("en-articles")
         sentence = linearize(s, p)
         text, frames = frames_while(sentence.render)
-        assert text == LinearSentence(reference_linearize(s, p)).render()
+        assert text == LinearSentence(spec.linearize(s, p)).render()
         assert frames[_expand.__code__] == 0
         _, frames = frames_while(lambda: linearize(s, p).render())
         assert frames[_expand.__code__] == 0
@@ -646,7 +492,7 @@ class TestProfileAndSentenceValues:
         assert frames[_expand.__code__] == 0
         placed, frames = frames_while(lambda: sentence.placed)
         assert frames[_expand.__code__] == 1
-        assert placed == reference_linearize(s, p)
+        assert placed == spec.linearize(s, p)
 
     def test_the_walk_runs_one_frame_per_nested_loop_and_per_node_with_branches(self):
         """Leaves are written in their loop's frame; each loop is put in reading order once."""
@@ -659,7 +505,7 @@ class TestProfileAndSentenceValues:
             nested, branched = _loop_shape(s.main)
             for p in profiles:
                 sentence, frames = frames_while(linearize, s, p)
-                assert sentence.placed == reference_linearize(s, p)
+                assert sentence.placed == spec.linearize(s, p)
                 walk = Counter({code.co_name: n for code, n in frames.items() if code.co_filename == here})
                 assert walk.pop("_emit", 0) == nested + branched
                 assert walk.pop("_reading_order") == 1 + nested

@@ -22,7 +22,6 @@ from synapper import (
     Branch,
     Category,
     Constituent,
-    DocumentError,
     LanguageProfile,
     Loop,
     LoopKind,
@@ -62,6 +61,8 @@ from conftest import (
 )
 from test_io import ALL_FIXTURES, EDGE_MEMBERS
 from test_totality import JSON_VALUES, STRUCTURE_DOCS
+from replay import outcome
+import spec
 
 
 def _doc(members, kind="clausal", order="svo", **top):
@@ -459,68 +460,6 @@ class TestCanonicalForm:
         assert canonical_form(s) == canonical_form(replaced(s, label="renamed"))
 
 
-# canonical_form and structural_equal as they were written before the direct
-# emitter: the document as nested dicts through json.dumps, and a walk that
-# compares member by member. They are the oracle for both.
-
-
-def reference_canonical_form(s):
-    payload = {"word_order": s.word_order.value, "loop": _ref_canon_loop(s.main)}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _ref_rotated_members(loop):
-    if loop.kind is LoopKind.PHRASAL:
-        i = loop.head_index
-    else:
-        i = next((i for i, m in enumerate(loop.members) if m.role is Role.SUBJECT), 0)
-    return loop.members[i:] + loop.members[:i]
-
-
-def _ref_canon_loop(loop):
-    return {"kind": loop.kind.value, "members": [_ref_canon_member(m) for m in _ref_rotated_members(loop)]}
-
-
-def _ref_canon_member(c):
-    out = {}
-    if c.role is not None:
-        out["role"] = c.role.value
-    if c.node is not None:
-        out["node"] = [[t.surface, t.category.value] for t in c.node]
-    if c.loop is not None:
-        out["loop"] = _ref_canon_loop(c.loop)
-    if c.branches:
-        out["branches"] = [
-            {"category": b.category.value, "tokens": [[t.surface, t.category.value] for t in b.tokens]}
-            for b in c.branches
-        ]
-    return out
-
-
-def reference_structural_equal(a, b):
-    return a.word_order is b.word_order and _ref_loops_equal(a.main, b.main)
-
-
-def _ref_loops_equal(x, y):
-    if x.kind is not y.kind or len(x.members) != len(y.members):
-        return False
-    return all(_ref_constituents_equal(p, q) for p, q in zip(_ref_rotated_members(x), _ref_rotated_members(y)))
-
-
-def _ref_constituents_equal(p, q):
-    if p.role is not q.role:
-        return False
-    if (p.node is None) != (q.node is None):
-        return False
-    if p.node is not None and p.node != q.node:
-        return False
-    if p.loop is not None and not _ref_loops_equal(p.loop, q.loop):
-        return False
-    if len(p.branches) != len(q.branches):
-        return False
-    return all(bp.category is bq.category and bp.tokens == bq.tokens for bp, bq in zip(p.branches, q.branches))
-
-
 def _unchecked_token(surface, category):
     """A Token that skips the surface rule, so that whitespace reaches the escaper too."""
     token = object.__new__(Token)
@@ -565,7 +504,7 @@ _escaped_surfaces = st.text(alphabet=st.sampled_from(_ESCAPED_CHARS), min_size=1
     at=st.integers(min_value=0, max_value=10**6),
     change=st.sampled_from(["surface", "category"]),
 )
-def test_canonical_form_and_equality_agree_with_the_reference(seed, words, extra, turn, at, change):
+def test_canonical_form_and_equality_agree_with_the_spec(seed, words, extra, turn, at, change):
     s = random_structure(random.Random(seed), max_ring=4, max_depth=3)
     main = _retokened(s.main, lambda i, t: _unchecked_token(words[i % len(words)], t.category))
     s = replaced(s, main=replaced(main, members=main.members + tuple(extra)))
@@ -580,9 +519,9 @@ def test_canonical_form_and_equality_agree_with_the_reference(seed, words, extra
 
     structures = [s, rotate_main(s, turn), replaced(s, main=_retokened(s.main, perturb))]
     for a in structures:
-        assert canonical_form(a) == reference_canonical_form(a)
+        assert canonical_form(a) == spec.canonical_form(a)
         for b in structures:
-            assert structural_equal(a, b) == reference_structural_equal(a, b)
+            assert structural_equal(a, b) == spec.structural_equal(a, b)
             assert (canonical_form(a) == canonical_form(b)) == structural_equal(a, b)
 
 
@@ -621,14 +560,6 @@ def test_space_news_holds_43_tokens():
     assert sum(1 for _ in iter_tokens(load_structure("space_news"))) == 43
 
 
-def _reference_tokens(loop: Loop):
-    """Stored token order, one recursive generator per loop."""
-    for member in loop.members:
-        yield from member.node if member.loop is None else _reference_tokens(member.loop)
-        for branch in member.branches:
-            yield from branch.tokens
-
-
 def _token_chain(depth: int) -> Synapper:
     """Clausal loops nested depth levels deep, four tokens on each level around the next."""
     inner = Constituent(Role.OBJECT, (Token("z", Category.N),))
@@ -649,7 +580,7 @@ def test_iter_tokens_keeps_the_recursive_order():
     structures = [*map(load_structure, names), *(random_structure(rng, max_depth=5) for _ in range(300))]
     structures.append(_token_chain(30))
     for s in structures:
-        assert [*iter_tokens(s)] == [*_reference_tokens(s.main)]
+        assert [*iter_tokens(s)] == spec.loop_tokens(s.main)
 
 
 def test_iter_tokens_is_linear_in_nesting_depth():
@@ -908,184 +839,6 @@ def test_missing_key_reported_in_schema_order_whatever_the_hash_seed():
     }
 
 
-# The reader as it was before path formatting and enum calls left its
-# success path: one _check_keys per object, paths built as it goes, and
-# Enum(text) for every role, kind and category. It has two changes. Required
-# keys are tuples, so the first missing key is the schema's first. Every
-# loop law (main loop clausal, head in range, roleless phrasal members, a
-# role on every clausal member, subject and verb counts) is an issue of
-# _ref_loop_issues, checked after conversion. It is the oracle for
-# build_synapper on valid and on broken documents.
-
-
-def reference_build_synapper(doc):
-    _ref_check_keys(doc, "", ("word_order", "loop"), {"label"})
-    label = _ref_expect_str(doc.get("label", ""), "label")
-    text = _ref_expect_str(doc["word_order"], "word_order")
-    try:
-        word_order = WordOrder(text)
-    except ValueError:
-        raise UnknownWordOrderError("word_order", f"unknown word order {text!r}") from None
-
-    issues = []
-    main = _ref_convert_loop(doc["loop"], "loop", 1, issues)
-    issues.extend(_ref_loop_issues(main, "loop"))
-    if issues:
-        raise StructureValidationError(issues)
-    return Synapper(label=label, word_order=word_order, main=main)
-
-
-def _ref_check_keys(obj, path, required, optional):
-    if not isinstance(obj, Mapping):
-        raise MalformedDocumentError(path, "expected an object")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise UnknownKeyError(_ref_join(path, str(key)), f"unknown key {key!r}")
-    for key in required:
-        if key not in obj:
-            raise MalformedDocumentError(path, f"missing key {key!r}")
-    return obj
-
-
-def _ref_join(path, key):
-    return f"{path}.{key}" if path else key
-
-
-def _ref_expect_str(value, path):
-    if not isinstance(value, str):
-        raise MalformedDocumentError(path, "expected a string")
-    return value
-
-
-def _ref_category(raw, path, issues):
-    text = _ref_expect_str(raw, path)
-    try:
-        return Category(text)
-    except ValueError:
-        issues.append(ValidationIssue("unknown-category", path, f"unknown category {text!r}"))
-        return Category.OTHER
-
-
-def _ref_convert_loop(raw, path, depth, issues):
-    if depth > MAX_DEPTH:
-        raise MalformedDocumentError(path, f"loops nest deeper than {MAX_DEPTH} levels")
-    obj = _ref_check_keys(raw, path, ("kind", "members"), {"head_index"})
-    kind_text = _ref_expect_str(obj["kind"], _ref_join(path, "kind"))
-    try:
-        kind = LoopKind(kind_text)
-    except ValueError:
-        raise MalformedDocumentError(_ref_join(path, "kind"), f"unknown loop kind {kind_text!r}") from None
-    if kind is LoopKind.CLAUSAL and "head_index" in obj:
-        raise UnknownKeyError(_ref_join(path, "head_index"), "head_index applies to phrasal loops only")
-    members_raw = obj["members"]
-    if not isinstance(members_raw, list):
-        raise MalformedDocumentError(_ref_join(path, "members"), "expected an array")
-    members = tuple(
-        _ref_convert_member(m, f"{path}.members[{i}]", depth, issues) for i, m in enumerate(members_raw)
-    )
-    head = obj.get("head_index", 0)
-    if type(head) is not int:
-        raise MalformedDocumentError(_ref_join(path, "head_index"), "expected an integer")
-    return Loop(kind=kind, members=members, head_index=head if kind is LoopKind.PHRASAL else 0)
-
-
-def _ref_convert_member(raw, path, depth, issues):
-    obj = _ref_check_keys(raw, path, (), {"role", "node", "loop", "branches"})
-
-    role = None
-    if "role" in obj:
-        role_text = _ref_expect_str(obj["role"], _ref_join(path, "role"))
-        try:
-            role = Role(role_text)
-        except ValueError:
-            issues.append(ValidationIssue("unknown-role", _ref_join(path, "role"), f"unknown role {role_text!r}"))
-            role = Role.OBJECT
-
-    has_node = "node" in obj
-    has_loop = "loop" in obj
-    if has_node == has_loop:
-        raise MalformedDocumentError(path, "expected exactly one of 'node' or 'loop'")
-    if has_loop and "branches" in obj:
-        raise UnknownKeyError(_ref_join(path, "branches"), "branches attach to nodes, not to nested loops")
-
-    if has_loop:
-        nested = _ref_convert_loop(obj["loop"], _ref_join(path, "loop"), depth + 1, issues)
-        return Constituent(role=role, loop=nested)
-
-    tokens = _ref_convert_tokens(obj["node"], _ref_join(path, "node"), issues)
-    branches_raw = obj.get("branches", [])
-    if not isinstance(branches_raw, list):
-        raise MalformedDocumentError(_ref_join(path, "branches"), "expected an array")
-    branches = tuple(_ref_convert_branch(b, f"{path}.branches[{i}]", issues) for i, b in enumerate(branches_raw))
-    return Constituent(role=role, node=tokens, branches=branches)
-
-
-_REF_PLACEHOLDER_TOKENS = (Token("?", Category.OTHER),)
-
-
-def _ref_convert_tokens(raw, path, issues):
-    if not isinstance(raw, list):
-        raise MalformedDocumentError(path, "expected an array of tokens")
-    if not raw:
-        issues.append(ValidationIssue("empty-node", path, "a node needs at least one token"))
-        return _REF_PLACEHOLDER_TOKENS
-    out = []
-    for i, t in enumerate(raw):
-        tpath = f"{path}[{i}]"
-        obj = _ref_check_keys(t, tpath, ("surface", "category"), set())
-        surface = _ref_expect_str(obj["surface"], _ref_join(tpath, "surface"))
-        category = _ref_category(obj["category"], _ref_join(tpath, "category"), issues)
-        try:
-            out.append(Token(surface, category))
-        except ValueError:
-            raise MalformedDocumentError(
-                _ref_join(tpath, "surface"), "surface must be non-empty without whitespace"
-            ) from None
-    return tuple(out)
-
-
-def _ref_convert_branch(raw, path, issues):
-    obj = _ref_check_keys(raw, path, ("category", "tokens"), set())
-    category = _ref_category(obj["category"], _ref_join(path, "category"), issues)
-    tokens = _ref_convert_tokens(obj["tokens"], _ref_join(path, "tokens"), issues)
-    return Branch(tokens=tokens, category=category)
-
-
-def _ref_loop_issues(loop, path):
-    issues = []
-    if path == "loop" and loop.kind is not LoopKind.CLAUSAL:
-        issues.append(ValidationIssue("main-loop-not-clausal", "loop.kind", "the main loop must be clausal"))
-    if not loop.members:
-        issues.append(ValidationIssue("empty-loop", _ref_join(path, "members"), "a loop needs at least one member"))
-        return issues
-    if loop.kind is LoopKind.PHRASAL:
-        if not 0 <= loop.head_index < len(loop.members):
-            head_path = _ref_join(path, "head_index")
-            issues.append(ValidationIssue("head-out-of-range", head_path, "head_index out of range"))
-        for i, member in enumerate(loop.members):
-            if member.role is not None:
-                role_path = f"{path}.members[{i}].role"
-                issues.append(ValidationIssue("role-in-phrasal-loop", role_path, "phrasal loop members are roleless"))
-    else:
-        for i, member in enumerate(loop.members):
-            if member.role is None:
-                issues.append(ValidationIssue("missing-role", f"{path}.members[{i}]", "missing key 'role'"))
-        subjects = [m for m in loop.members if m.role is Role.SUBJECT]
-        verbs = [m for m in loop.members if m.role is Role.VERB]
-        if not subjects and len(loop.members) > 1:
-            issues.append(ValidationIssue("missing-subject", path, "clausal loop has no subject"))
-        if len(subjects) > 1:
-            issues.append(ValidationIssue("multiple-subjects", path, "clausal loop has more than one subject"))
-        if not verbs:
-            issues.append(ValidationIssue("missing-verb", path, "clausal loop has no verb"))
-        if len(verbs) > 1:
-            issues.append(ValidationIssue("multiple-verbs", path, "clausal loop has more than one verb"))
-    for i, member in enumerate(loop.members):
-        if member.loop is not None:
-            issues.extend(_ref_loop_issues(member.loop, f"{path}.members[{i}].loop"))
-    return issues
-
-
 class _ReadOnlyMapping(Mapping):
     """A Mapping that is not a dict, so readers must take the ABC route."""
 
@@ -1172,19 +925,10 @@ def _wrap_mappings(value, choose):
     return value
 
 
-def _outcome(build, doc):
-    try:
-        return build(doc)
-    except StructureValidationError as e:
-        return StructureValidationError, Counter(e.issues)
-    except DocumentError as e:
-        return type(e), e.path, e.message
-
-
 @settings(max_examples=250, deadline=None)
 @given(reader_documents())
-def test_build_synapper_agrees_with_the_reference_reader(doc):
-    assert _outcome(build_synapper, doc) == _outcome(reference_build_synapper, doc)
+def test_build_synapper_agrees_with_the_spec(doc):
+    assert outcome(build_synapper, doc) == outcome(spec.build_synapper, doc)
 
 
 # Values for the single-fault sweep: wrong types, bad and misplaced enum
@@ -1231,11 +975,11 @@ def _single_faults(doc):
 
 
 @pytest.mark.parametrize("name", ["cena_b", "colette"])
-def test_build_synapper_agrees_with_the_reference_reader_on_every_single_fault(name):
+def test_build_synapper_agrees_with_the_spec_on_every_single_fault(name):
     doc = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
     for faulty in _single_faults(doc):
         for variant in (faulty, _wrap_mappings(faulty, lambda: True)):
-            assert _outcome(build_synapper, variant) == _outcome(reference_build_synapper, variant)
+            assert outcome(build_synapper, variant) == outcome(spec.build_synapper, variant)
 
 
 def _doubled_tokens(value):

@@ -45,7 +45,7 @@ from conftest import (
     random_structure,
     replaced,
 )
-from test_linearize import reference_linearize
+import spec
 
 from synapper import parse_lexicon
 
@@ -336,36 +336,11 @@ def test_translate_is_substitute_then_linearize_then_rewrite():
     assert translate(s, lex, p).placed == composed.placed
 
 
-def sequential_rules(placed: tuple[PlacedToken, ...], rules) -> tuple[PlacedToken, ...]:
-    """The reference engine: one pass over the whole sequence per rule, in ordinal order."""
-    for rule in sorted(rules, key=lambda r: r.ordinal):
-        if rule.kind is MorphemeKind.DROP_CATEGORY:
-            placed = tuple(pt for pt in placed if pt.unit or pt.category is not rule.operand)
-        elif rule.kind is MorphemeKind.SUFFIX_ON_ROLE:
-            hits = [i for i, pt in enumerate(placed) if pt.role is rule.operand]
-            if hits:
-                last = hits[-1]
-                patched = placed[last]._replace(surface=placed[last].surface + rule.payload)
-                placed = placed[:last] + (patched,) + placed[last + 1 :]
-        else:
-            words = [PlacedToken(w, Category.OTHER, None, -1, False) for w in rule.operand]
-            out: list[PlacedToken] = []
-            for pt in placed:
-                hit = pt.surface == rule.selector
-                if hit and rule.kind is MorphemeKind.INSERT_BEFORE:
-                    out.extend(words)
-                out.append(pt)
-                if hit and rule.kind is MorphemeKind.INSERT_AFTER:
-                    out.extend(words)
-            placed = tuple(out)
-    return placed
-
-
 def rewrite(surfaces: list[str], *rules: MorphemeRule) -> list[str]:
     placed = tuple(PlacedToken(w, Category.N, Role.OBJECT, 0, False) for w in surfaces)
     p = LanguageProfile(name="x", word_order=WordOrder.SVO, morpheme_rules=rules)
     out = apply_morpheme_rules(LinearSentence(placed), p).placed
-    assert out == sequential_rules(placed, rules)
+    assert out == spec.apply_morpheme_rules(placed, p)
     return [pt.surface for pt in out]
 
 
@@ -417,7 +392,7 @@ class TestFusedInserts:
             sentence = LinearSentence._of_runs(runs[:size])
             hits.append(sum(t.surface in edits for t in sentence))
             out, frames = frames_while(_apply_rule, sentence, edits)
-            assert out.placed == sequential_rules(sentence.placed, p.morpheme_rules)
+            assert out.placed == spec.apply_morpheme_rules(sentence.placed, p)
             # _apply_rule's frame and the sentence's _of_runs, however many
             # anchors fire: the inserted words are spliced in, not built.
             assert frames == Counter({_apply_rule.__code__: 1, LinearSentence._of_runs.__code__: 1})
@@ -478,7 +453,7 @@ def test_fused_engine_equals_one_pass_per_rule(placed, rules):
     placed = tuple(placed)
     p = LanguageProfile(name="x", word_order=WordOrder.SVO, morpheme_rules=tuple(rules))
     out = apply_morpheme_rules(LinearSentence(placed), p).placed
-    assert out == sequential_rules(placed, rules)
+    assert out == spec.apply_morpheme_rules(placed, p)
 
 
 # Rules over generated structures: anchors and inserted words from the
@@ -502,10 +477,10 @@ _STRUCTURE_RULES = st.one_of(
     st.sampled_from(list(VerbPlacement)),
     st.lists(_STRUCTURE_RULES, max_size=8),
 )
-def test_rules_on_linearized_runs_equal_one_pass_per_rule_on_the_reference(seed, order, placement, rules):
+def test_rules_on_linearized_runs_equal_one_pass_per_rule_on_the_spec(seed, order, placement, rules):
     s = random_structure(random.Random(seed))
     p = LanguageProfile(name="x", word_order=order, verb_placement=placement, morpheme_rules=tuple(rules))
     out = apply_morpheme_rules(linearize(s, p), p)
-    expected = LinearSentence(sequential_rules(reference_linearize(s, p), rules))
+    expected = LinearSentence(spec.apply_morpheme_rules(spec.linearize(s, p), p))
     assert out.placed == expected.placed
     assert out.render() == expected.render()
