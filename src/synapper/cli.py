@@ -7,14 +7,13 @@ command's whole stdout text. ``run`` reads a well-formed call straight from
 its row: the command, its positionals in order and each required option
 once with its value. Any other argument list (``-h``, a usage error, or a
 form argparse reads in its own way, such as ``--profile=p``) goes to
-argparse, which is imported only then and builds only the named command's
-subparser when the first argument names one. ``run`` loads the arguments in
-row order (so the first bad input is the one reported), calls the op and
-writes its text. Failures print a JSON error report to stderr and exit 1
-(``json`` is imported only to write it); usage errors exit 2. The table
-holds names, not functions: ops and ``_load`` look each layer function up in
-this module's globals when they run, so a wrapper set on ``synapper.cli``
-sees every call.
+argparse, which is imported only then and builds the parser of every
+command. ``run`` loads the arguments in row order (so the first bad input
+is the one reported), calls the op and writes its text. Failures print a
+JSON error report to stderr and exit 1 (``json`` is imported only to write
+it); usage errors exit 2. The table holds names, not functions: ops and
+``_load`` look each layer function up in this module's globals when they
+run, so a wrapper set on ``synapper.cli`` sees every call.
 """
 
 from __future__ import annotations
@@ -135,17 +134,17 @@ def _table_read(argv: list[str]):
 
 def _argparse_read(argv: list[str]):
     """_table_read's (op, [(loader, text)]) as argparse reads argv; argparse exits on -h and on a usage error."""
-    args = _parser(argv[0] if argv else None).parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.op, [(loader, getattr(args, name.lstrip("-"))) for name, loader, _ in args.arguments]
 
 
-def _parser(command: str | None):
-    """The argparse parser of the command named, or of every command when none is."""
+def _parser():
+    """The argparse parser of every command."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="synapper", description="Work with closed-loop sentence structures.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, help_text, op, arguments in [row for row in _COMMANDS if row[0] == command] or _COMMANDS:
+    for name, help_text, op, arguments in _COMMANDS:
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(op=op, arguments=arguments)
         for arg, loader, arg_help in arguments:

@@ -22,20 +22,19 @@ from itertools import pairwise
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Mapping
+    from enum import Enum
     from typing import Any
 
-    from .model import Category, Loop, Synapper, Token
+    from .model import Loop, Synapper, Token
 
 from .model import (
+    Category,
     LoopKind,
     MAX_DEPTH,
     MalformedDocumentError,
+    Role,
     SynapperError,
     _CATEGORIES,
-    _ROLES,
-    _TEXT,
-    _by_text,
     _check_keys,
     _expect_str,
     _join,
@@ -121,12 +120,12 @@ def serialize_structure(s: Synapper) -> str:
     Written directly for the fixed schema; the text is byte-for-byte what
     ``json.dumps(doc, indent=2, ensure_ascii=False)`` gives for the same
     document. Free text (label, surfaces) goes through ``json``'s own C
-    escaper; enum text comes from ``model._TEXT``, fixed ASCII written as it is.
+    escaper; enum text is each member's own ``_value_``, fixed ASCII written as it is.
     """
     out = ["{\n"]
     if s.label:
         out += ['  "label": ', encode_basestring(s.label), ",\n"]
-    out += ['  "word_order": "', _TEXT[s.word_order], '",\n']
+    out += ['  "word_order": "', s.word_order._value_, '",\n']
     out.append('  "loop": ')
     _emit_loop(s.main, "\n  ", out)
     out.append("\n}\n")
@@ -150,7 +149,7 @@ def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
         field = item + "  "
         branch = field + "  "
         heads = {None: item + "{" + field}
-        for text, role in _ROLES.items():
+        for text, role in Role._value2member_map_.items():
             heads[role] = f'{item}{{{field}"role": "{text}",{field}'
         # The members' node arrays and the branches' token arrays, each
         # written after its key at its own indent: the whole empty array, the
@@ -196,7 +195,7 @@ def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
             if c.node:
                 token_sep = node_first
                 for t in c.node:
-                    out += [token_sep, encode_basestring(t.surface), node_middle, _TEXT[t.category]]
+                    out += [token_sep, encode_basestring(t.surface), node_middle, t.category._value_]
                     token_sep = node_next
                 out.append(node_end)
             else:
@@ -207,11 +206,11 @@ def _emit_loop(loop: Loop, nl: str, out: list[str]) -> None:
         if c.branches:
             branch_sep = first_branch
             for b in c.branches:
-                out += [branch_sep, _TEXT[b.category], category_end]
+                out += [branch_sep, b.category._value_, category_end]
                 if b.tokens:
                     token_sep = tokens_first
                     for t in b.tokens:
-                        out += [token_sep, encode_basestring(t.surface), tokens_middle, _TEXT[t.category]]
+                        out += [token_sep, encode_basestring(t.surface), tokens_middle, t.category._value_]
                         token_sep = tokens_next
                     out.append(tokens_end)
                 else:
@@ -229,14 +228,6 @@ _BRANCH_RULE_KEYS = frozenset({*_BRANCH_RULE_REQUIRED, "post_order"})
 _MORPHEME_RULE_REQUIRED = _schema_keys("kind", "selector")
 _MORPHEME_RULE_KEYS = frozenset({*_MORPHEME_RULE_REQUIRED, "payload", "ordinal"})
 
-# Profile enum members by their text, in definition order: the order an
-# "expected one of" message lists them in.
-_WH_RULES = _by_text(WhRule)
-_VERB_PLACEMENTS = _by_text(VerbPlacement)
-_BRANCH_SIDES = _by_text(BranchSide)
-_POST_ORDERS = _by_text(PostOrder)
-_MORPHEME_KINDS = _by_text(MorphemeKind)
-
 
 def parse_profile(text: str) -> LanguageProfile:
     raw = _loads(text)
@@ -245,8 +236,8 @@ def parse_profile(text: str) -> LanguageProfile:
     if not name:
         raise MalformedDocumentError("name", "profile name must be non-empty")
     word_order = _word_order(obj["word_order"])
-    wh_rule = _enum_value(_WH_RULES, obj["wh_rule"], "wh_rule")
-    placement = _enum_value(_VERB_PLACEMENTS, obj.get("verb_placement", "default"), "verb_placement")
+    wh_rule = _enum_value(WhRule, obj["wh_rule"], "wh_rule")
+    placement = _enum_value(VerbPlacement, obj.get("verb_placement", "default"), "verb_placement")
     return LanguageProfile(
         name=name,
         word_order=word_order,
@@ -257,12 +248,12 @@ def parse_profile(text: str) -> LanguageProfile:
     )
 
 
-def _enum_value(members: Mapping[str, Any], value: object, path: str) -> Any:
-    """The member named by value, from one of the {text: member} tables."""
+def _enum_value(tags: type[Enum], value: object, path: str) -> Any:
+    """The member of tags whose text is value; an unknown text's error lists every option in definition order."""
     text = _expect_str(value, path)
-    member = members.get(text)
+    member = tags._value2member_map_.get(text)
     if member is None:
-        options = ", ".join(members)
+        options = ", ".join(tags._value2member_map_)
         raise MalformedDocumentError(path, f"unknown value {text!r} (expected one of: {options})")
     return member
 
@@ -275,14 +266,14 @@ def _parse_branch_rules(raw: object) -> tuple[BranchPlacementRule, ...]:
     for i, r in enumerate(raw):
         path = f"branch_rules[{i}]"
         obj = _check_keys(r, _BRANCH_RULE_REQUIRED, _BRANCH_RULE_KEYS, str, path)
-        category = _enum_value(_CATEGORIES, obj["category"], _join(path, "category"))
+        category = _enum_value(Category, obj["category"], _join(path, "category"))
         if category in seen:
             raise MalformedDocumentError(
                 _join(path, "category"), f"duplicate placement for category {category.value!r}"
             )
         seen.add(category)
-        side = _enum_value(_BRANCH_SIDES, obj["side"], _join(path, "side"))
-        post_order = _enum_value(_POST_ORDERS, obj.get("post_order", "source"), _join(path, "post_order"))
+        side = _enum_value(BranchSide, obj["side"], _join(path, "side"))
+        post_order = _enum_value(PostOrder, obj.get("post_order", "source"), _join(path, "post_order"))
         rules.append(BranchPlacementRule(category=category, side=side, post_order=post_order))
     return tuple(rules)
 
@@ -295,7 +286,7 @@ def _parse_morpheme_rules(raw: object) -> tuple[MorphemeRule, ...]:
     for i, r in enumerate(raw):
         path = f"morpheme_rules[{i}]"
         obj = _check_keys(r, _MORPHEME_RULE_REQUIRED, _MORPHEME_RULE_KEYS, str, path)
-        kind = _enum_value(_MORPHEME_KINDS, obj["kind"], _join(path, "kind"))
+        kind = _enum_value(MorphemeKind, obj["kind"], _join(path, "kind"))
         selector = _expect_str(obj["selector"], _join(path, "selector"))
         payload = _expect_str(obj.get("payload", ""), _join(path, "payload"))
         ordinal = obj.get("ordinal", i)
@@ -381,7 +372,7 @@ def _dot_loop(loop: Loop, prefix: str, indent: str, out: list[str]) -> str:
         else:
             inner = member.loop
             assert inner is not None
-            out += [f"{indent}subgraph cluster_{mid} {{", f'{indent}  label="{_TEXT[inner.kind]} loop";']
+            out += [f"{indent}subgraph cluster_{mid} {{", f'{indent}  label="{inner.kind._value_} loop";']
             rep = _dot_loop(inner, mid + "m", indent + "  ", out)
             out.append(f"{indent}}}")
         for k, branch in enumerate(member.branches):

@@ -64,8 +64,8 @@ class LoopKind(enum.Enum):
 
 # Members of these four are singletons compared by identity, so they hash by
 # identity too, in C. Enum's own __hash__ is a Python function, which every
-# dict or set lookup of a member would run: in _TEXT below, in a profile's
-# placement table and in a lexicon's keys.
+# dict or set lookup of a member would run: in a profile's placement table
+# and in a lexicon's keys.
 for _tags in (WordOrder, Role, Category, LoopKind):
     _tags.__hash__ = object.__hash__  # type: ignore[method-assign]
 
@@ -295,24 +295,12 @@ _TOKEN_KEYS = _schema_keys("surface", "category")
 _OBJECT_TYPES = (dict, Mapping)
 
 
-def _by_text(tags: type[enum.Enum]) -> dict[str, Any]:
-    """An enum's members by their text, in definition order.
-
-    A lookup here runs no frame in enum.py, where ``Enum(text)`` runs two,
-    and building it reads ``_value_``, where ``member.value`` runs two more.
-    """
-    return {m._value_: m for m in tags.__members__.values()}
-
-
-_WORD_ORDERS = _by_text(WordOrder)
-_LOOP_KINDS = _by_text(LoopKind)
-_ROLES = _by_text(Role)
-_CATEGORIES = _by_text(Category)
-# The text of every member of those four: the writers read it here, since
-# ``member.value`` runs two frames in enum.py.
-_TEXT: dict[enum.Enum, str] = {
-    m: text for table in (_WORD_ORDERS, _LOOP_KINDS, _ROLES, _CATEGORIES) for text, m in table.items()
-}
+# Each tag's member by its text, in definition order: the enum's own map,
+# the one ``Enum(text)`` reads. A lookup here runs no frame in enum.py.
+_WORD_ORDERS = WordOrder._value2member_map_
+_LOOP_KINDS = LoopKind._value2member_map_
+_ROLES = Role._value2member_map_
+_CATEGORIES = Category._value2member_map_
 
 # Deepest loop nesting build_synapper accepts, the main loop counting as 1.
 # Every walk over a structure, build_synapper's converter, serialize_structure's
@@ -617,12 +605,12 @@ def canonical_form(s: Synapper) -> str:
     """
     out = ['{"loop":']
     _canon_loop(s.main, out)
-    out += [',"word_order":"', _TEXT[s.word_order], '"}']
+    out += [',"word_order":"', s.word_order._value_, '"}']
     return "".join(out)
 
 
 def _canon_loop(loop: Loop, out: list[str]) -> None:
-    out += ['{"kind":"', _TEXT[loop.kind], '","members":[']
+    out += ['{"kind":"', loop.kind._value_, '","members":[']
     sep = "{"
     for c in _rotated_members(loop):
         # A member's keys in sorted order: branches, then loop or node, then role.
@@ -630,10 +618,10 @@ def _canon_loop(loop: Loop, out: list[str]) -> None:
         if c.branches:
             branch_sep = '"branches":[{"category":"'
             for b in c.branches:
-                out += [branch_sep, _TEXT[b.category], '","tokens":[']
+                out += [branch_sep, b.category._value_, '","tokens":[']
                 token_sep = "["
                 for t in b.tokens:
-                    out += [token_sep, _escape_ascii(t.surface), ',"', _TEXT[t.category], '"]']
+                    out += [token_sep, _escape_ascii(t.surface), ',"', t.category._value_, '"]']
                     token_sep = ",["
                 out.append("]")
                 branch_sep = '},{"category":"'
@@ -645,11 +633,11 @@ def _canon_loop(loop: Loop, out: list[str]) -> None:
             out.append('"node":[')
             token_sep = "["
             for t in c.node:  # type: ignore[union-attr]
-                out += [token_sep, _escape_ascii(t.surface), ',"', _TEXT[t.category], '"]']
+                out += [token_sep, _escape_ascii(t.surface), ',"', t.category._value_, '"]']
                 token_sep = ",["
             out.append("]")
         if c.role is not None:
-            out += [',"role":"', _TEXT[c.role], '"']
+            out += [',"role":"', c.role._value_, '"']
         sep = "},{"
     out.append("}]}" if loop.members else "]}")
 

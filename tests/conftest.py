@@ -26,6 +26,8 @@ from synapper import (
     parse_structure,
 )
 from synapper.cli import run as cli_run
+# Defined with the checks that run without pytest; the tests import it from here.
+from replay import rotate_main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -126,19 +128,6 @@ def _random_member(rng: random.Random, role: Role | None, depth: int) -> Constit
         for _ in range(rng.randint(0, 2))
     )
     return Constituent(role=role, node=node, branches=branches)
-
-
-def rotate_main(s: Synapper, k: int) -> Synapper:
-    """Same ring, different storage starting index."""
-    members = s.main.members
-    n = len(members)
-    k %= n
-    rotated = members[k:] + members[:k]
-    head = s.main.head_index
-    if s.main.kind is LoopKind.PHRASAL:
-        head = (head - k) % n
-    main = Loop(kind=s.main.kind, members=rotated, head_index=head)
-    return Synapper(label=s.label, word_order=s.word_order, main=main)
 
 
 def loops_of(loop: Loop) -> list[Loop]:

@@ -4,26 +4,37 @@ It runs on every CPython the package claims, pytest or not::
 
     PYTHONPATH=src python tests/replay.py [TOKENS]
 
-Four checks, each printed with its count:
+Five checks, each printed with its count:
 
 - every case of ``cli_golden.json`` through ``cli.run`` in-process, from
   the repository root: exit code, stdout and stderr byte for byte;
 - every bundled fixture and profile, and each of ``JSON_EDGE_TEXTS``: the
   JSON reader (``io_formats._loads``) gives what ``spec.loads`` gives
   (``json.loads``'s value, or the report its error makes);
-- every bundled fixture under every bundled profile: the fast layers give
-  exactly what ``tests/spec.py`` gives. That is the read of each fixture
-  document (value, or error type, path, message and issues); linearize,
-  the morpheme rules after it and the "why" question, as PlacedTokens;
-  serialize_structure, canonical_form and to_dot, byte for byte; and
-  structural_equal over every pair of fixtures;
+- the fast layers give exactly what ``tests/spec.py`` gives. That is the
+  read of each fixture document (value, or error type, path, message and
+  issues); then, for every bundled fixture and every rotation of its main
+  ring to another storage start (``rotate_main``): serialize_structure,
+  canonical_form and to_dot, byte for byte; structural_equal with every
+  fixture; and under every bundled profile linearize, the morpheme rules
+  after it and the "why" question, as PlacedTokens, translate with the
+  fixture's identity lexicon and with ``lexicons/en-uz.tsv`` (value, or
+  the missing pairs), and parse_question and declarativize on each
+  wh_rule's question and its near misses (``question_inputs``). Every
+  valid clausal ring of 1 to 4 one-token members (``role_rings``) is
+  linearized and asked "why" under the 18 bare profiles, one per word
+  order and verb placement;
+- each of the nine tag enums (``TAGS``): its ``_value2member_map_``, which
+  the readers look text up in, is ``{member.value: member}`` in definition
+  order, and each member's ``_value_``, which the writers write, is its
+  ``value``;
 - for each command, every argument tail of up to ``TOKENS`` tokens (by
   default ``TAIL_TOKENS``) from ``ALPHABET``: the table read
   (``cli._table_read``) either declines it or reads it into exactly the
   values argparse reads it into. A tail of 5 tokens is the shortest that
   calls translate, question or declarativize.
 
-It exits 1 if any case, text, comparison or tail differs.
+It exits 1 if any case, text, comparison, enum or tail differs.
 """
 
 from __future__ import annotations
@@ -39,14 +50,20 @@ from pathlib import Path
 
 import spec
 from synapper import (
-    DocumentError, MalformedDocumentError, MalformedSyntaxError, StructureValidationError, apply_morpheme_rules,
-    canonical_form, cli, interrogativize, io_formats, linearize, parse_profile, parse_structure, serialize_structure,
-    structural_equal, to_dot, wh_token,
+    BranchSide, Category, Constituent, DocumentError, LanguageProfile, LinearSentence, Loop, LoopKind,
+    MalformedDocumentError, MalformedSyntaxError, MissingLexemeError, MorphemeKind, PostOrder, Role,
+    StructureValidationError, Synapper, SynapperError, Token, VerbPlacement, WhRule, WordOrder,
+    apply_morpheme_rules, canonical_form, cli, declarativize, identity_lexicon, interrogativize, io_formats,
+    linearize, parse_lexicon, parse_profile, parse_question, parse_structure, serialize_structure,
+    structural_equal, to_dot, translate, wh_token,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 TAIL_TOKENS = 3
+
+# The enums whose members the readers find by text and the writers write as text.
+TAGS = (WordOrder, Role, Category, LoopKind, WhRule, VerbPlacement, BranchSide, PostOrder, MorphemeKind)
 
 # Tokens a tail is made from: a path, empty text, text with a space, the
 # forms argparse reads in its own way (a lone dash, a negative number,
@@ -85,35 +102,130 @@ def json_outcome(text: str) -> tuple:
 
 
 def outcome(call, *args):
-    """call(*args), or its error: (type, path, message), or for a StructureValidationError (type, Counter of issues)."""
+    """call(*args), or its error: (type, path, message), for a StructureValidationError (type, Counter of
+    issues), for a MissingLexemeError (type, pairs, message), for any other SynapperError (type, message)."""
     try:
         return call(*args)
     except StructureValidationError as e:
         return StructureValidationError, Counter(e.issues)
     except DocumentError as e:
         return type(e), e.path, e.message
+    except MissingLexemeError as e:
+        return MissingLexemeError, e.pairs, str(e)
+    except SynapperError as e:
+        return type(e), str(e)
+
+
+def rotate_main(s: Synapper, k: int) -> Synapper:
+    """Same ring, different storage starting index."""
+    members = s.main.members
+    n = len(members)
+    k %= n
+    rotated = members[k:] + members[:k]
+    head = s.main.head_index
+    if s.main.kind is LoopKind.PHRASAL:
+        head = (head - k) % n
+    main = Loop(kind=s.main.kind, members=rotated, head_index=head)
+    return Synapper(label=s.label, word_order=s.word_order, main=main)
+
+
+def role_rings() -> dict[str, Synapper]:
+    """Every valid clausal main loop of 1 to 4 one-token members, by its roles: one verb, one subject
+    unless the verb is alone, objects in the other places. The token of member i is wi."""
+    rings = {}
+    for n in range(1, 5):
+        for roles in dict.fromkeys(itertools.permutations([Role.VERB, Role.SUBJECT, Role.OBJECT, Role.OBJECT][:n])):
+            members = tuple(Constituent(role, (Token(f"w{i}", Category.N),)) for i, role in enumerate(roles))
+            name = " ".join(role.value for role in roles)
+            rings[name] = Synapper("", WordOrder.SVO, Loop(LoopKind.CLAUSAL, members))
+    return rings
+
+
+def bare_profiles() -> list[LanguageProfile]:
+    """One profile per word order and verb placement, with nothing else set."""
+    return [LanguageProfile(f"{o.value}-{v.value}", o, v) for o in WordOrder for v in VerbPlacement]
+
+
+def question_inputs(s: Synapper, p: LanguageProfile) -> tuple[list[str], list[tuple]]:
+    """(texts, PlacedToken sequences) to read as questions of s under p: the question under each wh_rule
+    (p's own among them), and each with its WH word left out, moved to the end, spaced or doubled; every
+    text as rendered, in lower case and with one word more."""
+    sentences = []
+    for rule in WhRule:
+        asked = LanguageProfile(p.name, p.word_order, p.verb_placement, p.branch_rules, rule, p.morpheme_rules)
+        q = spec.interrogativize(s, wh_token("Why"), asked)
+        at = [pt.category for pt in q].index(Category.WH)
+        before, wh, after = q[:at], q[at], q[at + 1 :]
+        sentences += [q, before + after, before + after + (wh,), before + (wh._replace(surface="why not"),) + after]
+        sentences.append(before + (wh, wh) + after)
+    texts = []
+    for q in sentences:
+        text = LinearSentence(q).render()
+        texts += [text, text.lower(), text + " too"]
+    return texts, sentences
+
+
+def structure_comparisons(name: str, s: Synapper, structures: dict, profiles: dict, lexicons: dict) -> list:
+    """spec_comparisons' checks on one structure s, named name."""
+    writers = serialize_structure, canonical_form, to_dot
+    checks = [(f"{write.__name__} {name}", write(s) == getattr(spec, write.__name__)(s)) for write in writers]
+    for other, t in structures.items():
+        checks.append((f"structural_equal {name} {other}", structural_equal(s, t) == spec.structural_equal(s, t)))
+    why = wh_token("why")
+    for pname, p in profiles.items():
+        sentence, expected, question = linearize(s, p), spec.linearize(s, p), spec.interrogativize(s, why, p)
+        asked = interrogativize(s, why, p)
+        back = outcome(declarativize, asked, s, p)
+        checks += [
+            (f"linearize {name} {pname}", sentence.placed == expected),
+            (f"rules {name} {pname}", apply_morpheme_rules(sentence, p).placed == spec.apply_morpheme_rules(expected, p)),
+            (f"why {name} {pname}", asked.placed == question),
+            (f"declarativize why {name} {pname}", back == outcome(spec.declarativize, question, s, p)),
+        ]
+        for lname, lex in {"identity": identity_lexicon(s), **lexicons}.items():
+            translated = outcome(lambda: translate(s, lex, p).placed)
+            to_spec = outcome(lambda: spec.apply_morpheme_rules(spec.linearize(spec.substitute_lexemes(s, lex), p), p))
+            checks.append((f"translate {name} {lname} {pname}", translated == to_spec))
+        texts, sentences = question_inputs(s, p)
+        for text in texts:
+            read = outcome(lambda: parse_question(text, s, p).placed)
+            checks.append((f"parse_question {name} {pname} {text!r}", read == outcome(spec.parse_question, text, s, p)))
+        for q in sentences:
+            back = outcome(declarativize, LinearSentence(q), s, p)
+            checks.append((f"declarativize {name} {pname} {q}", back == outcome(spec.declarativize, q, s, p)))
+    return checks
 
 
 def spec_comparisons() -> list[tuple[str, bool]]:
-    """(what was compared, whether the fast layer gave what spec gives) over the bundled fixtures and profiles."""
-    texts = {path.stem: path.read_text(encoding="utf-8") for path in sorted((ROOT / "fixtures").glob("*.json"))}
+    """(what was compared, whether the fast layer gave what spec gives) over the bundled fixtures, their
+    rotations and the role rings, under the bundled profiles and lexicon and the bare profiles."""
+    def read_all(folder: str, pattern: str, parse) -> dict:
+        return {path.stem: parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / folder).glob(pattern))}
+
+    texts = read_all("fixtures", "*.json", str)
     checks = [(f"read {name}", outcome(parse_structure, text) == outcome(spec.parse_structure, text)) for name, text in texts.items()]
     structures = {name: parse_structure(text) for name, text in texts.items() if name != "bad_two_subjects"}
-    profiles = {path.stem: parse_profile(path.read_text(encoding="utf-8")) for path in (ROOT / "profiles").glob("*.json")}
-    why = wh_token("why")
+    profiles, lexicons = read_all("profiles", "*.json", parse_profile), read_all("lexicons", "*.tsv", parse_lexicon)
     for name, s in structures.items():
-        for write in serialize_structure, canonical_form, to_dot:
-            checks.append((f"{write.__name__} {name}", write(s) == getattr(spec, write.__name__)(s)))
-        for other, t in structures.items():
-            checks.append((f"structural_equal {name} {other}", structural_equal(s, t) == spec.structural_equal(s, t)))
-        for pname, p in profiles.items():
-            sentence, expected = linearize(s, p), spec.linearize(s, p)
+        for k in range(len(s.main.members)):
+            turned = f"{name} turned {k}" if k else name
+            checks += structure_comparisons(turned, rotate_main(s, k), structures, profiles, lexicons)
+    why = wh_token("why")
+    for name, s in role_rings().items():
+        for p in bare_profiles():
             checks += [
-                (f"linearize {name} {pname}", sentence.placed == expected),
-                (f"rules {name} {pname}", apply_morpheme_rules(sentence, p).placed == spec.apply_morpheme_rules(expected, p)),
-                (f"why {name} {pname}", interrogativize(s, why, p).placed == spec.interrogativize(s, why, p)),
+                (f"linearize {name} {p.name}", linearize(s, p).placed == spec.linearize(s, p)),
+                (f"why {name} {p.name}", interrogativize(s, why, p).placed == spec.interrogativize(s, why, p)),
             ]
     return checks
+
+
+def tag_checks() -> list[tuple[str, bool]]:
+    """(enum, whether its _value2member_map_ is {m.value: m} in definition order and each m._value_ is m.value)."""
+    return [
+        (tags.__name__, [*tags._value2member_map_.items()] == [(m.value, m) for m in tags] == [(m._value_, m) for m in tags])
+        for tags in TAGS
+    ]
 
 
 def run_case(argv: list[str]) -> dict:
@@ -176,6 +288,11 @@ def main(tokens: int) -> int:
     print(f"spec: {len(checks) - len(disagreeing)} of {len(checks)} comparisons agree")
     for what in disagreeing:
         print(f"  disagrees: {what}")
+    tags = tag_checks()
+    unlike = [what for what, holds in tags if not holds]
+    print(f"tags: {len(tags) - len(unlike)} of {len(tags)} enums map text to members as the readers and writers assume")
+    for what in unlike:
+        print(f"  differs: {what}")
     misread_in_all = []
     for name, *_ in cli._COMMANDS:
         accepted, misread = tails_checked(name, tokens)
@@ -183,7 +300,7 @@ def main(tokens: int) -> int:
         print(f"{name}: {accepted} tails of up to {tokens} tokens read from the table, {len(misread)} misread")
     for argv in misread_in_all:
         print(f"  misread: {argv}")
-    failed = differing or misread_texts or disagreeing or misread_in_all
+    failed = differing or misread_texts or disagreeing or unlike or misread_in_all
     print(sys.version.split()[0], "FAIL" if failed else "PASS")
     return 1 if failed else 0
 

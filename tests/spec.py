@@ -9,9 +9,10 @@ import json
 from collections.abc import Mapping
 
 from synapper import (
-    Branch, BranchSide, Category, Constituent, DegenerateStructureError, Loop, LoopKind, MalformedDocumentError,
-    MalformedSyntaxError, MorphemeKind, PlacedToken, PostOrder, Role, StructureValidationError, Synapper,
-    SynapperError, Token, UnknownKeyError, UnknownWordOrderError, ValidationIssue, VerbPlacement, WhRule, WordOrder,
+    Branch, BranchSide, Category, Constituent, DegenerateStructureError, InversionMismatchError, Loop, LoopKind,
+    MalformedDocumentError, MalformedSyntaxError, MissingLexemeError, MorphemeKind, NoWhFoundError, PlacedToken,
+    PostOrder, Role, StructureValidationError, Synapper, SynapperError, Token, UnknownKeyError, UnknownWordOrderError,
+    ValidationIssue, VerbPlacement, WhAlreadyPresentError, WhRule, WordOrder,
 )
 
 MAX_DEPTH = 100
@@ -281,7 +282,10 @@ def linearize(s, p):
 def interrogativize(s, wh, p):
     """README: "it decides where the WH word goes under the profile's wh_rule": initial_plain, first;
     initial_inversion, first, with the subject and the verb swapped after V1/V2; pre_subject, before
-    the first token with the subject's role, or first."""
+    the first token with the subject's role, or first. "A structure that already holds a WH token
+    fails with WhAlreadyPresentError"."""
+    if any(t.category is Category.WH for t in loop_tokens(s.main)):
+        raise WhAlreadyPresentError("structure already contains a WH token")
     order = sentence_order(s, p)
     roles = [s.main.members[i].role for i in order]
     if p.wh_rule is WhRule.INITIAL_WITH_INVERSION and Role.SUBJECT in roles and Role.VERB in roles:
@@ -290,6 +294,59 @@ def interrogativize(s, wh, p):
     placed = write(s, p, order)
     at = next((i for i, pt in enumerate(placed) if pt.role is Role.SUBJECT), 0) if p.wh_rule is WhRule.PRE_SUBJECT else 0
     return placed[:at] + (PlacedToken(wh.surface, Category.WH, None, -1, False),) + placed[at:]
+
+
+def parse_question(text, s, p):
+    """README: it "finds the WH word's slot from the structure and profile, rebuilds the question with
+    the word found there, and compares the two renderings (runs of whitespace count as one space)"."""
+    probe = interrogativize(s, Token("wh", Category.WH), p)
+    words = text.split()
+    if len(words) != len(probe):
+        raise InversionMismatchError("question does not add exactly one token to the declarative")
+    at = [pt.category for pt in probe].index(Category.WH)
+    q = interrogativize(s, Token(words[at], Category.WH), p)
+    rendering = " ".join(pt.surface for pt in q)
+    if rendering[:1].upper() + rendering[1:] != " ".join(words):
+        raise InversionMismatchError("question does not match the structure's interrogative form")
+    return q
+
+
+def declarativize(q, s, p):
+    """README: it "rebuilds interrogativize(s, <q's first WH token>, p) and returns s when the two agree
+    token for token (InversionMismatchError otherwise, NoWhFoundError when q has no WH token)"; a WH
+    surface that is not one token agrees with nothing."""
+    wh = next((t for t in q if t.category is Category.WH), None)
+    if wh is None:
+        raise NoWhFoundError("sentence has no WH token")
+    if wh.surface == "" or any(ch.isspace() for ch in wh.surface):
+        raise InversionMismatchError(f"WH surface {wh.surface!r} is not a single token")
+    expected = interrogativize(s, Token(wh.surface, Category.WH), p)
+    if [(t.surface, t.category) for t in q] != [(pt.surface, pt.category) for pt in expected]:
+        raise InversionMismatchError("question does not match the skeleton's interrogative form")
+    return s
+
+
+# Translating
+def substitute_lexemes(s, lex):
+    """README: "A translation with uncovered pairs fails listing every missing (surface, category) at
+    once", sorted by surface, then category text; else each token becomes lex's target, same category."""
+    missing = {(t.surface, t.category) for t in loop_tokens(s.main) if lex.lookup(t.surface, t.category) is None}
+    if missing:
+        raise MissingLexemeError(sorted(missing, key=lambda pair: (pair[0], pair[1].value)))
+    return Synapper(s.label, s.word_order, substitute_loop(s.main, lex))
+
+
+def substitute_loop(loop, lex):
+    def swap(tokens):
+        return tuple(Token(lex.lookup(t.surface, t.category), t.category) for t in tokens)
+
+    members = [
+        Constituent(m.role, None, substitute_loop(m.loop, lex))
+        if m.loop is not None
+        else Constituent(m.role, swap(m.node), None, tuple(Branch(swap(b.tokens), b.category) for b in m.branches))
+        for m in loop.members
+    ]
+    return Loop(loop.kind, tuple(members), loop.head_index)
 
 
 # Morpheme rules

@@ -1,7 +1,5 @@
 """End-to-end command-line behavior: output, exit codes, error reports."""
 
-import contextlib
-import io
 import json
 import math
 import os
@@ -465,21 +463,6 @@ class TestUsage:
             "  --profile PROFILE\n  --wh WH            question word to add\n",
             "",
         )
-
-    @pytest.mark.parametrize("command", _COMMAND_NAMES)
-    def test_one_command_parser_prints_what_the_full_parser_prints(self, command):
-        """run builds only the named command's subparser; it prints the full parser's -h and usage error."""
-        for argv, code in (([command, "-h"], 0), ([command], 2)):
-            one, full = _parse(cli._parser(command), argv), _parse(cli._parser(None), argv)
-            assert one == full
-            assert one[0] == code and (one[1] or one[2])
-
-
-def _parse(parser, argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as e:
-        parser.parse_args(argv)
-    return e.value.code, out.getvalue(), err.getvalue()
 
 
 class TestTableRead:

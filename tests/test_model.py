@@ -61,7 +61,7 @@ from conftest import (
 )
 from test_io import ALL_FIXTURES, EDGE_MEMBERS
 from test_totality import JSON_VALUES, STRUCTURE_DOCS
-from replay import outcome
+from replay import TAGS, outcome
 import spec
 
 
@@ -527,7 +527,7 @@ def test_canonical_form_and_equality_agree_with_the_spec(seed, words, extra, tur
 
 @pytest.mark.parametrize("name", ["canonical_form", "serialize_structure", "to_dot", "structural_equal"])
 def test_write_path_runs_no_enum_or_json_encoder_frame(name):
-    """Enum text comes from one table and the text is written directly, with no frame in enum.py or json."""
+    """Enum text is each member's own _value_ and the text is written directly, with no frame in enum.py or json."""
     s, other = load_structure("space_news"), load_structure("space_news")
     calls = {
         "canonical_form": canonical_form,
@@ -540,6 +540,14 @@ def test_write_path_runs_no_enum_or_json_encoder_frame(name):
     files = {Path(code.co_filename) for code in frames}
     assert Path(enum.__file__) not in files
     assert Path(json.encoder.__file__) not in files
+
+
+@pytest.mark.parametrize("tags", TAGS, ids=[tags.__name__ for tags in TAGS])
+def test_readers_and_writers_take_the_enums_own_text(tags):
+    """Readers look text up in _value2member_map_ and writers write _value_: each member's value, in definition order."""
+    assert list(tags._value2member_map_.items()) == [(m.value, m) for m in tags]
+    assert type(tags._value2member_map_) is dict
+    assert [m._value_ for m in tags] == [m.value for m in tags]
 
 
 def test_canonical_form_runs_one_frame_per_loop():

@@ -31,7 +31,9 @@ from synapper import (
 )
 from synapper.linearize import _emit_members, _expand
 from conftest import PROFILES, frames_while, load_profile, load_structure, random_structure, replaced, rotate_main
+from replay import outcome, question_inputs
 from test_cli import VALID_FIXTURES
+import spec
 
 WHY = wh_token("why")
 
@@ -287,6 +289,7 @@ class TestParseQuestion:
             for pt, word in zip(q.placed, q.render().split())
         ]
         assert declarativize(parsed, s, p) is s
+        _assert_read_as_the_spec_reads(s, p)
 
 
 class TestQuestionsAsRuns:
@@ -318,6 +321,32 @@ class TestQuestionsAsRuns:
         assert q.render() == "Chocolate loves why Mary"
         assert q._runs[2] == ((WHY,), None, -1, False) and q._runs[2][0][0] is WHY
         assert q.placed[2] == (WHY.surface, Category.WH, None, -1, False)
+
+
+class TestAgainstTheSpec:
+    """parse_question and declarativize give what spec gives: the question, or the same error."""
+
+    @pytest.mark.parametrize("profile", sorted(path.stem for path in PROFILES.glob("*.json")))
+    @pytest.mark.parametrize("structure", VALID_FIXTURES)
+    def test_every_bundled_question_and_its_near_misses(self, structure, profile):
+        _assert_read_as_the_spec_reads(load_structure(structure), load_profile(profile))
+
+    def test_a_skeleton_that_holds_wh(self):
+        s, p = _mary_asking_what(), load_profile("en")
+        for text in "What why loves Mary", "Why Mary loves what", "":
+            assert outcome(parse_question, text, s, p) == outcome(spec.parse_question, text, s, p)
+        q = interrogativize(load_structure("mary"), WHY, p)
+        assert outcome(declarativize, q, s, p) == outcome(spec.declarativize, q.placed, s, p)
+        assert outcome(declarativize, q, s, p)[0] is WhAlreadyPresentError
+
+
+def _assert_read_as_the_spec_reads(s: Synapper, p: LanguageProfile) -> None:
+    texts, sentences = question_inputs(s, p)
+    for text in texts:
+        assert outcome(lambda: parse_question(text, s, p).placed) == outcome(spec.parse_question, text, s, p), text
+    for q in sentences:
+        assert outcome(declarativize, LinearSentence(q), s, p) == outcome(spec.declarativize, q, s, p), q
+    assert declarativize(interrogativize(s, WHY, p), s, p) is spec.declarativize(spec.interrogativize(s, WHY, p), s, p)
 
 
 def _mary_asking_what():

@@ -45,6 +45,8 @@ from conftest import (
     random_structure,
     replaced,
 )
+from replay import outcome
+from test_cli import VALID_FIXTURES
 import spec
 
 from synapper import parse_lexicon
@@ -144,6 +146,23 @@ def test_overriding_lookup_leaves_substitution_alone():
     lex = en_uz()
     lex.lookup = lambda surface, category: None
     assert substitute_lexemes(load_structure("horse"), lex) == substitute_lexemes(load_structure("horse"), en_uz())
+
+
+@pytest.mark.parametrize("name", VALID_FIXTURES)
+def test_substitution_equals_the_spec_on_every_fixture(name):
+    s = load_structure(name)
+    for lex in identity_lexicon(s), en_uz(), Lexicon({}):
+        assert outcome(substitute_lexemes, s, lex) == outcome(spec.substitute_lexemes, s, lex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sets(st.integers(0, 60), max_size=8))
+def test_substitution_equals_the_spec_on_generated_structures(seed, uncovered):
+    """Every pair of the structure is in the lexicon but those at the uncovered indices, in stored order."""
+    s = random_structure(random.Random(seed))
+    pairs = dict.fromkeys((t.surface, t.category) for t in iter_tokens(s))
+    lex = Lexicon({pair: pair[0][::-1] + "x" for i, pair in enumerate(pairs) if i not in uncovered})
+    assert outcome(substitute_lexemes, s, lex) == outcome(spec.substitute_lexemes, s, lex)
 
 
 def test_substitution_preserves_structure_shape():
