@@ -242,13 +242,20 @@ def _dot(structure):
 
 
 def _prob(n):
-    import decimal
-
     denominator = chance_probability(n).denominator
     # 1/n! from the exact integer, rounded half to even to seven significant
-    # digits; past n = 170 the float probability underflows.
-    quotient = decimal.Context(prec=7).divide(decimal.Decimal(1), denominator)
-    return f"{quotient:.6e} (1/{denominator})\n"
+    # digits, as decimal's divide at precision 7 rounds it; past n = 170 the
+    # float probability underflows. With k the digit count of n!, which is
+    # never a power of ten, 1/n! lies strictly between 10**-k and 10**(1-k),
+    # so q holds its first seven digits.
+    digits = str(denominator)
+    exponent = -len(digits)
+    q, r = divmod(10 ** (6 - exponent), denominator)
+    if 2 * r > denominator or (2 * r == denominator and q & 1):
+        q += 1
+        if q == 10**7:
+            q, exponent = 10**6, exponent + 1
+    return f"{q // 10**6}.{q % 10**6:06d}e{exponent} (1/{digits})\n"
 
 
 def _orders(structure):

@@ -28,7 +28,41 @@ if TYPE_CHECKING:
     from typing import Any
 
 
-class WordOrder(enum.Enum):
+# enum's fast constructor for Enum, the one CPython builds its own
+# import-time enums with (re.RegexFlag, http.HTTPStatus); 3.10 has none.
+_simple_enum = enum._simple_enum(enum.Enum) if hasattr(enum, "_simple_enum") else None
+
+
+def _tag(cls: type) -> Any:
+    """Build the Enum a plain class body declares, without the class statement's per-name frames.
+
+    Members, values, order, ``_value2member_map_``, repr and pickling are
+    those of the same body written as an ``enum.Enum`` class statement. Each
+    member then goes back into the class dict, where 3.11 and 3.12 leave an
+    ``enum.property`` that would run a frame on every ``Role.VERB``. On 3.10
+    the body goes through the class statement's own path.
+    """
+    if _simple_enum is None:
+        body = enum.EnumMeta.__prepare__(cls.__name__, (enum.Enum,))
+        for name, value in cls.__dict__.items():
+            if name not in ("__dict__", "__weakref__"):
+                body[name] = value
+        return enum.EnumMeta(cls.__name__, (enum.Enum,), body)
+    tags = _simple_enum(cls)
+    for name, member in tags._member_map_.items():
+        type.__setattr__(tags, name, member)
+    return tags
+
+
+# Members of WordOrder, Role, Category and LoopKind are singletons compared
+# by identity, so they hash by identity too, in C (object.__hash__). Enum's
+# own __hash__ is a Python function, which every dict or set lookup of a
+# member would run: in a profile's placement table and in a lexicon's keys.
+@_tag
+class WordOrder:
+    """A basic word order: the order of subject, verb and object."""
+
+    __hash__ = object.__hash__
     SVO = "svo"
     SOV = "sov"
     VSO = "vso"
@@ -37,13 +71,21 @@ class WordOrder(enum.Enum):
     OVS = "ovs"
 
 
-class Role(enum.Enum):
+@_tag
+class Role:
+    """The role of a clausal loop's member."""
+
+    __hash__ = object.__hash__
     SUBJECT = "subject"
     VERB = "verb"
     OBJECT = "object"
 
 
-class Category(enum.Enum):
+@_tag
+class Category:
+    """The grammatical category of a token or a branch."""
+
+    __hash__ = object.__hash__
     N = "N"
     V = "V"
     AUX = "AUX"
@@ -57,17 +99,13 @@ class Category(enum.Enum):
     OTHER = "OTHER"
 
 
-class LoopKind(enum.Enum):
+@_tag
+class LoopKind:
+    """A loop's kind: clausal (with roles) or phrasal (with a head)."""
+
+    __hash__ = object.__hash__
     CLAUSAL = "clausal"
     PHRASAL = "phrasal"
-
-
-# Members of these four are singletons compared by identity, so they hash by
-# identity too, in C. Enum's own __hash__ is a Python function, which every
-# dict or set lookup of a member would run: in a profile's placement table
-# and in a lexicon's keys.
-for _tags in (WordOrder, Role, Category, LoopKind):
-    _tags.__hash__ = object.__hash__  # type: ignore[method-assign]
 
 
 class SynapperError(Exception):

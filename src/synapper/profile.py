@@ -8,7 +8,6 @@ passes. Profiles never change the structure itself.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Mapping
 
 from .model import (
@@ -22,21 +21,31 @@ from .model import (
     _Value,
     _is_surface,
     _set,
+    _tag,
 )
 
 
-class VerbPlacement(enum.Enum):
+@_tag
+class VerbPlacement:
+    """Where the verb goes: by the word order, first (V1) or second (V2)."""
+
     DEFAULT = "default"
     V1 = "v1"
     V2 = "v2"
 
 
-class BranchSide(enum.Enum):
+@_tag
+class BranchSide:
+    """The side of its node a branch is placed on."""
+
     PRE = "pre"
     POST = "post"
 
 
-class PostOrder(enum.Enum):
+@_tag
+class PostOrder:
+    """The order of the branches placed after their node."""
+
     SOURCE = "source"
     REVERSED = "reversed"
 
@@ -53,13 +62,19 @@ class BranchPlacementRule(_Value):
         _set(self, "post_order", post_order)
 
 
-class WhRule(enum.Enum):
+@_tag
+class WhRule:
+    """Where a question puts its WH word, and whether it inverts."""
+
     INITIAL_WITH_INVERSION = "initial_inversion"
     INITIAL_NO_INVERSION = "initial_plain"
     PRE_SUBJECT = "pre_subject"
 
 
-class MorphemeKind(enum.Enum):
+@_tag
+class MorphemeKind:
+    """The kind of a morpheme rule's rewrite."""
+
     DROP_CATEGORY = "drop_category"
     INSERT_BEFORE = "insert_before"
     INSERT_AFTER = "insert_after"

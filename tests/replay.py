@@ -24,10 +24,15 @@ Five checks, each printed with its count:
   valid clausal ring of 1 to 4 one-token members (``role_rings``) is
   linearized and asked "why" under the 18 bare profiles, one per word
   order and verb placement;
-- each of the nine tag enums (``TAGS``): its ``_value2member_map_``, which
-  the readers look text up in, is ``{member.value: member}`` in definition
-  order, and each member's ``_value_``, which the writers write, is its
-  ``value``;
+- each of the nine tag enums (``TAGS``), built by ``model._tag``: its
+  ``_value2member_map_``, which the readers look text up in, is
+  ``{member.value: member}`` in definition order, and each member's
+  ``_value_``, which the writers write, is its ``value``; each member is
+  itself in the class dict, ``T(value)`` gives it and a pickle round trip
+  gives it back; the docstring, names and values are those of the same
+  enum written as a class statement (``Twin``), and from 3.11 on
+  ``enum._test_simple_enum`` finds no difference from it; the four model
+  tags hash by identity (``object.__hash__``);
 - for each command, every argument tail of up to ``TOKENS`` tokens (by
   default ``TAIL_TOKENS``) from ``ALPHABET``: the table read
   (``cli._table_read``) either declines it or reads it into exactly the
@@ -40,10 +45,12 @@ It exits 1 if any case, text, comparison, enum or tail differs.
 from __future__ import annotations
 
 import contextlib
+import enum
 import io
 import itertools
 import json
 import os
+import pickle
 import sys
 from collections import Counter
 from pathlib import Path
@@ -64,6 +71,91 @@ TAIL_TOKENS = 3
 
 # The enums whose members the readers find by text and the writers write as text.
 TAGS = (WordOrder, Role, Category, LoopKind, WhRule, VerbPlacement, BranchSide, PostOrder, MorphemeKind)
+# The four whose members hash by identity.
+IDENTITY_HASHED = (WordOrder, Role, Category, LoopKind)
+
+
+class Twin:
+    """Each tag written as an ``enum.Enum`` class statement: what ``model._tag`` must build from the same body."""
+
+    class WordOrder(enum.Enum):
+        """A basic word order: the order of subject, verb and object."""
+
+        __hash__ = object.__hash__
+        SVO = "svo"
+        SOV = "sov"
+        VSO = "vso"
+        VOS = "vos"
+        OSV = "osv"
+        OVS = "ovs"
+
+    class Role(enum.Enum):
+        """The role of a clausal loop's member."""
+
+        __hash__ = object.__hash__
+        SUBJECT = "subject"
+        VERB = "verb"
+        OBJECT = "object"
+
+    class Category(enum.Enum):
+        """The grammatical category of a token or a branch."""
+
+        __hash__ = object.__hash__
+        N = "N"
+        V = "V"
+        AUX = "AUX"
+        ADJ = "ADJ"
+        ADV = "ADV"
+        DET = "DET"
+        PRON = "PRON"
+        PREP = "PREP"
+        WH = "WH"
+        ADJP = "ADJP"
+        OTHER = "OTHER"
+
+    class LoopKind(enum.Enum):
+        """A loop's kind: clausal (with roles) or phrasal (with a head)."""
+
+        __hash__ = object.__hash__
+        CLAUSAL = "clausal"
+        PHRASAL = "phrasal"
+
+    class WhRule(enum.Enum):
+        """Where a question puts its WH word, and whether it inverts."""
+
+        INITIAL_WITH_INVERSION = "initial_inversion"
+        INITIAL_NO_INVERSION = "initial_plain"
+        PRE_SUBJECT = "pre_subject"
+
+    class VerbPlacement(enum.Enum):
+        """Where the verb goes: by the word order, first (V1) or second (V2)."""
+
+        DEFAULT = "default"
+        V1 = "v1"
+        V2 = "v2"
+
+    class BranchSide(enum.Enum):
+        """The side of its node a branch is placed on."""
+
+        PRE = "pre"
+        POST = "post"
+
+    class PostOrder(enum.Enum):
+        """The order of the branches placed after their node."""
+
+        SOURCE = "source"
+        REVERSED = "reversed"
+
+    class MorphemeKind(enum.Enum):
+        """The kind of a morpheme rule's rewrite."""
+
+        DROP_CATEGORY = "drop_category"
+        INSERT_BEFORE = "insert_before"
+        INSERT_AFTER = "insert_after"
+        SUFFIX_ON_ROLE = "suffix_on_role"
+
+
+TWINS = tuple(getattr(Twin, tags.__name__) for tags in TAGS)
 
 # Tokens a tail is made from: a path, empty text, text with a space, the
 # forms argparse reads in its own way (a lone dash, a negative number,
@@ -220,12 +312,46 @@ def spec_comparisons() -> list[tuple[str, bool]]:
     return checks
 
 
+def is_twin(tags: type[enum.Enum], twin: type[enum.Enum]) -> bool:
+    """Whether tags has twin's names and values and, from 3.11 on, ``enum._test_simple_enum`` finds no difference."""
+    if [(m.name, m.value) for m in tags] != [(m.name, m.value) for m in twin]:
+        return False
+    if hasattr(enum, "_test_simple_enum"):
+        try:
+            enum._test_simple_enum(twin, tags)
+        except TypeError:
+            return False
+    return True
+
+
+def round_trips(member: enum.Enum) -> bool:
+    """Whether pickling member, in the oldest and the newest protocol, gives member back."""
+    try:
+        return all(pickle.loads(pickle.dumps(member, p)) is member for p in (0, pickle.HIGHEST_PROTOCOL))
+    except pickle.PicklingError:
+        return False
+
+
 def tag_checks() -> list[tuple[str, bool]]:
-    """(enum, whether its _value2member_map_ is {m.value: m} in definition order and each m._value_ is m.value)."""
-    return [
-        (tags.__name__, [*tags._value2member_map_.items()] == [(m.value, m) for m in tags] == [(m._value_, m) for m in tags])
-        for tags in TAGS
-    ]
+    """(enum: property, whether it holds) for each tag and each property its readers, writers and users rely on."""
+    checks = []
+    for tags, twin in zip(TAGS, TWINS):
+        members = list(tags)
+        properties = {
+            # The readers look text up in _value2member_map_; the writers write _value_.
+            "text map": [*tags._value2member_map_.items()] == [(m.value, m) for m in members]
+            == [(m._value_, m) for m in members],
+            # Role.VERB is a class-dict hit, with no descriptor frame.
+            "class dict": all(tags.__dict__.get(m.name) is m for m in members),
+            "by value": all(tags(m.value) is m for m in members),
+            "pickle": all(map(round_trips, members)),
+            "doc": twin.__doc__ is not None and tags.__doc__ == twin.__doc__,
+            "twin": is_twin(tags, twin),
+        }
+        if tags in IDENTITY_HASHED:
+            properties["hash"] = tags.__hash__ is object.__hash__
+        checks += [(f"{tags.__name__}: {name}", holds) for name, holds in properties.items()]
+    return checks
 
 
 def run_case(argv: list[str]) -> dict:
@@ -290,7 +416,7 @@ def main(tokens: int) -> int:
         print(f"  disagrees: {what}")
     tags = tag_checks()
     unlike = [what for what, holds in tags if not holds]
-    print(f"tags: {len(tags) - len(unlike)} of {len(tags)} enums map text to members as the readers and writers assume")
+    print(f"tags: {len(tags) - len(unlike)} of {len(tags)} enum properties hold")
     for what in unlike:
         print(f"  differs: {what}")
     misread_in_all = []

@@ -335,6 +335,14 @@ class TestProb:
     def test_exact_digits_where_the_float_underflows(self, run_cli, n, digits):
         assert run_cli("prob", str(n)) == (0, f"{digits} (1/{math.factorial(n)})\n", "")
 
+    def test_digits_are_decimals_at_precision_seven(self, run_cli):
+        """The digits are 1/n! rounded as decimal rounds it at precision 7, half to even, for every n accepted."""
+        import decimal
+
+        for n in range(2, MAX_MEMBERS + 1):
+            quotient = decimal.Context(prec=7).divide(decimal.Decimal(1), math.factorial(n))
+            assert run_cli("prob", str(n)) == (0, f"{quotient:.6e} (1/{math.factorial(n)})\n", "")
+
     def test_largest_n(self, run_cli):
         code, out, _ = run_cli("prob", str(MAX_MEMBERS))
         assert code == 0
@@ -612,7 +620,7 @@ def test_unencodable_output_is_one_report_and_no_output(command, tmp_path):
 
 
 def test_importing_the_cli_loads_no_number_tower():
-    """decimal and fractions (and numbers, which both import) load only when prob or as_fraction runs."""
+    """decimal and fractions (and numbers, which both import) load only when as_fraction runs."""
     proc = _run_python(
         "-c",
         "import sys; before = set(sys.modules); import synapper.cli; "
@@ -658,7 +666,7 @@ WELL_FORMED_CALLS = (
 
 
 def test_well_formed_calls_load_no_json():
-    """Each command's well-formed call runs in one fresh child, without site; after none of them is json loaded."""
+    """Each command's well-formed call runs in one fresh child, without site; none of them loads json or decimal."""
     assert sorted(argv[0] for argv in WELL_FORMED_CALLS) == sorted(row[0] for row in cli._COMMANDS)
     child = (
         "import io, sys\n"
@@ -667,11 +675,11 @@ def test_well_formed_calls_load_no_json():
         "    sys.stdout = io.StringIO()\n"
         "    code = cli.run(argv)\n"
         "    sys.stdout = sys.__stdout__\n"
-        "    print(argv[0], code, 'json' in sys.modules)\n"
+        "    print(argv[0], code, sorted({'json', 'decimal', '_decimal', 'numbers'} & set(sys.modules)))\n"
     )
     proc = _run_python("-S", "-c", child, repr(WELL_FORMED_CALLS))
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines() == [f"{argv[0]} 0 False" for argv in WELL_FORMED_CALLS]
+    assert proc.stdout.splitlines() == [f"{argv[0]} 0 []" for argv in WELL_FORMED_CALLS]
 
 
 def test_malformed_document_report(run_cli, tmp_path):

@@ -61,7 +61,7 @@ from conftest import (
 )
 from test_io import ALL_FIXTURES, EDGE_MEMBERS
 from test_totality import JSON_VALUES, STRUCTURE_DOCS
-from replay import TAGS, outcome
+from replay import IDENTITY_HASHED, TAGS, TWINS, outcome
 import spec
 
 
@@ -548,6 +548,50 @@ def test_readers_and_writers_take_the_enums_own_text(tags):
     assert list(tags._value2member_map_.items()) == [(m.value, m) for m in tags]
     assert type(tags._value2member_map_) is dict
     assert [m._value_ for m in tags] == [m.value for m in tags]
+
+
+@pytest.mark.parametrize(("tags", "twin"), zip(TAGS, TWINS), ids=[tags.__name__ for tags in TAGS])
+def test_each_tag_is_what_its_class_statement_builds(tags, twin):
+    """enum's own check of its fast constructor finds each tag equal to the same enum written as a class statement."""
+    if hasattr(enum, "_test_simple_enum"):
+        enum._test_simple_enum(twin, tags)
+    assert [(m.name, m.value) for m in tags] == [(m.name, m.value) for m in twin]
+    assert tags.__doc__ == twin.__doc__
+
+
+@pytest.mark.parametrize("tags", TAGS, ids=[tags.__name__ for tags in TAGS])
+def test_each_member_is_in_its_class_dict(tags):
+    """Role.VERB is a class-dict hit, as after a class statement; an enum.property there would run a frame per use."""
+    for m in tags:
+        assert tags.__dict__[m.name] is m
+
+
+@pytest.mark.parametrize("tags", IDENTITY_HASHED, ids=[tags.__name__ for tags in IDENTITY_HASHED])
+def test_the_model_tags_hash_by_identity(tags):
+    assert tags.__hash__ is object.__hash__
+
+
+_ENUM_DICT_FRAMES = """
+import enum, sys
+frames = 0
+def count(frame, event, arg):
+    global frames
+    frames += event == "call" and frame.f_code is enum._EnumDict.__setitem__.__code__
+sys.setprofile(count)
+import synapper
+sys.setprofile(None)
+print(frames)
+"""
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 builds the tags through the class statement's path")
+def test_importing_synapper_runs_no_enum_dict_frame():
+    """No tag is built through a class statement's _EnumDict, one frame per name in its body."""
+    import synapper
+
+    env = {**os.environ, "PYTHONPATH": str(Path(synapper.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", _ENUM_DICT_FRAMES], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "0\n", "")
 
 
 def test_canonical_form_runs_one_frame_per_loop():
