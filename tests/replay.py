@@ -4,7 +4,7 @@ It runs on every CPython the package claims, pytest or not::
 
     PYTHONPATH=src python tests/replay.py [TOKENS]
 
-Five checks, each printed with its count:
+Six checks, each printed with its count:
 
 - every case of ``cli_golden.json`` through ``cli.run`` in-process, from
   the repository root: exit code, stdout and stderr byte for byte;
@@ -24,6 +24,12 @@ Five checks, each printed with its count:
   valid clausal ring of 1 to 4 one-token members (``role_rings``) is
   linearized and asked "why" under the 18 bare profiles, one per word
   order and verb placement;
+- the reader on every single fault of ``cena_b`` and ``colette``
+  (``single_faults``: a key dropped, set or added with a ``PALETTE``
+  value, or an array emptied), each as parsed and with every object a
+  ``ReadOnlyMapping``: build_synapper gives exactly what
+  ``spec.build_synapper`` gives, so every object its one test refuses is
+  diagnosed as the checks in order diagnose it;
 - each of the nine tag enums (``TAGS``), built by ``model._tag``: its
   ``_value2member_map_``, which the readers look text up in, is
   ``{member.value: member}`` in definition order, and each member's
@@ -39,12 +45,13 @@ Five checks, each printed with its count:
   values argparse reads it into. A tail of 5 tokens is the shortest that
   calls translate, question or declarativize.
 
-It exits 1 if any case, text, comparison, enum or tail differs.
+It exits 1 if any case, text, comparison, read, enum or tail differs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import enum
 import io
 import itertools
@@ -52,7 +59,8 @@ import json
 import os
 import pickle
 import sys
-from collections import Counter
+from collections import UserString
+from collections.abc import Mapping
 from pathlib import Path
 
 import spec
@@ -60,8 +68,8 @@ from synapper import (
     BranchSide, Category, Constituent, DocumentError, LanguageProfile, LinearSentence, Loop, LoopKind,
     MalformedDocumentError, MalformedSyntaxError, MissingLexemeError, MorphemeKind, PostOrder, Role,
     StructureValidationError, Synapper, SynapperError, Token, VerbPlacement, WhRule, WordOrder,
-    apply_morpheme_rules, canonical_form, cli, declarativize, identity_lexicon, interrogativize, io_formats,
-    linearize, parse_lexicon, parse_profile, parse_question, parse_structure, serialize_structure,
+    apply_morpheme_rules, build_synapper, canonical_form, cli, declarativize, identity_lexicon, interrogativize,
+    io_formats, linearize, parse_lexicon, parse_profile, parse_question, parse_structure, serialize_structure,
     structural_equal, to_dot, translate, wh_token,
 )
 
@@ -194,18 +202,116 @@ def json_outcome(text: str) -> tuple:
 
 
 def outcome(call, *args):
-    """call(*args), or its error: (type, path, message), for a StructureValidationError (type, Counter of
-    issues), for a MissingLexemeError (type, pairs, message), for any other SynapperError (type, message)."""
+    """call(*args), or its error: (type, path, message), for a StructureValidationError (type, its issues
+    in order), for a MissingLexemeError (type, pairs, message), for any other SynapperError (type, message)."""
     try:
         return call(*args)
     except StructureValidationError as e:
-        return StructureValidationError, Counter(e.issues)
+        return StructureValidationError, e.issues
     except DocumentError as e:
         return type(e), e.path, e.message
     except MissingLexemeError as e:
         return MissingLexemeError, e.pairs, str(e)
     except SynapperError as e:
         return type(e), str(e)
+
+
+class ReadOnlyMapping(Mapping):
+    """A Mapping that is not a dict, so readers must take the ABC route."""
+
+    def __init__(self, items):
+        self._items = items
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+class Text(str):
+    """Text of a str subclass, which the readers read as they read the same str."""
+
+
+def wrap_mappings(value, choose):
+    """value with each dict in it made a ReadOnlyMapping where choose() says so."""
+    if isinstance(value, list):
+        return [wrap_mappings(v, choose) for v in value]
+    if isinstance(value, dict):
+        items = {k: wrap_mappings(v, choose) for k, v in value.items()}
+        return ReadOnlyMapping(items) if choose() else items
+    return value
+
+
+# Keys of every object in a structure document.
+SCHEMA_KEYS = [
+    "label", "word_order", "surface_subject_final", "loop", "kind", "head_index",
+    "members", "role", "node", "branches", "surface", "category", "tokens",
+]
+
+# Values for the single-fault sweep: wrong types, bad and misplaced enum
+# text, a str subclass's enum text and a str-like object's that is no str, a
+# surface breaking the surface rule, a bytes surface, small valid parts, and
+# a token, a branch and a member each broken twice, so the order of the
+# checks shows.
+PALETTE = [
+    0, 1, 2, -1, True, None, "", "a b", "NOUN", "phrasal", "subject", "N", Text("N"), UserString("N"), b"x", [], {},
+    [{"surface": "x", "category": "N"}],
+    [{"category": "ADJ", "tokens": [{"surface": "y", "category": "ADJ"}]}],
+    {"kind": "phrasal", "members": [{"node": [{"surface": "x", "category": "N"}]}]},
+    [{"surface": 1, "category": 1}],
+    [{"category": 1, "tokens": 1}],
+    [{"role": 1, "node": [], "loop": {}}],
+]
+
+
+def places(value, at=()):
+    """(key path, value) of value and of everything inside it."""
+    yield at, value
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from places(child, at + (key,))
+
+
+_DROP = object()
+
+
+def single_faults(doc):
+    """Copies of doc with one change: a key dropped, set or added with a PALETTE value, or an array emptied."""
+    text = json.dumps(doc)
+    for at, place in places(doc):
+        if isinstance(place, dict):
+            edits = [(key, _DROP) for key in place] + [(key, v) for key in SCHEMA_KEYS for v in PALETTE]
+        elif isinstance(place, list) and place:
+            edits = [(slice(None), [])]
+        else:
+            continue
+        for key, value in edits:
+            faulty = json.loads(text)
+            target = faulty
+            for step in at:
+                target = target[step]
+            if value is _DROP:
+                del target[key]
+            else:
+                target[key] = copy.deepcopy(value)
+            yield faulty
+
+
+def fault_checks() -> list[tuple[str, bool]]:
+    """(which read, whether build_synapper gives what spec gives) for every single fault of two fixtures,
+    each read as it is and with every object a ReadOnlyMapping."""
+    checks = []
+    for name in ("cena_b", "colette"):
+        doc = json.loads((ROOT / "fixtures" / f"{name}.json").read_text(encoding="utf-8"))
+        for n, faulty in enumerate(single_faults(doc)):
+            for how, variant in ("plain", faulty), ("wrapped", wrap_mappings(faulty, lambda: True)):
+                agrees = outcome(build_synapper, variant) == outcome(spec.build_synapper, variant)
+                checks.append((f"{name} fault {n} {how}", agrees))
+    return checks
 
 
 def rotate_main(s: Synapper, k: int) -> Synapper:
@@ -414,6 +520,11 @@ def main(tokens: int) -> int:
     print(f"spec: {len(checks) - len(disagreeing)} of {len(checks)} comparisons agree")
     for what in disagreeing:
         print(f"  disagrees: {what}")
+    faults = fault_checks()
+    misreads = [what for what, agrees in faults if not agrees]
+    print(f"reader: {len(faults) - len(misreads)} of {len(faults)} single-fault reads agree with the spec")
+    for what in misreads:
+        print(f"  disagrees: {what}")
     tags = tag_checks()
     unlike = [what for what, holds in tags if not holds]
     print(f"tags: {len(tags) - len(unlike)} of {len(tags)} enum properties hold")
@@ -426,7 +537,7 @@ def main(tokens: int) -> int:
         print(f"{name}: {accepted} tails of up to {tokens} tokens read from the table, {len(misread)} misread")
     for argv in misread_in_all:
         print(f"  misread: {argv}")
-    failed = differing or misread_texts or disagreeing or unlike or misread_in_all
+    failed = differing or misread_texts or disagreeing or misreads or unlike or misread_in_all
     print(sys.version.split()[0], "FAIL" if failed else "PASS")
     return 1 if failed else 0
 

@@ -7,7 +7,7 @@ holds the ratio of the two differences between 1.9 and 2.1 (the empirical
 complexity method of Goldsmith, Aiken and Wilkerson, 2007, with exact counts
 in place of timings).
 
-The layers are ``parse_structure``, which runs ``structure_issues``, a
+The layers are ``parse_structure``, which checks the laws as it reads, a
 bare ``linearize(...).render()`` under all six word orders,
 ``substitute_lexemes`` with the structure's identity lexicon,
 ``interrogativize`` with "why" under the ``en`` profile and

@@ -379,6 +379,14 @@ class TestProfileParsing:
             "profile name must be non-empty",
         )
 
+    @pytest.mark.parametrize("key", ["branch_rules", "morpheme_rules"])
+    @pytest.mark.parametrize("value", [{}, "ab"])
+    def test_rules_that_are_not_an_array_are_named(self, key, value):
+        text = json.dumps({"name": "x", "word_order": "svo", "wh_rule": "initial_plain", key: value})
+        with pytest.raises(SynapperError) as e:
+            parse_profile(text)
+        assert (type(e.value), e.value.path, e.value.message) == (MalformedDocumentError, key, "expected an array")
+
     @pytest.mark.parametrize("ordinal", ["1", 1.5, True])
     def test_an_ordinal_that_is_not_an_integer_is_named(self, ordinal):
         rule = {"kind": "drop_category", "selector": "DET", "ordinal": ordinal}

@@ -10,8 +10,7 @@ import pickle
 import random
 import subprocess
 import sys
-from collections import Counter
-from collections.abc import Mapping
+from collections import Counter, UserString
 from pathlib import Path
 from types import CodeType
 
@@ -61,7 +60,7 @@ from conftest import (
 )
 from test_io import ALL_FIXTURES, EDGE_MEMBERS
 from test_totality import JSON_VALUES, STRUCTURE_DOCS
-from replay import IDENTITY_HASHED, TAGS, TWINS, outcome
+from replay import IDENTITY_HASHED, SCHEMA_KEYS, TAGS, TWINS, Text, outcome, single_faults, wrap_mappings
 import spec
 
 
@@ -270,6 +269,13 @@ class TestImmutability:
         with pytest.raises(ValueError) as e:
             Token(surface, Category.N)
         assert str(e.value) == f"token surface must be non-empty without whitespace: {surface!r}"
+
+    @pytest.mark.parametrize("surface", [b"x", bytearray(b"x"), 1, None, ["x"]])
+    def test_a_surface_that_is_not_a_str_is_rejected_at_construction(self, surface):
+        with pytest.raises(ValueError) as e:
+            Token(surface, Category.N)
+        assert str(e.value) == f"token surface must be a str: {surface!r}"
+        assert not _is_surface(surface)
 
     def test_constituent_needs_exactly_one_payload(self):
         with pytest.raises(ValueError, match="^constituent needs exactly one of node or loop$"):
@@ -891,32 +897,18 @@ def test_missing_key_reported_in_schema_order_whatever_the_hash_seed():
     }
 
 
-class _ReadOnlyMapping(Mapping):
-    """A Mapping that is not a dict, so readers must take the ABC route."""
-
-    def __init__(self, items):
-        self._items = items
-
-    def __getitem__(self, key):
-        return self._items[key]
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-
-# Keys of every object in a structure document, and text that gets past the
-# type checks: every enum value and surfaces that break the surface rule.
-_SCHEMA_KEYS = [
-    "label", "word_order", "surface_subject_final", "loop", "kind", "head_index",
-    "members", "role", "node", "branches", "surface", "category", "tokens",
-]
+# Text that gets past the type checks: every enum value and surfaces that
+# break the surface rule. Besides JSON's values, a str subclass's enum text,
+# a str-like object's that is no str and a bytes surface reach the reader's
+# guards.
 _SCHEMA_TEXT = sorted(
     {m.value for e in (WordOrder, LoopKind, Role, Category) for m in e} | {"", "a b", "NOUN", "captain", "Svo"}
 )
-_VALUES = st.sampled_from([0, 1, 7, -1, True, None, [], {}]) | st.sampled_from(_SCHEMA_TEXT) | JSON_VALUES
+_VALUES = (
+    st.sampled_from([0, 1, 7, -1, True, None, [], {}, b"x", Text("N"), UserString("N")])
+    | st.sampled_from(_SCHEMA_TEXT)
+    | JSON_VALUES
+)
 
 
 def _containers(value, out):
@@ -961,20 +953,11 @@ def reader_documents(draw):
         elif fault == "drop":
             del place[draw(st.sampled_from(keys))]
         elif isinstance(place, dict):
-            place[draw(st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=3))] = draw(_VALUES)
+            place[draw(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3))] = draw(_VALUES)
         else:
             place.insert(draw(st.integers(0, len(place))), draw(_VALUES))
     wrap = draw(st.sampled_from(["none", "all", "some"]))
-    return doc if wrap == "none" else _wrap_mappings(doc, lambda: wrap == "all" or draw(st.booleans()))
-
-
-def _wrap_mappings(value, choose):
-    if isinstance(value, list):
-        return [_wrap_mappings(v, choose) for v in value]
-    if isinstance(value, dict):
-        items = {k: _wrap_mappings(v, choose) for k, v in value.items()}
-        return _ReadOnlyMapping(items) if choose() else items
-    return value
+    return doc if wrap == "none" else wrap_mappings(doc, lambda: wrap == "all" or draw(st.booleans()))
 
 
 @settings(max_examples=250, deadline=None)
@@ -983,54 +966,11 @@ def test_build_synapper_agrees_with_the_spec(doc):
     assert outcome(build_synapper, doc) == outcome(spec.build_synapper, doc)
 
 
-# Values for the single-fault sweep: wrong types, bad and misplaced enum
-# text, a surface breaking the surface rule, and small valid parts.
-_PALETTE = [
-    0, 1, 2, -1, True, None, "", "a b", "NOUN", "phrasal", "subject", "N", [], {},
-    [{"surface": "x", "category": "N"}],
-    [{"category": "ADJ", "tokens": [{"surface": "y", "category": "ADJ"}]}],
-    {"kind": "phrasal", "members": [{"node": [{"surface": "x", "category": "N"}]}]},
-]
-
-
-def _places(value, at=()):
-    """(key path, value) of value and of everything inside it."""
-    yield at, value
-    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
-    for key, child in children:
-        yield from _places(child, at + (key,))
-
-
-_DROP = object()
-
-
-def _single_faults(doc):
-    """Copies of doc with one change: a key dropped, set or added with a palette value, or an array emptied."""
-    text = json.dumps(doc)
-    for at, place in _places(doc):
-        if isinstance(place, dict):
-            edits = [(key, _DROP) for key in place] + [(key, v) for key in _SCHEMA_KEYS for v in _PALETTE]
-        elif isinstance(place, list) and place:
-            edits = [(slice(None), [])]
-        else:
-            continue
-        for key, value in edits:
-            faulty = json.loads(text)
-            target = faulty
-            for step in at:
-                target = target[step]
-            if value is _DROP:
-                del target[key]
-            else:
-                target[key] = json.loads(json.dumps(value))
-            yield faulty
-
-
 @pytest.mark.parametrize("name", ["cena_b", "colette"])
 def test_build_synapper_agrees_with_the_spec_on_every_single_fault(name):
     doc = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
-    for faulty in _single_faults(doc):
-        for variant in (faulty, _wrap_mappings(faulty, lambda: True)):
+    for faulty in single_faults(doc):
+        for variant in (faulty, wrap_mappings(faulty, lambda: True)):
             assert outcome(build_synapper, variant) == outcome(spec.build_synapper, variant)
 
 
@@ -1062,7 +1002,7 @@ def test_only_token_checks_run_a_frame_per_token():
 
 
 def test_the_reader_runs_one_frame_per_loop_and_per_token_run():
-    """_convert_loop converts its members itself; each node or branch's tokens take one frame."""
+    """_convert_loop converts its members and checks its ring's laws in one walk; a node's or branch's tokens take one frame."""
     # space_news nests loops; horse has a branch.
     for name in ("space_news", "horse"):
         doc = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
@@ -1078,23 +1018,27 @@ def test_the_reader_runs_one_frame_per_loop_and_per_token_run():
                     pending.append(m.loop)
                 branches += len(m.branches)
                 runs += (m.node is not None) + len(m.branches)
-        read = {code: n for code, n in frames.items() if code.co_filename == model.__file__}
-        # _loop_issues reads each loop's roles tuple: no comprehension of its own.
-        assert not [c for c in model._loop_issues.__code__.co_consts if isinstance(c, CodeType)]
+        # Every frame the read runs is the package's own.
+        assert {code.co_filename for code in frames} == {model.__file__}
+        # _ring_laws reads each loop's roles tuple: no comprehension of its own.
+        assert not [c for c in model._ring_laws.__code__.co_consts if isinstance(c, CodeType)]
         # Counter equality reads a missing code as 0 frames: space_news has no
-        # branch. A member's keys are checked in _convert_loop's frame.
-        assert Counter(read) == Counter({
+        # branch. A member's and a branch's test runs in _convert_loop's
+        # frame, and a token's in _convert_tokens'.
+        assert Counter(frames) == Counter({
             build_synapper.__code__: 1,
-            model.structure_issues.__code__: 1,
             model._check_keys.__code__: 1 + loops,
             model._expect_str.__code__: 2,
             model._word_order.__code__: 1,
             model._convert_loop.__code__: loops,
+            model._ring_laws.__code__: loops,
             model._convert_tokens.__code__: runs,
             Loop.__init__.__code__: loops,
             Constituent.__init__.__code__: members,
             Branch.__init__.__code__: branches,
             Synapper.__init__.__code__: 1,
-            model._loop_issues.__code__: loops,
             Token.__init__.__code__: sum(1 for _ in iter_tokens(s)),
         })
+        # No second walk over the built structure, no diagnosis and no path formatting.
+        unrun = (model.structure_issues, model._loop_issues, model._member, model._token, model._category, model._path)
+        assert not [f for f in unrun if f.__code__ in frames]

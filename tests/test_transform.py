@@ -101,6 +101,10 @@ class TestInterrogativize:
         with pytest.raises(WhAlreadyPresentError):
             interrogativize(_mary_asking_what(), WHY, load_profile("en"))
 
+    def test_a_wh_word_that_is_not_a_str_is_rejected(self):
+        with pytest.raises(ValueError, match="^token surface must be a str: b'why'$"):
+            wh_token(b"why")
+
     def test_question_adds_exactly_one_token(self):
         rng = random.Random(314159)
         for profile_name in ("en", "ja-gloss", "vso"):

@@ -190,7 +190,10 @@ def test_identity_lexicon_makes_translate_equal_linearize():
         assert translate(s, identity_lexicon(s), p).surfaces() == linearize(s, p).surfaces()
 
 
-@pytest.mark.parametrize("source, target", [("Ma ry", "Mary"), ("Mary", "Ma ry"), ("Mary", ""), ("Mary", "Mary\u2028")])
+@pytest.mark.parametrize(
+    "source, target",
+    [("Ma ry", "Mary"), ("Mary", "Ma ry"), ("Mary", ""), ("Mary", "Mary\u2028"), ("Jane", b"Ja"), (b"Jane", "Ja")],
+)
 def test_code_built_lexicon_rejects_non_token_pairs(source, target):
     with pytest.raises(SynapperError) as e:
         Lexicon({(source, Category.N): target})
