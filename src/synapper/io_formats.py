@@ -287,18 +287,14 @@ def _parse_morpheme_rules(raw: object) -> tuple[MorphemeRule, ...]:
         path = f"morpheme_rules[{i}]"
         obj = _check_keys(r, _MORPHEME_RULE_REQUIRED, _MORPHEME_RULE_KEYS, str, path)
         kind = _enum_value(MorphemeKind, obj["kind"], _join(path, "kind"))
-        selector = _expect_str(obj["selector"], _join(path, "selector"))
-        payload = _expect_str(obj.get("payload", ""), _join(path, "payload"))
-        ordinal = obj.get("ordinal", i)
-        if not isinstance(ordinal, int) or isinstance(ordinal, bool):
-            raise MalformedDocumentError(_join(path, "ordinal"), "expected an integer")
-        if ordinal in seen_ordinals:
-            raise MalformedDocumentError(_join(path, "ordinal"), f"duplicate ordinal {ordinal}")
-        seen_ordinals.add(ordinal)
         try:
-            rules.append(MorphemeRule(kind=kind, selector=selector, payload=payload, ordinal=ordinal))
+            rule = MorphemeRule(kind, obj["selector"], obj.get("payload", ""), obj.get("ordinal", i))
         except MalformedDocumentError as e:
             raise MalformedDocumentError(_join(path, e.path), e.message) from None
+        if rule.ordinal in seen_ordinals:
+            raise MalformedDocumentError(_join(path, "ordinal"), f"duplicate ordinal {rule.ordinal}")
+        seen_ordinals.add(rule.ordinal)
+        rules.append(rule)
     return tuple(rules)
 
 

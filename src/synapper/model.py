@@ -30,8 +30,8 @@ if TYPE_CHECKING:
 
 
 # enum's fast constructor for Enum, the one CPython builds its own
-# import-time enums with (re.RegexFlag, http.HTTPStatus); 3.10 has none.
-_simple_enum = enum._simple_enum(enum.Enum) if hasattr(enum, "_simple_enum") else None
+# import-time enums with (re.RegexFlag, http.HTTPStatus).
+_simple_enum = enum._simple_enum(enum.Enum)
 
 
 def _tag(cls: type) -> Any:
@@ -40,15 +40,8 @@ def _tag(cls: type) -> Any:
     Members, values, order, ``_value2member_map_``, repr and pickling are
     those of the same body written as an ``enum.Enum`` class statement. Each
     member then goes back into the class dict, where 3.11 and 3.12 leave an
-    ``enum.property`` that would run a frame on every ``Role.VERB``. On 3.10
-    the body goes through the class statement's own path.
+    ``enum.property`` that would run a frame on every ``Role.VERB``.
     """
-    if _simple_enum is None:
-        body = enum.EnumMeta.__prepare__(cls.__name__, (enum.Enum,))
-        for name, value in cls.__dict__.items():
-            if name not in ("__dict__", "__weakref__"):
-                body[name] = value
-        return enum.EnumMeta(cls.__name__, (enum.Enum,), body)
     tags = _simple_enum(cls)
     members = tags._member_map_
     # One pass in C: a loop here would run a dozen ops per member at import.

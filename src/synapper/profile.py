@@ -89,8 +89,10 @@ class MorphemeRule(_Value):
     for suffix_on_role. payload is the inserted word sequence or the suffix.
     An anchor and a suffix are one token each, as surfaces are.
 
-    The shape is checked once, here: a rule that does not fit its kind raises
-    MalformedDocumentError naming the field. operand keeps what the check
+    The fields are checked once, here: a kind that is not a MorphemeKind, a
+    selector or payload that is not a str, an ordinal that is not exactly an
+    int, or a rule that does not fit its kind raises MalformedDocumentError
+    naming the field, in that order. operand keeps what the check
     parsed: the Category to drop, the inserted words, or the Role to suffix;
     it stays out of equality and repr.
     """
@@ -104,6 +106,14 @@ class MorphemeRule(_Value):
     operand: Category | Role | tuple[str, ...]
 
     def __init__(self, kind: MorphemeKind, selector: str, payload: str = "", ordinal: int = 0) -> None:
+        if not isinstance(kind, MorphemeKind):
+            raise MalformedDocumentError("kind", "expected a MorphemeKind")
+        if not isinstance(selector, str):
+            raise MalformedDocumentError("selector", "expected a string")
+        if not isinstance(payload, str):
+            raise MalformedDocumentError("payload", "expected a string")
+        if type(ordinal) is not int:
+            raise MalformedDocumentError("ordinal", "expected an integer")
         if not selector:
             raise MalformedDocumentError("selector", "selector must be non-empty")
         if kind is MorphemeKind.DROP_CATEGORY:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -702,7 +703,6 @@ def test_console_script_usage_error_exits_2():
 
 
 def test_console_script_entry_point_is_cli_main():
-    tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as f:
         scripts = tomllib.load(f)["project"]["scripts"]
     assert scripts["synapper"] == "synapper.cli:main"

@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 
 import pytest
 
@@ -85,17 +84,12 @@ def test_cli_output_is_unchanged(case):
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=CASE_IDS)
 def test_each_op_returns_the_recorded_stdout(case):
     written = io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(ROOT)
-    try:
-        with contextlib.redirect_stdout(written), contextlib.redirect_stderr(written):
-            if case["code"] == 0:
-                assert cli._output(case["argv"]) == case["stdout"]
-            else:
-                with pytest.raises(SynapperError) as e:
-                    cli._output(case["argv"])
-    finally:
-        os.chdir(cwd)
+    with contextlib.chdir(ROOT), contextlib.redirect_stdout(written), contextlib.redirect_stderr(written):
+        if case["code"] == 0:
+            assert cli._output(case["argv"]) == case["stdout"]
+        else:
+            with pytest.raises(SynapperError) as e:
+                cli._output(case["argv"])
     assert written.getvalue() == ""
     if case["code"] != 0:
         assert json.dumps(cli._error_report(e.value), indent=2, ensure_ascii=False) + "\n" == case["stderr"]

@@ -18,6 +18,9 @@ and comparers on the parsed structure: ``serialize_structure``,
 ``to_dot``, ``canonical_form``, and ``structural_equal`` against a copy
 read from the same text and stored from another member. The dimensions
 are ring width, nesting depth, node length and branches per node.
+
+``apply_morpheme_rules`` is also counted along a fifth dimension, the
+number of rules, on one fixed linearized sentence.
 """
 
 from __future__ import annotations
@@ -154,3 +157,23 @@ def test_cost_is_linear(layer, dimension):
         assert first == second == 0, ops
     else:
         assert first > 0 and 1.9 <= second / first <= 2.1, ops
+
+
+def _alternating_rules(pairs: int) -> LanguageProfile:
+    """A profile of pairs inserts, each followed by a drop, so no two inserts fuse and every rule is its own pass.
+
+    Neither fires on the sentence below, so each pass scans the same runs. A
+    drop that empties a run keeps it, so fired inserts and drops would grow
+    the runs each later pass walks.
+    """
+    insert = MorphemeRule(MorphemeKind.INSERT_BEFORE, "absent", "x")
+    drop = MorphemeRule(MorphemeKind.DROP_CATEGORY, "OTHER")
+    return LanguageProfile("rules", WordOrder.SVO, morpheme_rules=(insert, drop) * pairs)
+
+
+def test_morpheme_rules_cost_is_linear_in_their_number():
+    n, shape = DIMENSIONS["ring_width"]
+    sentence = linearize(parse_structure(_text(shape(n))), _BARE[0])
+    ops = [count_ops(partial(apply_morpheme_rules, sentence, _alternating_rules(pairs))) for pairs in (4, 8, 16)]
+    first, second = ops[1] - ops[0], ops[2] - ops[1]
+    assert first > 0 and 1.9 <= second / first <= 2.1, ops

@@ -334,6 +334,17 @@ class TestProfileParsing:
             parse_profile(text)
         assert e.value.path == "morpheme_rules[1].ordinal"
 
+    def test_a_rule_is_checked_before_its_ordinal_is_compared(self):
+        """A rule that repeats an ordinal and does not fit its kind is reported for its shape."""
+        rules = [{"kind": "drop_category", "selector": "DET"}, {"kind": "drop_category", "selector": "X", "ordinal": 0}]
+        text = json.dumps({"name": "x", "word_order": "svo", "wh_rule": "initial_plain", "morpheme_rules": rules})
+        with pytest.raises(MalformedDocumentError) as e:
+            parse_profile(text)
+        assert (e.value.path, e.value.message) == (
+            "morpheme_rules[1].selector",
+            "drop selector must be a category tag, got 'X'",
+        )
+
     @pytest.mark.parametrize(
         "rule, bad_path",
         [
@@ -552,10 +563,8 @@ def test_profiles_and_lexicons_read_enum_text_without_an_enum_frame(parse, path)
 
 
 # Before 3.13 the C scanner raises RecursionError at 3,000 levels; 3.13's
-# reads them, so the reader's own checks report the value. 3.10 words the
-# int limit without "digits".
+# reads them, so the reader's own checks report the value.
 _RECURSION = "unreadable JSON: nested too deeply to decode"
-_INT_LIMIT = "(4300)" if sys.version_info < (3, 11) else "(4300 digits)"
 
 
 @pytest.mark.parametrize(
@@ -574,7 +583,7 @@ _INT_LIMIT = "(4300)" if sys.version_info < (3, 11) else "(4300 digits)"
         (
             parse_structure,
             "1" * 5000,
-            f"unreadable JSON: Exceeds the limit {_INT_LIMIT} for integer string conversion: value has 5000 digits;"
+            "unreadable JSON: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
             " use sys.set_int_max_str_digits() to increase the limit",
         ),
     ],

@@ -309,6 +309,28 @@ class TestMorphemeRules:
             MorphemeRule(kind, selector, payload)
         assert (e.value.path, e.value.message) == (field, message)
 
+    @pytest.mark.parametrize(
+        "args, field, message",
+        [
+            # Each would otherwise reach a later layer: Token's ValueError,
+            # str.split's AttributeError, sorted's TypeError, or a pass that
+            # matches no kind and does nothing.
+            ((MorphemeKind.INSERT_BEFORE, "Jane", b"x y"), "payload", "expected a string"),
+            ((MorphemeKind.INSERT_BEFORE, "Jane", 5), "payload", "expected a string"),
+            ((MorphemeKind.DROP_CATEGORY, "DET", "", "a"), "ordinal", "expected an integer"),
+            (("drop_category", "DET"), "kind", "expected a MorphemeKind"),
+            ((MorphemeKind.SUFFIX_ON_ROLE, b"subject", "da"), "selector", "expected a string"),
+            ((MorphemeKind.DROP_CATEGORY, "DET", "", True), "ordinal", "expected an integer"),
+            # The fields come before the shape: the empty selector is not the one named.
+            ((MorphemeKind.DROP_CATEGORY, "", None), "payload", "expected a string"),
+        ],
+        ids=["bytes-payload", "int-payload", "str-ordinal", "str-kind", "bytes-selector", "bool-ordinal", "fields-first"],
+    )
+    def test_fields_are_checked_when_built(self, args, field, message):
+        with pytest.raises(MalformedDocumentError) as e:
+            MorphemeRule(*args)
+        assert (e.value.path, e.value.message) == (field, message)
+
     def test_rule_is_an_immutable_value(self):
         rule = MorphemeRule(MorphemeKind.INSERT_BEFORE, "x", "a b", 2)
         twin = MorphemeRule(kind=MorphemeKind.INSERT_BEFORE, selector="x", payload="a b", ordinal=2)
