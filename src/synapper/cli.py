@@ -3,10 +3,11 @@
 Each command (validate, linearize, translate, question, declarativize,
 compare, canon, dot, prob, orders) is one row of ``_COMMANDS``: its help, its
 op and its arguments. An op takes the loaded argument values and returns the
-command's whole stdout text. ``run`` reads a well-formed call straight from
-its row: the command, its positionals in order and each required option
-once with its value. Any other argument list (``-h``, a usage error, or a
-form argparse reads in its own way, such as ``--profile=p``) goes to
+command's whole stdout text. ``run`` reads a call written in row order
+straight from its row: the command, then each argument as the row lists
+it, a positional as its value and a required option as its name and value.
+Any other argument list (``-h``, a usage error, options in another order,
+or a form argparse reads in its own way, such as ``--profile=p``) goes to
 argparse, which is imported only then and builds the parser of every
 command. ``run`` loads the arguments in row order (so the first bad input
 is the one reported), calls the op and writes its text. Failures print a
@@ -91,35 +92,27 @@ def _output(argv: list[str]) -> str:
 
 
 def _table_read(argv: list[str]):
-    """(op, [(loader, text)] in row order) for a well-formed call, or None to leave argv to argparse.
+    """(op, [(loader, text)] in row order) for a call written in row order, or None to leave argv to argparse.
 
-    A call is well formed when argv[0] names a row and the rest holds the
-    row's positionals in order and each of its options exactly once, each
-    followed by its value, options anywhere. No other token and no option
+    A call is read from the table when argv is its row written out: argv[0]
+    names the row, then each of the row's arguments follows in row order, a
+    positional as its value and an option as its name and then its value. No
     value may start with "-", and an int must be one int() reads. argparse
-    reads such an argv into exactly these values; every other form (-h, a
-    usage error, --opt=value, an abbreviated or repeated option, --, a
-    negative number) declines, so argparse reads it and writes its own texts.
+    reads such an argv into exactly these values; every other form (options
+    in another order, -h, a usage error, --opt=value, an abbreviated or
+    repeated option, --, a negative number) declines, so argparse reads it
+    and writes its own texts.
     """
     row = next((row for row in _COMMANDS if argv and row[0] == argv[0]), None)
     if row is None:
         return None
-    names = [name for name, _, _ in row[3]]
-    options, positionals = {}, []
     tail = iter(argv[1:])
-    for token in tail:
-        if not token.startswith("-"):
-            positionals.append(token)
-            continue
-        value = next(tail, "-")  # an option with no value declines
-        if token not in names or token in options or value.startswith("-"):
-            return None
-        options[token] = value
-    rest = iter(positionals)
     given = []
     for name, loader, _ in row[3]:
-        text = options.get(name) if name.startswith("--") else next(rest, None)
-        if text is None:
+        if name.startswith("--") and next(tail, None) != name:
+            return None
+        text = next(tail, "-")  # a missing value declines
+        if text.startswith("-"):
             return None
         if loader == "int":
             try:
@@ -127,7 +120,7 @@ def _table_read(argv: list[str]):
             except ValueError:
                 return None
         given.append((loader, text))
-    if next(rest, None) is not None:
+    if next(tail, None) is not None:
         return None
     return row[2], given
 

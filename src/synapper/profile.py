@@ -50,6 +50,9 @@ class PostOrder:
     REVERSED = "reversed"
 
 
+# The side and post order of one category's branches. Each field must be a
+# member of its enum; another value raises MalformedDocumentError naming the
+# field, in parameter order.
 class BranchPlacementRule(_Value):
     __slots__ = __match_args__ = ("category", "side", "post_order")
     category: Category
@@ -57,6 +60,12 @@ class BranchPlacementRule(_Value):
     post_order: PostOrder
 
     def __init__(self, category: Category, side: BranchSide, post_order: PostOrder = PostOrder.SOURCE) -> None:
+        if category.__class__ is not Category:
+            raise MalformedDocumentError("category", "expected a Category")
+        if side.__class__ is not BranchSide:
+            raise MalformedDocumentError("side", "expected a BranchSide")
+        if post_order.__class__ is not PostOrder:
+            raise MalformedDocumentError("post_order", "expected a PostOrder")
         _set(self, "category", category)
         _set(self, "side", side)
         _set(self, "post_order", post_order)
@@ -164,6 +173,11 @@ class LanguageProfile(_Value):
     inserted words are already Tokens.
     All three are derived from the other fields, so they stay out of
     equality and repr.
+
+    The fields are checked when built: a word_order, verb_placement or
+    wh_rule that is not a member of its enum, or a branch or morpheme rule
+    of another class, raises MalformedDocumentError naming the field (and
+    the rule's index), in parameter order.
     """
 
     __match_args__ = ("name", "word_order", "verb_placement", "branch_rules", "wh_rule", "morpheme_rules")
@@ -187,6 +201,18 @@ class LanguageProfile(_Value):
         wh_rule: WhRule = WhRule.INITIAL_NO_INVERSION,
         morpheme_rules: tuple[MorphemeRule, ...] = (),
     ) -> None:
+        if word_order.__class__ is not WordOrder:
+            raise MalformedDocumentError("word_order", "expected a WordOrder")
+        if verb_placement.__class__ is not VerbPlacement:
+            raise MalformedDocumentError("verb_placement", "expected a VerbPlacement")
+        for i, rule in enumerate(branch_rules):
+            if rule.__class__ is not BranchPlacementRule:
+                raise MalformedDocumentError(f"branch_rules[{i}]", "expected a BranchPlacementRule")
+        if wh_rule.__class__ is not WhRule:
+            raise MalformedDocumentError("wh_rule", "expected a WhRule")
+        for i, rule in enumerate(morpheme_rules):
+            if rule.__class__ is not MorphemeRule:
+                raise MalformedDocumentError(f"morpheme_rules[{i}]", "expected a MorphemeRule")
         _set(self, "name", name)
         _set(self, "word_order", word_order)
         _set(self, "verb_placement", verb_placement)

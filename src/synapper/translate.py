@@ -141,7 +141,8 @@ def _apply_rule(sentence: LinearSentence, step: MorphemeRule | InsertEdits) -> L
 
     A run the pass leaves alone is kept, the same tuple. An insert splits a
     run only at the anchors that fire, and each group of words its
-    InsertEdits holds goes in as a run (words, None, -1, False).
+    InsertEdits holds goes in as a run (words, None, -1, False). A drop
+    leaves out a run it empties.
     """
     runs, out = sentence._runs, []
     if isinstance(step, dict):
@@ -167,7 +168,10 @@ def _apply_rule(sentence: LinearSentence, step: MorphemeRule | InsertEdits) -> L
         category = step.operand
         for run in runs:
             if not run[3] and category in map(_category, run[0]):
-                run = (tuple([t for t in run[0] if t.category is not category]), *run[1:])
+                tokens = tuple([t for t in run[0] if t.category is not category])
+                if not tokens:
+                    continue
+                run = (tokens, *run[1:])
             out.append(run)
     else:
         # A suffix on the last token with the role, which ends the last

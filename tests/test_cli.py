@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tomllib
@@ -475,7 +476,7 @@ class TestUsage:
 
 
 class TestTableRead:
-    """A well-formed call is read from its command's row, with no argparse; the read declines every other argv."""
+    """A call in row order is read from its command's row, with no argparse; the read declines every other argv."""
 
     @pytest.mark.parametrize("command", _COMMAND_NAMES)
     def test_every_short_tail_is_declined_or_read_as_argparse_reads_it(self, command):
@@ -484,26 +485,30 @@ class TestTableRead:
         # Five tokens of the alphabet do not start with "-"; two of them are
         # whole numbers. A tail of up to three tokens cannot hold the two
         # options and a positional that translate, question and declarativize need.
-        expected = {"linearize": 50, "compare": 25, "prob": 2, "translate": 0, "question": 0, "declarativize": 0}
+        expected = {"linearize": 25, "compare": 25, "prob": 2, "translate": 0, "question": 0, "declarativize": 0}
         assert accepted == expected.get(command, 5)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_a_well_formed_call_over_free_text_is_read_from_the_table(self, data):
+        """The read accepts a call exactly when each option keeps its row place and no value starts with "-"."""
         name, _, op, arguments = data.draw(st.sampled_from(cli._COMMANDS))
-        text = st.text().filter(lambda t: not t.startswith("-"))
-        groups, options, given_values = [[name]], [], []
+        text = st.text() | st.text().map("-".__add__)
+        groups, given_values = [], []
         for arg, loader, _ in arguments:
-            value = data.draw(st.integers(0, 10**6) if loader == "int" else text)
+            value = data.draw(st.integers(-10, 10**6) if loader == "int" else text)
             given_values.append((loader, value))
-            if arg.startswith("--"):
-                options.append([arg, value])
-            else:
-                groups.append([str(value)])
-        for option in options:
-            groups.insert(data.draw(st.integers(1, len(groups))), option)
-        argv = [token for group in groups for token in group]
-        assert cli._table_read(argv) == argparse_call(argv) == (op, given_values)
+            groups.append([arg, str(value)] if arg.startswith("--") else [str(value)])
+        order = data.draw(st.permutations(range(len(groups))))
+        argv = [name, *(token for at in order for token in groups[at])]
+        in_row_order = all(at == i for i, at in enumerate(order) if arguments[i][0].startswith("--"))
+        well_formed = in_row_order and not any(str(value).startswith("-") for _, value in given_values)
+        call = cli._table_read(argv)
+        assert (call is not None) == well_formed
+        if well_formed:
+            assert call == argparse_call(argv)
+        if well_formed and order == list(range(len(groups))):
+            assert call == (op, given_values)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(_COMMAND_NAMES), st.lists(st.sampled_from(ALPHABET) | st.text(), max_size=7))
@@ -523,6 +528,9 @@ class TestTableRead:
             ["linearize", "x.json", "--profile=p.json"],
             ["linearize", "x.json", "--prof", "p.json"],
             ["linearize", "x.json", "--profile", "p.json", "--profile", "p.json"],
+            ["linearize", "--profile", "p.json", "x.json"],
+            ["translate", "x.json", "--profile", "p.json", "--lexicon", "l.tsv"],
+            ["question", "x.json", "--wh", "why", "--profile", "p.json"],
             ["linearize", "x.json", "--profile", "-"],
             ["linearize", "--profile", "p.json", "--", "x.json"],
             ["question", "x.json", "--profile", "p.json", "--wh", "why", "--bogus", "b"],
@@ -536,13 +544,15 @@ class TestTableRead:
     @pytest.mark.parametrize(
         "form",
         [
-            ["--profile=" + profile_path("en")],
-            ["--prof", profile_path("en")],
-            ["--profile", profile_path("fr"), "--profile", profile_path("en")],
+            [fixture_path("horse"), "--profile=" + profile_path("en")],
+            [fixture_path("horse"), "--prof", profile_path("en")],
+            [fixture_path("horse"), "--profile", profile_path("fr"), "--profile", profile_path("en")],
+            ["--profile", profile_path("en"), fixture_path("horse")],
         ],
     )
     def test_a_form_argparse_reads_runs_as_the_well_formed_call(self, run_cli, form):
-        assert run_cli("linearize", fixture_path("horse"), *form) == (0, "Jane has a very fast brown horse\n", "")
+        assert cli._table_read(["linearize", *form]) is None
+        assert run_cli("linearize", *form) == (0, "Jane has a very fast brown horse\n", "")
 
     def test_a_negative_number_reaches_the_op(self, run_cli):
         code, out, err = run_cli("prob", "-5")
@@ -650,7 +660,7 @@ def test_importing_the_cli_loads_no_dataclasses_argparse_json_re_or_source_tools
     }
 
 
-# One well-formed call per command.
+# One call per command, written in row order.
 WELL_FORMED_CALLS = (
     ["validate", fixture_path("horse")],
     ["linearize", fixture_path("horse"), "--profile", profile_path("en")],
@@ -681,6 +691,31 @@ def test_well_formed_calls_load_no_json():
     proc = _run_python("-S", "-c", child, repr(WELL_FORMED_CALLS))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [f"{argv[0]} 0 []" for argv in WELL_FORMED_CALLS]
+
+
+def _readme_calls() -> list[tuple[list[str], str | None]]:
+    """(arguments, the stdout a following "# " line gives, or None) for each call in README "CLI"'s sh block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n## CLI\n") :]
+    block = section[section.index("```sh\n") + 6 : section.index("\n```\n")]
+    lines = block.replace("\\\n", "").splitlines()
+    calls = []
+    for line, after in zip(lines, [*lines[1:], ""]):
+        if line.startswith("synapper "):
+            output = after[2:] + "\n" if after.startswith("# ") else None
+            calls.append((shlex.split(line, comments=True)[1:], output))
+    return calls
+
+
+README_CALLS = _readme_calls()
+
+
+@pytest.mark.parametrize("argv, output", README_CALLS, ids=[" ".join(argv) for argv, _ in README_CALLS])
+def test_each_readme_call_is_read_from_the_table_and_prints_its_output(run_cli, monkeypatch, argv, output):
+    assert cli._table_read(argv) is not None
+    if output is not None:
+        monkeypatch.chdir(ROOT)
+        assert run_cli(*argv) == (0, output, "")
 
 
 def test_malformed_document_report(run_cli, tmp_path):

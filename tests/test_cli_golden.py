@@ -10,7 +10,7 @@ left out; its output is tested against exact arithmetic in test_cli.py.
 
 The same cases also go through ``run``'s dispatch without its write: parsing,
 loading and the op return the whole stdout text, or raise the error ``run``
-reports, and write nothing. Every case is a well-formed call, so each is also
+reports, and write nothing. Every case is a call in row order, so each is also
 run with argparse's parser made to fail: the command table reads them all.
 
 When a change to the CLI's output is intended, regenerate the file from a

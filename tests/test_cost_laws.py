@@ -162,18 +162,27 @@ def test_cost_is_linear(layer, dimension):
 def _alternating_rules(pairs: int) -> LanguageProfile:
     """A profile of pairs inserts, each followed by a drop, so no two inserts fuse and every rule is its own pass.
 
-    Neither fires on the sentence below, so each pass scans the same runs. A
-    drop that empties a run keeps it, so fired inserts and drops would grow
-    the runs each later pass walks.
+    Every insert fires before each "w0" of the sentence below, and the drop
+    after it empties each run of words it inserted.
     """
-    insert = MorphemeRule(MorphemeKind.INSERT_BEFORE, "absent", "x")
+    insert = MorphemeRule(MorphemeKind.INSERT_BEFORE, "w0", "x")
     drop = MorphemeRule(MorphemeKind.DROP_CATEGORY, "OTHER")
     return LanguageProfile("rules", WordOrder.SVO, morpheme_rules=(insert, drop) * pairs)
 
 
-def test_morpheme_rules_cost_is_linear_in_their_number():
+def _ring_width_sentence():
     n, shape = DIMENSIONS["ring_width"]
-    sentence = linearize(parse_structure(_text(shape(n))), _BARE[0])
+    return linearize(parse_structure(_text(shape(n))), _BARE[0])
+
+
+def test_morpheme_rules_cost_is_linear_in_their_number():
+    sentence = _ring_width_sentence()
     ops = [count_ops(partial(apply_morpheme_rules, sentence, _alternating_rules(pairs))) for pairs in (4, 8, 16)]
     first, second = ops[1] - ops[0], ops[2] - ops[1]
     assert first > 0 and 1.9 <= second / first <= 2.1, ops
+
+
+def test_a_drop_leaves_out_the_runs_it_empties():
+    sentence = _ring_width_sentence()
+    rewritten = apply_morpheme_rules(sentence, _alternating_rules(16))
+    assert (rewritten.render(), len(rewritten._runs)) == (sentence.render(), len(sentence._runs))

@@ -20,6 +20,7 @@ from synapper import (
     LinearSentence,
     Loop,
     LoopKind,
+    MalformedDocumentError,
     MorphemeKind,
     MorphemeRule,
     PlacedToken,
@@ -580,3 +581,36 @@ def _loop_shape(loop: Loop) -> tuple[int, int]:
         elif c.branches:
             branched += 1
     return nested, branched
+
+
+_POST_ADJ = BranchPlacementRule(Category.ADJ, BranchSide.POST)
+
+
+class TestCodeBuiltProfiles:
+    """A profile or branch rule built in code checks its own fields, in parameter order, as parse_profile's do."""
+
+    @pytest.mark.parametrize(
+        "build, field, message",
+        [
+            (lambda: LanguageProfile("x", "svo"), "word_order", "expected a WordOrder"),
+            (lambda: LanguageProfile("x", WordOrder.SVO, "v1"), "verb_placement", "expected a VerbPlacement"),
+            (lambda: LanguageProfile("x", WordOrder.SVO, wh_rule="pre_subject"), "wh_rule", "expected a WhRule"),
+            (lambda: BranchPlacementRule("ADJ", BranchSide.POST), "category", "expected a Category"),
+            (lambda: BranchPlacementRule(Category.ADJ, "post"), "side", "expected a BranchSide"),
+            (lambda: BranchPlacementRule(Category.ADJ, BranchSide.POST, "reversed"), "post_order", "expected a PostOrder"),
+            (lambda: LanguageProfile("x", WordOrder.SVO, branch_rules=(_POST_ADJ, "a")), "branch_rules[1]",
+             "expected a BranchPlacementRule"),
+            (lambda: LanguageProfile("x", WordOrder.SVO, morpheme_rules=("a",)), "morpheme_rules[0]",
+             "expected a MorphemeRule"),
+            # Two bad fields: the one earlier in the parameters is named.
+            (lambda: LanguageProfile("x", "svo", "v1", ("a",), "x", ("a",)), "word_order", "expected a WordOrder"),
+            (lambda: LanguageProfile("x", WordOrder.SVO, branch_rules=("a",), wh_rule="x"), "branch_rules[0]",
+             "expected a BranchPlacementRule"),
+        ],
+        ids=["word_order", "verb_placement", "wh_rule", "category", "side", "post_order", "branch_rule",
+             "morpheme_rule", "word_order-first", "branch_rules-before-wh_rule"],
+    )
+    def test_a_field_of_another_type_is_named(self, build, field, message):
+        with pytest.raises(MalformedDocumentError) as e:
+            build()
+        assert (e.value.path, e.value.message) == (field, message)
